@@ -139,13 +139,9 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
 
 
 def _select_farthest(vertices: np.ndarray, results) -> int:
-    """Index of the max-residual vertex; vertices arrive lex-sorted, so the
-    first strict maximum breaks ties lexicographically."""
-    best, best_val = 0, -np.inf
-    for i, res in enumerate(results):
-        if res.residual_norm > best_val:
-            best, best_val = i, res.residual_norm
-    return best
+    """Index of the max-residual vertex; vertices arrive lex-sorted, and
+    argmax returns the first maximum, so ties break lexicographically."""
+    return int(np.argmax([res.residual_norm for res in results]))
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -189,7 +185,13 @@ def run(config: RunConfig) -> RunTrace:
             break
 
         h = pt.Halfspace(-far.cut_normal, -float(far.cut_normal @ far.y_support))
-        P_next = pt.cut(P, h)
+        try:
+            P_next = pt.cut(P, h)
+        except pt.InfeasibleError:
+            # the cut removed every vertex: the supporting halfspace is
+            # inconsistent with the current polytope
+            termination = "solver_failure"
+            break
         if P_next.null_cut:
             # numerically redundant cut: tolerance mismatch between solver
             # and polytope layers; surface it instead of masking

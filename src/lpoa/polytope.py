@@ -77,18 +77,24 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
 
 
 def _merge_close(points: np.ndarray, incidences: list[frozenset[int]], tol: float):
-    """Deduplicate points closer than tol in l_inf, unioning incidence sets."""
-    kept_pts: list[np.ndarray] = []
+    """Deduplicate points closer than tol in l_inf, unioning incidence sets.
+
+    Greedy in input order: each point joins the first kept point within tol,
+    otherwise it is kept.  Returns the kept rows as an array and their merged
+    incidence sets.
+    """
+    kept = np.empty(points.shape)
     kept_inc: list[set[int]] = []
     for pt, inc in zip(points, incidences):
-        for j, other in enumerate(kept_pts):
-            if np.max(np.abs(other - pt)) <= tol:
-                kept_inc[j] |= set(inc)
-                break
-        else:
-            kept_pts.append(pt)
-            kept_inc.append(set(inc))
-    return kept_pts, [frozenset(s) for s in kept_inc]
+        n = len(kept_inc)
+        if n:
+            close = np.flatnonzero(abs(kept[:n] - pt).max(axis=1) <= tol)
+            if close.size:
+                kept_inc[close[0]] |= inc
+                continue
+        kept[n] = pt
+        kept_inc.append(set(inc))
+    return kept[:len(kept_inc)], [frozenset(s) for s in kept_inc]
 
 
 @dataclass(frozen=True)
@@ -216,8 +222,7 @@ def from_halfspaces(halfspaces) -> Polytope:
     active = np.abs(A @ pts.T - b[:, None]) <= act_tol
     incid = [frozenset(np.nonzero(active[:, i])[0].tolist()) for i in range(len(pts))]
 
-    kept_pts, kept_inc = _merge_close(pts, incid, MERGE_TOL)
-    verts = np.array(kept_pts)
+    verts, kept_inc = _merge_close(pts, incid, MERGE_TOL)
     order = _lex_order(verts)
     return Polytope(hs, verts[order], tuple(kept_inc[i] for i in order))
 
@@ -270,8 +275,7 @@ def cut(P: Polytope, h: Halfspace) -> Polytope:
 
     all_pts = kept_pts + new_pts
     all_inc = kept_inc + new_inc
-    merged_pts, merged_inc = _merge_close(np.array(all_pts), all_inc, MERGE_TOL)
-    out = np.array(merged_pts)
+    out, merged_inc = _merge_close(np.array(all_pts), all_inc, MERGE_TOL)
     order = _lex_order(out)
     return Polytope(P.halfspaces + (h,), out[order],
                     tuple(merged_inc[i] for i in order))

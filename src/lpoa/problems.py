@@ -455,18 +455,20 @@ _ANCHORS = np.array([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]])
 _POLY_VERTS = np.array([[0.0, 0.0], [10.0, 0.0], [2.0, 4.0], [0.0, 4.0]])
 _POLY_A = np.array([[1.0, 2.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 _POLY_B = np.array([10.0, 10.0, 0.0, 4.0, 0.0])
+_POLY_B_TOL = _POLY_B + 1e-12
+# (start, direction, squared length) of each polygon edge
+_POLY_EDGES = [(a, b - a, (b - a) @ (b - a))
+               for a, b in zip(_POLY_VERTS, np.roll(_POLY_VERTS, -1, axis=0))]
 
 
 def _project_polygon(x):
     x = np.asarray(x, dtype=float)
-    if np.all(_POLY_A @ x <= _POLY_B + 1e-12):
+    if (_POLY_A @ x <= _POLY_B_TOL).all():
         return x
     best, best_d = None, np.inf
-    m = len(_POLY_VERTS)
-    for i in range(m):
-        a, b = _POLY_VERTS[i], _POLY_VERTS[(i + 1) % m]
-        d = b - a
-        t = float(np.clip((x - a) @ d / (d @ d), 0.0, 1.0))
+    for a, d, dd in _POLY_EDGES:
+        t = (x - a) @ d / dd
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else float(t)
         cand = a + t * d
         dist = float(np.sum((cand - x) ** 2))
         if dist < best_d:
@@ -483,8 +485,8 @@ def example2() -> ProblemInstance:
         return (omega @ _ANCHORS) / float(np.sum(omega))
 
     def gamma(x):
-        d = _ANCHORS - np.asarray(x, dtype=float)[None, :]
-        return np.sum(d * d, axis=1)
+        d = _ANCHORS - np.asarray(x, dtype=float)
+        return np.add.reduce(d * d, axis=1)
 
     def jacobian(x):
         return 2.0 * (np.asarray(x, dtype=float)[None, :] - _ANCHORS)

@@ -12,7 +12,6 @@ identity with a safeguarded 1-D Newton solve.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -200,26 +199,29 @@ def _project_upper(prob: ProblemInstance, a: np.ndarray, x_warm: np.ndarray,
         y, x = prob.upper_project(a)
         return y, x, step
     x = x_warm
+    # gx = gamma(x) is carried along: the last Armijo trial point becomes the
+    # next iterate, so its objective value is never evaluated twice
+    gx = prob.gamma_eval(x)
     for _ in range(300):
-        r = np.maximum(prob.gamma_eval(x) - a, 0.0)
-        if not np.any(r > 0.0):
+        r = np.maximum(gx - a, 0.0)
+        if not (r > 0.0).any():
             break
         g = 2.0 * (prob.gamma_jacobian(x).T @ r)
         fx = float(r @ r)
-        x_new = x
+        x_new, gx_new = x, gx
         while step > 1e-16:
             x_new = prob.feasible_project(x - step * g)
             d = x_new - x
-            r_new = np.maximum(prob.gamma_eval(x_new) - a, 0.0)
+            gx_new = prob.gamma_eval(x_new)
+            r_new = np.maximum(gx_new - a, 0.0)
             if float(r_new @ r_new) <= fx + g @ d + 0.5 / step * (d @ d) + 1e-18:
                 break
             step *= 0.5
-        done = np.max(np.abs(x_new - x)) <= inner_tol
-        x = x_new
+        done = abs(x_new - x).max() <= inner_tol
+        x, gx = x_new, gx_new
         step = min(step * 1.2, 1e4)
         if done:
             break
-    gx = prob.gamma_eval(x)
     return np.maximum(gx, a), x, step
 
 
@@ -277,8 +279,8 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
         u1 = u1 + y1r - y
         u2 = u2 + y2r - y
 
-        r_pri = max(np.max(np.abs(y1 - y)), np.max(np.abs(y2 - y)))
-        r_dual = rho * np.max(np.abs(y - y_old))
+        r_pri = max(abs(y1 - y).max(), abs(y2 - y).max())
+        r_dual = rho * abs(y - y_old).max()
         kkt = max(r_pri, r_dual)
         if r_pri <= tol.primal * scale and r_dual <= tol.dual * scale:
             break
@@ -335,27 +337,28 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
 
 
 class SubproblemCache:
-    """Vertex-keyed result cache, safe under concurrent insert/lookup."""
+    """Vertex-keyed result cache for one run (keys rounded to `decimals`).
+
+    Not synchronized: a run owns its cache, and parallel sweeps run in
+    separate processes.
+    """
 
     def __init__(self, decimals: int = 9):
         self.decimals = decimals
         self._data: dict[tuple, ScalarizationResult] = {}
-        self._lock = threading.Lock()
         self.hits = 0
 
     def key(self, v) -> tuple:
         return tuple(np.round(np.asarray(v, dtype=float), self.decimals).tolist())
 
     def get(self, v):
-        with self._lock:
-            res = self._data.get(self.key(v))
-            if res is not None:
-                self.hits += 1
-            return res
+        res = self._data.get(self.key(v))
+        if res is not None:
+            self.hits += 1
+        return res
 
     def put(self, v, result: ScalarizationResult):
-        with self._lock:
-            self._data[self.key(v)] = result
+        self._data[self.key(v)] = result
 
 
 def solve_batch(prob: ProblemInstance, vertices, ne: NormExponent,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from lpoa import driver
+from lpoa import polytope as pt
 from lpoa.cli import CSV_HEADER, main
 from lpoa.driver import RunConfig, run
 from lpoa.trace_io import (SCHEMA_VERSION, TraceFormatError, dumps_trace,
@@ -89,6 +91,16 @@ class TestRunCommand:
         res = runner.invoke(main, ["run", "--problem", "ellipse", "--p", "2",
                                    "--eps", "1e-6", "--max-iters", "3"])
         assert res.exit_code == 2
+
+    def test_infeasible_cut_exit_three(self, runner, monkeypatch):
+        def infeasible(P, h):
+            raise pt.InfeasibleError("cut removes every vertex")
+
+        monkeypatch.setattr(driver.pt, "cut", infeasible)
+        res = runner.invoke(main, ["run", "--problem", "example1-q2",
+                                   "--p", "2", "--eps", "1e-3"])
+        assert res.exit_code == 3, res.output
+        assert "solver_failure" in res.output
 
     def test_unknown_problem_exit_64(self, runner):
         res = runner.invoke(main, ["run", "--problem", "nope", "--p", "2",

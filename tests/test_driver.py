@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from lpoa import driver
+from lpoa import polytope as pt
 from lpoa.driver import (RunConfig, RunTrace, hausdorff_series, initialize,
                          run)
 from lpoa.lp_geometry import NormExponent, lp_norm
@@ -141,18 +143,34 @@ class TestRunBehaviour:
         assert trace.termination == "max_iterations"
         assert len(trace.iterations) == 5
 
+    def test_infeasible_cut_is_solver_failure(self, monkeypatch):
+        # a cut that removes every vertex ends the run with a recorded
+        # termination instead of escaping as a traceback
+        def infeasible(P, h):
+            raise pt.InfeasibleError("cut removes every vertex")
+
+        monkeypatch.setattr(driver.pt, "cut", infeasible)
+        cfg = RunConfig(problem_key="example1-q2", p=2.0, epsilon=1e-3)
+        trace = run(cfg)
+        assert trace.termination == "solver_failure"
+        assert trace.iterations == ()
+        P0, _ = initialize(by_key("example1-q2"))
+        assert len(trace.final_polytope.halfspaces) == len(P0.halfspaces)
+        assert np.array_equal(trace.final_polytope.vertices_array,
+                              P0.vertices_array)
+
     def test_hausdorff_series(self, trace_q2):
         s = hausdorff_series(trace_q2)
         assert len(s) == len(trace_q2.iterations)
         assert s == [r.residual_norm for r in trace_q2.iterations]
 
-    def test_example2_residuals_exact(self):
+    def test_example2_residuals_exact(self, trace_example2_eps03):
         # every recorded farthest-vertex residual is the Euclidean distance
         # to A, re-solved independently as min ||y - v||^2 over
         # y >= gamma(x), x in X, w_bar . y <= gamma_slice (worst measured
         # relative gap 6.2e-7)
         prob = by_key("example2")
-        trace = run(RunConfig(problem_key="example2", p=2.0, epsilon=0.3))
+        trace = trace_example2_eps03
         assert trace.termination == "converged"
         n, q = prob.n, prob.q
         constraints = [

@@ -2,9 +2,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpoa.polytope import (FEAS_TOL, Halfspace, InfeasibleError, Polytope,
-                           UnboundedError, cut, from_halfspaces)
+from lpoa.polytope import (FEAS_TOL, MERGE_TOL, Halfspace, InfeasibleError,
+                           Polytope, UnboundedError, _merge_close, cut,
+                           from_halfspaces)
 
 
 def box(q, lo=0.0, hi=1.0):
@@ -178,3 +181,87 @@ def test_fuzz_against_brute_force(q):
         oracle = brute_force_vertices(hs)
         assert_vertex_sets_equal(P.vertices(), oracle)
     assert built == 250
+
+
+# ---------------------------------------------------------------------------
+# vertex merging
+
+
+def merge_close_reference(points, incidences, tol):
+    """The original pairwise loop: greedy in input order, each point joins
+    the first kept point within tol in l_inf."""
+    kept_pts = []
+    kept_inc = []
+    for pt, inc in zip(points, incidences):
+        for j, other in enumerate(kept_pts):
+            if np.max(np.abs(other - pt)) <= tol:
+                kept_inc[j] |= set(inc)
+                break
+        else:
+            kept_pts.append(pt)
+            kept_inc.append(set(inc))
+    return kept_pts, [frozenset(s) for s in kept_inc]
+
+
+PLANT_FACTORS = (0.5, 0.999, 1.001)
+
+
+def planted_cloud(seed, q, n_base, n_plant):
+    """Random points plus near-duplicates of earlier points (planted ones
+    included, so chains occur) at PLANT_FACTORS * MERGE_TOL in l_inf;
+    returns the shuffled points and random incidence sets."""
+    rng = np.random.default_rng(seed)
+    pts = list(rng.uniform(-5.0, 5.0, size=(n_base, q)))
+    for _ in range(n_plant):
+        src = pts[int(rng.integers(len(pts)))]
+        f = PLANT_FACTORS[int(rng.integers(len(PLANT_FACTORS)))]
+        off = rng.uniform(-0.5, 0.5, size=q) * f * MERGE_TOL
+        off[int(rng.integers(q))] = rng.choice([-1.0, 1.0]) * f * MERGE_TOL
+        pts.append(src + off)
+    order = rng.permutation(len(pts))
+    points = np.array(pts)[order]
+    incidences = [frozenset(rng.choice(12, size=int(rng.integers(1, 4)),
+                                       replace=False).tolist())
+                  for _ in range(len(points))]
+    return points, incidences
+
+
+class TestMergeClose:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), q=st.sampled_from([2, 3]),
+           n_base=st.integers(1, 40), n_plant=st.integers(0, 40))
+    def test_matches_reference(self, seed, q, n_base, n_plant):
+        points, incidences = planted_cloud(seed, q, n_base, n_plant)
+        got_pts, got_inc = _merge_close(points, incidences, MERGE_TOL)
+        ref_pts, ref_inc = merge_close_reference(points, incidences, MERGE_TOL)
+        assert got_pts.tobytes() == np.array(ref_pts).tobytes()
+        assert got_inc == ref_inc
+
+    def test_planted_clouds_merge_some_and_keep_some(self):
+        # the clouds exercise both branches: some plants merge (0.5x,
+        # 0.999x) and some stay apart from their source (1.001x)
+        for seed in range(20):
+            points, incidences = planted_cloud(seed, 3, 30, 30)
+            got_pts, _ = _merge_close(points, incidences, MERGE_TOL)
+            assert 30 < len(got_pts) < len(points)
+
+    def test_greedy_not_transitive(self):
+        # b is within tol of a and c is within tol of b, but c is compared
+        # with the kept point a only, so it stays
+        a = np.array([0.0, 0.0])
+        b = a + [0.6 * MERGE_TOL, 0.0]
+        c = a + [1.2 * MERGE_TOL, 0.0]
+        pts, inc = _merge_close(np.array([a, b, c]),
+                                [frozenset({0}), frozenset({1}),
+                                 frozenset({2})], MERGE_TOL)
+        assert np.array_equal(pts, [a, c])
+        assert inc == [frozenset({0, 1}), frozenset({2})]
+
+
+def test_incremental_matches_rebuild_example2(trace_example2_eps03):
+    """After a real run, the incrementally cut polytope has the vertex set
+    of the polytope rebuilt from its halfspaces (within 1e-10)."""
+    assert len(trace_example2_eps03.iterations) == 27
+    final = trace_example2_eps03.final_polytope
+    rebuilt = from_halfspaces(final.halfspaces)
+    assert_vertex_sets_equal(final.vertices(), rebuilt.vertices(), tol=1e-10)

@@ -1,14 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from lpoa import scalarization
+from lpoa.driver import initialize
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import by_key, oracle_distance
 from lpoa.scalarization import (ScalarizationResult, SolverTolerances,
-                                SubproblemCache, prox_lp_norm, solve_batch,
-                                solve_subproblem)
+                                SubproblemCache, _project_upper, prox_lp_norm,
+                                solve_batch, solve_subproblem)
 
 P_VALUES = [1.25, 1.5, 2.0, 3.0, 4.0, 8.0]
 
@@ -158,3 +161,84 @@ class TestCacheAndBatch:
         prob = by_key("example1-q2")
         with pytest.raises(ValueError):
             solve_subproblem(prob, np.array([np.nan, 0.0]), NormExponent(2))
+
+
+# ---------------------------------------------------------------------------
+# first-order upper-image projection
+
+
+def project_upper_reference(prob, a, x_warm, inner_tol, step=1.0):
+    """The original first-order loop, which evaluates gamma again at every
+    accepted point and once more on return."""
+    x = x_warm
+    for _ in range(300):
+        r = np.maximum(prob.gamma_eval(x) - a, 0.0)
+        if not np.any(r > 0.0):
+            break
+        g = 2.0 * (prob.gamma_jacobian(x).T @ r)
+        fx = float(r @ r)
+        x_new = x
+        while step > 1e-16:
+            x_new = prob.feasible_project(x - step * g)
+            d = x_new - x
+            r_new = np.maximum(prob.gamma_eval(x_new) - a, 0.0)
+            if float(r_new @ r_new) <= fx + g @ d + 0.5 / step * (d @ d) + 1e-18:
+                break
+            step *= 0.5
+        done = np.max(np.abs(x_new - x)) <= inner_tol
+        x = x_new
+        step = min(step * 1.2, 1e4)
+        if done:
+            break
+    gx = prob.gamma_eval(x)
+    return np.maximum(gx, a), x, step
+
+
+def counting_gamma(prob):
+    """prob with gamma_eval wrapped by a call counter; (instance, counter)."""
+    calls = [0]
+
+    def gamma_eval(x):
+        calls[0] += 1
+        return prob.gamma_eval(x)
+
+    return dataclasses.replace(prob, gamma_eval=gamma_eval), calls
+
+
+@pytest.fixture(scope="module")
+def example2_projection_inputs():
+    """(a, x_warm, inner_tol, step) of every projection made in one example2
+    subproblem at p = 2: the initial vertex (0, 16.25, 0), 481 ADMM steps."""
+    prob = by_key("example2")
+    recorded = []
+
+    def recording(prob_, a, x_warm, inner_tol, step=1.0):
+        recorded.append((a.copy(), np.array(x_warm), inner_tol, step))
+        return _project_upper(prob_, a, x_warm, inner_tol, step)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(scalarization, "_project_upper", recording)
+    try:
+        verts = initialize(prob)[0].vertices()
+        solve_subproblem(prob, verts[np.argmax(verts[:, 1])], NormExponent(2.0))
+    finally:
+        mp.undo()
+    return recorded
+
+
+def test_project_upper_matches_reference(example2_projection_inputs):
+    prob = by_key("example2")
+    assert prob.upper_project is None  # the first-order branch is exercised
+    inputs = example2_projection_inputs
+    assert len(inputs) >= 300
+    new_prob, new_calls = counting_gamma(prob)
+    ref_prob, ref_calls = counting_gamma(prob)
+    for a, x_warm, inner_tol, step in inputs:
+        new_calls[0] = ref_calls[0] = 0
+        y, x, s = _project_upper(new_prob, a, x_warm, inner_tol, step)
+        y_ref, x_ref, s_ref = project_upper_reference(ref_prob, a, x_warm,
+                                                      inner_tol, step)
+        assert y.tobytes() == y_ref.tobytes()
+        assert x.tobytes() == x_ref.tobytes()
+        assert s == s_ref
+        assert new_calls[0] < ref_calls[0]
