@@ -12,7 +12,7 @@ supported dimensions (higher q is attempted on a best-effort basis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -48,7 +48,7 @@ class UnboundedError(PolytopeError):
         self.direction = direction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: fields are arrays
 class Halfspace:
     """The set {y : <normal, y> <= offset}; normal stored un-normalized."""
 
@@ -97,14 +97,14 @@ def _merge_close(points: np.ndarray, incidences: list[frozenset[int]], tol: floa
     return kept[:len(kept_inc)], [frozenset(s) for s in kept_inc]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity: fields are arrays
 class Polytope:
     """Immutable bounded polytope with simultaneous H- and V-representation."""
 
     halfspaces: tuple[Halfspace, ...]
     vertices_array: np.ndarray            # (m, q), rows in lexicographic order
     incidence: tuple[frozenset[int], ...]  # active halfspace indices per vertex
-    null_cut: bool = field(default=False, compare=False)
+    null_cut: bool = False
 
     @property
     def dim(self) -> int:

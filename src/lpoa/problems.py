@@ -325,92 +325,89 @@ def _with_sampler(inst: ProblemInstance, sampler) -> ProblemInstance:
 # Rotated ellipse: identity objective over a rotated ellipse in R^2
 
 _ELLIPSE_AXES_SQ = np.array([10.0, 6.0])
-_ELLIPSE_B = np.array([[-1.0, 1.0], [1.0, 1.0]])       # t = B x + (0, -4)
-_ELLIPSE_C = np.array([0.0, -4.0])
 _ELLIPSE_M = np.array([[-0.5, 0.5], [0.5, 0.5]])       # x = M t + (2, 2)
 _ELLIPSE_X0 = np.array([2.0, 2.0])
+# the hot oracles work on floats (numpy calls on 2-vectors cost more than the
+# arithmetic); t = (x2 - x1, x1 + x2 - 4) and x = M t + (2, 2) are exact
+_EA1, _EA2 = 10.0, 6.0                                  # axes squared
+_EQA2 = 2.0 * (1.0 / _EA1 + 1.0 / _EA2)                 # frontier quadratic
 
 
-def _ellipse_to_t(x):
-    return _ELLIPSE_B @ x + _ELLIPSE_C
+def _ellipse_project(x1, x2):
+    """Euclidean projection of (x1, x2) onto the ellipse, as floats."""
+    t1, t2 = x2 - x1, (x1 + x2) - 4.0
+    if t1 * t1 / _EA1 + t2 * t2 / _EA2 > 1.0:
+        # Newton on the Lagrange multiplier; f is convex decreasing in lam > 0
+        w1, w2 = _EA1 * t1 * t1, _EA2 * t2 * t2
+        lam = 0.0
+        for _ in range(200):
+            d1, d2 = _EA1 + lam, _EA2 + lam
+            f = (w1 / (d1 * d1) + w2 / (d2 * d2)) - 1.0
+            if abs(f) <= 1e-14:
+                break
+            lam -= f / (-2.0 * (w1 / (d1 * d1 * d1) + w2 / (d2 * d2 * d2)))
+        t1, t2 = _EA1 * t1 / (_EA1 + lam), _EA2 * t2 / (_EA2 + lam)
+    return (0.5 * t2 - 0.5 * t1) + 2.0, (0.5 * t1 + 0.5 * t2) + 2.0
 
 
-def _ellipse_from_t(t):
-    return _ELLIPSE_M @ t + _ELLIPSE_X0
-
-
-def _project_axis_ellipse(u, axes_sq, tol=1e-14):
-    """Euclidean projection onto {t : sum t_i^2 / a_i^2 <= 1}."""
-    val = float(np.sum(u * u / axes_sq))
-    if val <= 1.0:
-        return u
-    # Newton on the Lagrange multiplier; f is convex decreasing in lam > 0
-    lam = 0.0
-    for _ in range(200):
-        denom = axes_sq + lam
-        f = float(np.sum(axes_sq * u * u / denom**2)) - 1.0
-        if abs(f) <= tol:
-            break
-        df = -2.0 * float(np.sum(axes_sq * u * u / denom**3))
-        lam -= f / df
-    return axes_sq * u / (axes_sq + lam)
+def _ellipse_frontier_height(c):
+    """Smallest x2 over the ellipse at first coordinate x1 = c."""
+    # in the t-frame x1 = c fixes t2 = t1 + d; minimizing x2 = t1 + d/2 + 2
+    # means taking the smaller root of the induced quadratic in t1
+    d = 2.0 * (c - 2.0)
+    qb = 2.0 * d / _EA2
+    qc = d * d / _EA2 - 1.0
+    disc = max(qb * qb - 2.0 * _EQA2 * qc, 0.0)
+    return (-qb - math.sqrt(disc)) / _EQA2 + 0.5 * d + 2.0
 
 
 def rotated_ellipse() -> ProblemInstance:
     """Identity objective over the 45-degree-rotated ellipse centered at (2,2)."""
 
     def project(x):
-        t = _ellipse_to_t(np.asarray(x, dtype=float))
-        return _ellipse_from_t(_project_axis_ellipse(t, _ELLIPSE_AXES_SQ))
+        return np.array(_ellipse_project(*np.asarray(x, dtype=float).tolist()))
 
     def ws_closed_form(omega):
         c = _ELLIPSE_M.T @ omega
         scale = math.sqrt(float(np.sum(_ELLIPSE_AXES_SQ * c * c)))
-        return _ellipse_from_t(-_ELLIPSE_AXES_SQ * c / scale)
+        return _ELLIPSE_M @ (-_ELLIPSE_AXES_SQ * c / scale) + _ELLIPSE_X0
 
     # endpoints of the minimal frontier arc (coordinate-wise minimizers)
     a1_pt = ws_closed_form(np.array([1.0, 0.0]))
     a2_pt = ws_closed_form(np.array([0.0, 1.0]))
-
-    def frontier_height(c):
-        """Smallest x2 over the ellipse at first coordinate x1 = c."""
-        # in the t-frame x1 = c fixes t2 = t1 + d; minimizing x2 = t1 + d/2 + 2
-        # means taking the smaller root of the induced quadratic in t1
-        d = 2.0 * (c - 2.0)
-        qa = 1.0 / _ELLIPSE_AXES_SQ[0] + 1.0 / _ELLIPSE_AXES_SQ[1]
-        qb = 2.0 * d / _ELLIPSE_AXES_SQ[1]
-        qc = d * d / _ELLIPSE_AXES_SQ[1] - 1.0
-        disc = max(qb * qb - 4.0 * qa * qc, 0.0)
-        t1 = (-qb - math.sqrt(disc)) / (2.0 * qa)
-        return t1 + 0.5 * d + 2.0
+    a1x, a1y = a1_pt.tolist()
+    a2x, a2y = a2_pt.tolist()
 
     def membership(y, tol):
-        y = np.asarray(y, dtype=float)
-        if y[0] < a1_pt[0] - tol:
+        y1, y2 = np.asarray(y, dtype=float).tolist()
+        if y1 < a1x - tol:
             return False
-        c = min(max(y[0], a1_pt[0]), a2_pt[0])
-        return y[1] >= frontier_height(c) - tol
+        return y2 >= _ellipse_frontier_height(min(max(y1, a1x), a2x)) - tol
 
     def upper_project(a):
         a = np.asarray(a, dtype=float)
-        if membership(a, 0.0):
-            c = min(max(a[0], a1_pt[0]), a2_pt[0])
-            return a, np.array([c, frontier_height(c)])
+        y1, y2 = a.tolist()
+        if y1 >= a1x:               # membership(a, 0.0), inlined
+            c = min(y1, a2x)
+            h = _ellipse_frontier_height(c)
+            if y2 >= h:
+                return a, np.array([c, h])
+        # candidates (point, witness); a witness of None is the point itself
         candidates = []
-        p = project(a)
-        if np.all(a - p <= 1e-12):  # p lies on the minimal arc
-            candidates.append((p, p))
-        if a[0] <= a1_pt[0]:        # vertical ray above the x1-minimizer
-            qy = np.array([a1_pt[0], max(a[1], a1_pt[1])])
-            candidates.append((qy, a1_pt))
-        if a[1] <= a2_pt[1]:        # horizontal ray right of the x2-minimizer
-            qx = np.array([max(a[0], a2_pt[0]), a2_pt[1]])
-            candidates.append((qx, a2_pt))
+        p1, p2 = _ellipse_project(y1, y2)
+        if y1 - p1 <= 1e-12 and y2 - p2 <= 1e-12:  # p lies on the minimal arc
+            candidates.append((p1, p2, None))
+        if y1 <= a1x:               # vertical ray above the x1-minimizer
+            candidates.append((a1x, max(y2, a1y), a1_pt))
+        if y2 <= a2y:               # horizontal ray right of the x2-minimizer
+            candidates.append((max(y1, a2x), a2y, a2_pt))
         if not candidates:          # tolerance edge: fall back to the arc
-            candidates.append((p, p))
-        y_best, x_best = min(candidates,
-                             key=lambda cw: float(np.sum((cw[0] - a) ** 2)))
-        return y_best, x_best
+            candidates.append((p1, p2, None))
+        # min keeps the first of equally near candidates
+        b1, b2, witness = min(candidates, key=lambda cw: (
+            (cw[0] - y1) * (cw[0] - y1) + (cw[1] - y2) * (cw[1] - y2)))
+        y = np.array([b1, b2])
+        return y, y if witness is None else witness
 
     def build(gamma_slice):
         inst = ProblemInstance(

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -8,6 +11,11 @@ from lpoa.driver import (RunConfig, RunTrace, hausdorff_series, initialize,
                          run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import _POLY_A, _POLY_B, by_key
+
+# ellipse at eps = 1e-3: residual series and farthest vertices recorded with
+# the numpy ellipse oracles that the scalar ones replaced
+ELLIPSE_RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "ellipse_eps1e-3.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +209,26 @@ class TestRunBehaviour:
             d = float(np.linalg.norm(res.x[n:] - v))
             worst = max(worst, abs(d - rec.residual_norm) / rec.residual_norm)
         assert worst <= 1e-5
+
+
+class TestEllipseRecorded:
+    """ellipse runs against the recorded ones.  The instance is mirror-
+    symmetric about y1 = y2, so mirror vertices tie to within rounding and a
+    last-bit change in a projection can select either: a farthest vertex
+    matches the recorded one or its coordinate swap."""
+
+    @pytest.mark.parametrize("p", sorted(ELLIPSE_RECORDED["runs"], key=float))
+    def test_matches_recorded_run(self, p):
+        ref = ELLIPSE_RECORDED["runs"][p]
+        trace = run(RunConfig(problem_key="ellipse", p=float(p),
+                              epsilon=ELLIPSE_RECORDED["epsilon"]))
+        assert trace.termination == ref["termination"] == "converged"
+        assert len(trace.iterations) == len(ref["residual_norm"]) == 32
+        got = np.array(hausdorff_series(trace))
+        expected = np.array(ref["residual_norm"])
+        assert np.all(np.abs(got - expected) <= 1e-8 * expected)
+        for rec, v in zip(trace.iterations, ref["farthest_vertex"]):
+            v = np.array(v)
+            err = min(np.max(np.abs(rec.farthest_vertex - v)),
+                      np.max(np.abs(rec.farthest_vertex - v[::-1])))
+            assert err <= 1e-9, (rec.k, rec.farthest_vertex, v)

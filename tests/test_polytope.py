@@ -65,6 +65,23 @@ class TestHalfspace:
             Halfspace(np.array([np.nan, 1.0]), 1.0)
 
 
+class TestEquality:
+    """Halfspace and Polytope hold ndarrays, so == and hash are by identity."""
+
+    def test_halfspace(self):
+        h = Halfspace(np.array([1.0, -2.0]), 3.0)
+        same = Halfspace(np.array([1.0, -2.0]), 3.0)
+        assert h == h
+        assert (h == same) is False
+        assert len({h, same}) == 2
+
+    def test_polytope(self):
+        P = from_halfspaces(box(2))
+        assert P == P
+        assert (P == from_halfspaces(P.halfspaces)) is False
+        assert hash(P) == hash(P)
+
+
 class TestFromHalfspaces:
     def test_unit_square(self):
         P = from_halfspaces(box(2))

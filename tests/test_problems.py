@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpoa.lp_geometry import NormExponent
-from lpoa.problems import (PROBLEM_KEYS, by_key, oracle_distance,
+from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0,
+                           PROBLEM_KEYS, by_key, oracle_distance,
                            weighted_sum)
 
 
@@ -137,7 +142,6 @@ class TestEllipseProjection:
         prob = by_key("ellipse")
         rng = np.random.default_rng(41)
         phi = np.linspace(0.0, 2.0 * np.pi, 20001)
-        from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0)
         bd = np.column_stack([np.sqrt(_ELLIPSE_AXES_SQ[0]) * np.cos(phi),
                               np.sqrt(_ELLIPSE_AXES_SQ[1]) * np.sin(phi)])
         bd = bd @ _ELLIPSE_M.T + _ELLIPSE_X0
@@ -147,3 +151,150 @@ class TestEllipseProjection:
             d_proj = np.linalg.norm(xp - x)
             d_oracle = np.min(np.linalg.norm(bd - x, axis=1))
             assert d_proj <= d_oracle + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# reference: the numpy ellipse oracles that the scalar ones replaced, kept
+# verbatim (membership, frontier and candidate rules included) as an oracle
+
+_REF_B = np.array([[-1.0, 1.0], [1.0, 1.0]])       # t = B x + (0, -4)
+_REF_C = np.array([0.0, -4.0])
+
+
+def _ref_project_axis_ellipse(u, axes_sq, tol=1e-14):
+    val = float(np.sum(u * u / axes_sq))
+    if val <= 1.0:
+        return u
+    lam = 0.0
+    for _ in range(200):
+        denom = axes_sq + lam
+        f = float(np.sum(axes_sq * u * u / denom**2)) - 1.0
+        if abs(f) <= tol:
+            break
+        df = -2.0 * float(np.sum(axes_sq * u * u / denom**3))
+        lam -= f / df
+    return axes_sq * u / (axes_sq + lam)
+
+
+def _ref_project(x):
+    t = _REF_B @ np.asarray(x, dtype=float) + _REF_C
+    return (_ELLIPSE_M @ _ref_project_axis_ellipse(t, _ELLIPSE_AXES_SQ)
+            + _ELLIPSE_X0)
+
+
+def _ref_frontier_height(c):
+    d = 2.0 * (c - 2.0)
+    qa = 1.0 / _ELLIPSE_AXES_SQ[0] + 1.0 / _ELLIPSE_AXES_SQ[1]
+    qb = 2.0 * d / _ELLIPSE_AXES_SQ[1]
+    qc = d * d / _ELLIPSE_AXES_SQ[1] - 1.0
+    disc = max(qb * qb - 4.0 * qa * qc, 0.0)
+    t1 = (-qb - math.sqrt(disc)) / (2.0 * qa)
+    return t1 + 0.5 * d + 2.0
+
+
+def _ref_membership(y, tol, a1_pt, a2_pt):
+    y = np.asarray(y, dtype=float)
+    if y[0] < a1_pt[0] - tol:
+        return False
+    c = min(max(y[0], a1_pt[0]), a2_pt[0])
+    return y[1] >= _ref_frontier_height(c) - tol
+
+
+def _ref_upper_project(a, a1_pt, a2_pt):
+    """(point, witness, branch) of the numpy upper-image projection."""
+    a = np.asarray(a, dtype=float)
+    if _ref_membership(a, 0.0, a1_pt, a2_pt):
+        c = min(max(a[0], a1_pt[0]), a2_pt[0])
+        return a, np.array([c, _ref_frontier_height(c)]), "inside"
+    candidates = []
+    p = _ref_project(a)
+    if np.all(a - p <= 1e-12):
+        candidates.append((p, p, "arc"))
+    if a[0] <= a1_pt[0]:
+        qy = np.array([a1_pt[0], max(a[1], a1_pt[1])])
+        candidates.append((qy, a1_pt, "x1-ray"))
+    if a[1] <= a2_pt[1]:
+        qx = np.array([max(a[0], a2_pt[0]), a2_pt[1]])
+        candidates.append((qx, a2_pt, "x2-ray"))
+    if not candidates:
+        candidates.append((p, p, "arc"))
+    return min(candidates, key=lambda cw: float(np.sum((cw[0] - a) ** 2)))
+
+
+_ELLIPSE = by_key("ellipse")
+_A1_PT = _ELLIPSE.ws_closed_form(np.array([1.0, 0.0]))   # x1-minimizer
+_A2_PT = _ELLIPSE.ws_closed_form(np.array([0.0, 1.0]))   # x2-minimizer
+
+
+def _polar_to_x(r, phi):
+    """The point at ellipse radius r and angle phi of the axis frame."""
+    unit = np.array([math.cos(phi), math.sin(phi)])
+    t = r * np.sqrt(_ELLIPSE_AXES_SQ) * unit
+    return _ELLIPSE_M @ t + _ELLIPSE_X0
+
+
+def _radial(lo, hi):
+    """Points at lo <= (ellipse radius) <= hi."""
+    return st.builds(_polar_to_x, st.floats(lo, hi),
+                     st.floats(0.0, 2.0 * math.pi))
+
+
+def _near(center, scale):
+    off = st.floats(-scale, scale)
+    return st.builds(lambda d1, d2: center + np.array([d1, d2]), off, off)
+
+
+_OUTSIDE = st.one_of(_radial(1.001, 4.0), st.builds(
+    lambda x1, x2: np.array([x1, x2]),
+    st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)).filter(
+        lambda x: np.linalg.norm(x - _ELLIPSE_X0) > 10.0))
+_POINTS = st.one_of(
+    _radial(0.0, 0.999),                      # inside
+    _radial(1.0, 1.0),                        # on the boundary (to rounding)
+    _radial(0.999, 1.001),                    # straddling it
+    _OUTSIDE,                                 # outside, and far away
+    _near(_A1_PT, 1e-3), _near(_A1_PT, 1e-9),
+    _near(_A2_PT, 1e-3), _near(_A2_PT, 1e-9),
+)
+
+
+def _branch(a, y, x):
+    """Which candidate the scalar upper_project returned, read off its
+    outputs: the input itself, the arc (point is its own witness) or a ray."""
+    if y is a:
+        return "inside"
+    if y is x:
+        return "arc"
+    return "x1-ray" if np.array_equal(x, _A1_PT) else "x2-ray"
+
+
+class TestEllipseScalarOracles:
+    @settings(max_examples=400, deadline=None)
+    @given(x=_POINTS)
+    def test_project_matches_reference(self, x):
+        got = _ELLIPSE.feasible_project(x)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert np.max(np.abs(got - _ref_project(x))) <= 1e-13
+
+    @settings(max_examples=400, deadline=None)
+    @given(a=_POINTS)
+    def test_upper_project_matches_reference(self, a):
+        y, x = _ELLIPSE.upper_project(a)
+        y_ref, x_ref, branch = _ref_upper_project(a, _A1_PT, _A2_PT)
+        assert _branch(a, y, x) == branch
+        assert np.max(np.abs(y - y_ref)) <= 1e-13
+        assert np.max(np.abs(x - x_ref)) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_OUTSIDE)
+    def test_project_kkt_outside(self, x):
+        p = _ELLIPSE.feasible_project(x)
+        t = _REF_B @ p + _REF_C
+        # on the boundary
+        assert abs(float(np.sum(t * t / _ELLIPSE_AXES_SQ)) - 1.0) <= 1e-12
+        # x - p is a positive multiple of the outer normal at p
+        normal = _REF_B.T @ (t / _ELLIPSE_AXES_SQ)
+        r = x - p
+        scale = np.linalg.norm(r) * np.linalg.norm(normal)
+        assert abs(r[0] * normal[1] - r[1] * normal[0]) <= 1e-12 * scale
+        assert float(r @ normal) > 0.0
