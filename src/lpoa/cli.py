@@ -6,9 +6,9 @@ Commands
            optionally a combined log-log SVG
     verify lemma verification of a saved trace, or the geometry self-test
 
-Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure,
-64 unknown problem key; sweep -> 1 if any run failed; verify -> 1 on
-violations, 65 on a malformed trace.  LPOA_SEED overrides the default seed.
+Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
+sweep -> 1 if any run failed; run and sweep -> 64 for an unknown problem key
+or an invalid argument; verify -> 1 on violations, 65 on a malformed trace.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ import json
 import os
 import sys
 import time
+from typing import NoReturn
 
 import click
 
 from .analysis import fit_rate, monotone_envelope, verify_trace
 from .checks import run_self_test
-from .driver import DEFAULT_SEED, RunConfig, RunTrace, hausdorff_series, run
+from .driver import RunConfig, RunTrace, hausdorff_series, run
 from .plot_svg import write_svg
 from .problems import PROBLEM_KEYS, by_key
 from .trace_io import (TraceFormatError, atomic_write_text, default_metadata,
@@ -44,19 +45,15 @@ EXIT_USAGE = 64
 EXIT_BAD_TRACE = 65
 
 
-def _seed(cli_seed) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("LPOA_SEED")
-    return int(env) if env else DEFAULT_SEED
+def _usage_error(message: str) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_USAGE)
 
 
 def _check_problem(key: str) -> None:
     if key not in PROBLEM_KEYS:
-        click.echo(f"error: unknown problem key {key!r}; "
-                   f"choose from {', '.join(PROBLEM_KEYS)}", err=True)
-        click.echo("usage: lpoa run --problem KEY --p REAL --eps REAL", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_error(f"unknown problem key {key!r}; "
+                     f"choose from {', '.join(PROBLEM_KEYS)}")
 
 
 def _trace_curve(trace: RunTrace) -> dict:
@@ -82,12 +79,14 @@ def main() -> None:
               default=None, help="Trace JSON output path.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False),
               default=None, help="Optional log-log SVG output path.")
-@click.option("--seed", type=int, default=None, help="Override random seed.")
-def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path, seed):
+def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
     """Execute one run and write its trace."""
     _check_problem(problem_key)
-    config = RunConfig(problem_key=problem_key, p=p_value, epsilon=eps,
-                       max_iterations=max_iters, seed=_seed(seed))
+    try:
+        config = RunConfig(problem_key=problem_key, p=p_value, epsilon=eps,
+                           max_iterations=max_iters)
+    except ValueError as exc:
+        _usage_error(str(exc))
     t0 = time.perf_counter()
     trace = run(config)
     wall = time.perf_counter() - t0
@@ -126,20 +125,20 @@ def _sweep_one(args) -> tuple[float, RunTrace, float]:
               help="Parallel runs.")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False),
               default=None, help="Combined log-log SVG output path.")
-@click.option("--seed", type=int, default=None, help="Override random seed.")
-def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path,
-              seed):
+def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     """Run every p value for one problem; write traces and a summary CSV."""
     _check_problem(problem_key)
-    p_values = (DEFAULT_P_LIST if p_list is None
-                else tuple(float(s) for s in p_list.split(",")))
     epsilon = DEFAULT_EPSILONS[problem_key] if eps is None else eps
-    seed_val = _seed(seed)
+    try:
+        p_values = (DEFAULT_P_LIST if p_list is None
+                    else tuple(float(s) for s in p_list.split(",")))
+        configs = [RunConfig(problem_key=problem_key, p=p, epsilon=epsilon,
+                             max_iterations=max_iters)
+                   for p in p_values]
+    except ValueError as exc:
+        _usage_error(str(exc))
     os.makedirs(out_dir, exist_ok=True)
 
-    configs = [RunConfig(problem_key=problem_key, p=p, epsilon=epsilon,
-                         max_iterations=max_iters, seed=seed_val)
-               for p in p_values]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
             results = list(ex.map(_sweep_one,

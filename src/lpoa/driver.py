@@ -10,7 +10,7 @@ in a RunTrace for the analysis layer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -18,13 +18,10 @@ import numpy as np
 from . import polytope as pt
 from .lp_geometry import NormExponent
 from .problems import ProblemInstance, by_key, weighted_sum
-from .scalarization import (ScalarizationResult, SolverTolerances,
-                            SubproblemCache, SubproblemError, solve_batch)
+from .scalarization import SolverTolerances, SubproblemError, solve_batch
 
 __all__ = ["RunConfig", "IterationRecord", "RunTrace", "initialize", "run",
            "hausdorff_series"]
-
-DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -34,10 +31,9 @@ class RunConfig:
     epsilon: float
     max_iterations: int = 500
     tolerances: SolverTolerances = field(default_factory=SolverTolerances)
-    seed: int = DEFAULT_SEED
-    record_pairs: bool = True
 
     def __post_init__(self):
+        NormExponent(self.p)  # raises ValueError unless 1 < p < inf
         if self.epsilon <= self.tolerances.tol_zero:
             raise ValueError("epsilon must exceed the zero-residual threshold")
         if self.max_iterations < 1:
@@ -49,10 +45,7 @@ class RunConfig:
             "p": self.p,
             "epsilon": self.epsilon,
             "max_iterations": self.max_iterations,
-            "seed": self.seed,
-            "record_pairs": self.record_pairs,
             "tolerances": {
-                "objective": self.tolerances.objective,
                 "primal": self.tolerances.primal,
                 "dual": self.tolerances.dual,
                 "vi": self.tolerances.vi,
@@ -63,11 +56,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        tol = SolverTolerances(**d.get("tolerances", {}))
+        # traces written before seed, record_pairs and tolerances.objective
+        # were removed still carry them; none of the three was ever read
+        tol = dict(d.get("tolerances", {}))
+        tol.pop("objective", None)
         return cls(problem_key=d["problem_key"], p=d["p"], epsilon=d["epsilon"],
-                   max_iterations=d.get("max_iterations", 500), tolerances=tol,
-                   seed=d.get("seed", DEFAULT_SEED),
-                   record_pairs=d.get("record_pairs", True))
+                   max_iterations=d.get("max_iterations", 500),
+                   tolerances=SolverTolerances(**tol))
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def run(config: RunConfig) -> RunTrace:
     prob = by_key(config.problem_key)
     ne = NormExponent(config.p)
     P, j_plus_1 = initialize(prob)
-    cache = SubproblemCache()
+    cache: dict = {}
     records: list[IterationRecord] = []
     termination = "max_iterations"
     prev_vertex_count = 0
@@ -163,12 +158,14 @@ def run(config: RunConfig) -> RunTrace:
     for k in range(config.max_iterations):
         t0 = time.perf_counter()
         verts = P.vertices()
-        hits_before = cache.hits
+        solved_before = len(cache)
         try:
             results = solve_batch(prob, verts, ne, config.tolerances, cache)
         except SubproblemError:
             termination = "solver_failure"
             break
+        # the rows of one batch are distinct: every vertex not added is a hit
+        hits = len(verts) - (len(cache) - solved_before)
         idx = _select_farthest(verts, results)
         far = results[idx]
         new_count = len(verts) - prev_vertex_count if k else len(verts)
@@ -179,7 +176,7 @@ def run(config: RunConfig) -> RunTrace:
                 k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
                 support_point=far.y_support, cut_normal=None,
                 vertex_count=len(verts), new_vertex_count=new_count,
-                cache_hits=cache.hits - hits_before,
+                cache_hits=hits,
                 wall_ms=(time.perf_counter() - t0) * 1e3))
             termination = "converged"
             break
@@ -201,7 +198,7 @@ def run(config: RunConfig) -> RunTrace:
             k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
             support_point=far.y_support, cut_normal=far.cut_normal,
             vertex_count=len(verts), new_vertex_count=new_count,
-            cache_hits=cache.hits - hits_before,
+            cache_hits=hits,
             wall_ms=(time.perf_counter() - t0) * 1e3))
         prev_vertex_count = len(verts)
         P = P_next

@@ -13,7 +13,7 @@ identity with a safeguarded 1-D Newton solve.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,7 +24,6 @@ from .problems import ProblemInstance, weighted_sum
 __all__ = [
     "SolverTolerances",
     "ScalarizationResult",
-    "SubproblemCache",
     "SubproblemError",
     "solve_subproblem",
     "solve_batch",
@@ -34,7 +33,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverTolerances:
-    objective: float = 1e-7
     primal: float = 1e-8
     dual: float = 1e-8
     vi: float = 1e-6
@@ -53,23 +51,10 @@ class ScalarizationResult:
     kkt_residual: float
     wall_time: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x_opt": self.x_opt.tolist(),
-            "z_opt": self.z_opt.tolist(),
-            "y_support": self.y_support.tolist(),
-            "residual_norm": self.residual_norm,
-            "cut_normal": None if self.cut_normal is None else self.cut_normal.tolist(),
-            "iterations": self.iterations,
-            "kkt_residual": self.kkt_residual,
-            "wall_time": self.wall_time,
-        }
-
 
 class SubproblemError(RuntimeError):
-    def __init__(self, msg, best=None, kkt_residual=None, vertex=None):
+    def __init__(self, msg, kkt_residual=None, vertex=None):
         super().__init__(msg)
-        self.best = best
         self.kkt_residual = kkt_residual
         self.vertex = vertex
 
@@ -305,7 +290,7 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
     else:
         raise SubproblemError(
             "subproblem solver did not converge",
-            best=(x, y), kkt_residual=kkt, vertex=v)
+            kkt_residual=kkt, vertex=v)
 
     z = y - v
     nrm = lp_norm(z, ne)
@@ -336,55 +321,20 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
 # batching with a cache
 
 
-class SubproblemCache:
-    """Vertex-keyed result cache for one run (keys rounded to `decimals`).
-
-    Not synchronized: a run owns its cache, and parallel sweeps run in
-    separate processes.
-    """
-
-    def __init__(self, decimals: int = 9):
-        self.decimals = decimals
-        self._data: dict[tuple, ScalarizationResult] = {}
-        self.hits = 0
-
-    def key(self, v) -> tuple:
-        return tuple(np.round(np.asarray(v, dtype=float), self.decimals).tolist())
-
-    def get(self, v):
-        res = self._data.get(self.key(v))
-        if res is not None:
-            self.hits += 1
-        return res
-
-    def put(self, v, result: ScalarizationResult):
-        self._data[self.key(v)] = result
-
-
 def solve_batch(prob: ProblemInstance, vertices, ne: NormExponent,
                 tol: SolverTolerances = SolverTolerances(),
-                cache: Optional[SubproblemCache] = None) -> list[ScalarizationResult]:
-    """Solve the subproblem for each vertex, reusing cached results.
+                cache: Optional[dict] = None) -> list[ScalarizationResult]:
+    """Solve the subproblem for each vertex, reusing the results in cache.
 
-    Cache hits are returned with iteration count 0.  Errors are re-raised
-    with the offending vertex attached.
+    The cache maps a vertex's exact coordinates to its result; polytope.cut
+    keeps surviving vertices bit for bit, so they hit it in later batches.
     """
+    if cache is None:
+        cache = {}
     results = []
     for v in vertices:
-        if cache is not None:
-            hit = cache.get(v)
-            if hit is not None:
-                results.append(ScalarizationResult(
-                    x_opt=hit.x_opt, z_opt=hit.z_opt, y_support=hit.y_support,
-                    residual_norm=hit.residual_norm, cut_normal=hit.cut_normal,
-                    iterations=0, kkt_residual=hit.kkt_residual, wall_time=0.0))
-                continue
-        try:
-            res = solve_subproblem(prob, v, ne, tol)
-        except SubproblemError as exc:
-            exc.vertex = np.asarray(v, dtype=float)
-            raise
-        if cache is not None:
-            cache.put(v, res)
-        results.append(res)
+        key = tuple(np.asarray(v, dtype=float).tolist())
+        if key not in cache:
+            cache[key] = solve_subproblem(prob, v, ne, tol)
+        results.append(cache[key])
     return results

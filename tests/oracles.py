@@ -1,0 +1,216 @@
+"""Test-only oracles for the built-in problems.
+
+Membership in the upper image gamma(X) + R^q_+ and in the approximated set A,
+boundary samplers of A, and a brute-force lp distance to A built on them.
+The solver never calls these; tests use them as independent references.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+from scipy.optimize import minimize
+
+from lpoa.lp_geometry import NormExponent, lp_norm
+from lpoa.problems import (_ANCHORS, _ELLIPSE_AXES_SQ, _ELLIPSE_M,
+                           _ELLIPSE_X0, _POLY_A, _POLY_B,
+                           _ellipse_frontier_height, by_key, weighted_sum)
+
+# half-width of the slice-face grid, per problem
+DIAMETER_HINT = {
+    "example1-q2": 2.0 * math.sqrt(2),
+    "example1-q3": 2.0 * math.sqrt(3),
+    "ellipse": 2.0 * math.sqrt(10.0),
+    "example2": 25.0,
+}
+
+
+# ---------------------------------------------------------------------------
+# membership
+
+
+def _example1_membership(prob, y, tol):
+    e = np.ones(prob.q)
+    return float(np.linalg.norm(np.maximum(e - y, 0.0))) <= 1.0 + tol
+
+
+# first coordinates of the coordinate-wise minimizers: the ends of the
+# minimal frontier arc
+_A1X = by_key("ellipse").ws_closed_form(np.array([1.0, 0.0])).tolist()[0]
+_A2X = by_key("ellipse").ws_closed_form(np.array([0.0, 1.0])).tolist()[0]
+
+
+def _ellipse_membership(prob, y, tol):
+    y1, y2 = np.asarray(y, dtype=float).tolist()
+    if y1 < _A1X - tol:
+        return False
+    return y2 >= _ellipse_frontier_height(min(max(y1, _A1X), _A2X)) - tol
+
+
+def _example2_membership(prob, y, tol):
+    """Decided by a certificate from min s s.t. gamma_i(x) - y_i <= s, x in X:
+    a point x of X with max(gamma(x) - y) <= tol proves y inside, a simplex
+    weight w with min_X w . gamma > w . y proves it outside."""
+    n, q = prob.n, prob.q
+    x0 = prob.x_init
+    res = minimize(
+        lambda z: z[n], np.append(x0, np.max(prob.gamma_eval(x0) - y)),
+        jac=lambda z: np.eye(n + 1)[n], method="SLSQP",
+        constraints=[
+            {"type": "ineq",
+             "fun": lambda z: z[n] - (prob.gamma_eval(z[:n]) - y),
+             "jac": lambda z: np.hstack([-prob.gamma_jacobian(z[:n]),
+                                         np.ones((q, 1))])},
+            {"type": "ineq",
+             "fun": lambda z: _POLY_B - _POLY_A @ z[:n],
+             "jac": lambda z: np.hstack([-_POLY_A,
+                                         np.zeros((len(_POLY_A), 1))])}],
+        options={"ftol": 1e-15, "maxiter": 200})
+    # SLSQP may stop early (status 8) without harm: only a certificate counts
+    x = prob.feasible_project(res.x[:n])
+    if np.max(prob.gamma_eval(x) - y) <= tol:
+        return True
+    # the minimax point of squared anchor distances lies in the anchor hull,
+    # and its barycentric coordinates are the multipliers of the gamma rows
+    w = np.linalg.solve(np.vstack([_ANCHORS.T, np.ones(q)]), np.append(x, 1.0))
+    w = np.maximum(w, 0.0)
+    w /= w.sum()
+    if weighted_sum(prob, w)[1] > float(w @ y):
+        return False
+    raise RuntimeError(f"example2 membership of {y!r} has no certificate")
+
+
+_MEMBERSHIP = {
+    "example1-q2": _example1_membership,
+    "example1-q3": _example1_membership,
+    "ellipse": _ellipse_membership,
+    "example2": _example2_membership,
+}
+
+
+def upper_contains(prob, y, tol=1e-9):
+    """Whether y is in gamma(X) + R^q_+ (within tol)."""
+    return _MEMBERSHIP[prob.key](prob, np.asarray(y, dtype=float), tol)
+
+
+def slice_contains(prob, y, tol=1e-9):
+    return float(prob.w_bar @ np.asarray(y, dtype=float)) <= prob.gamma_slice + tol
+
+
+def in_A(prob, y, tol=1e-9):
+    return slice_contains(prob, y, tol) and upper_contains(prob, y, tol)
+
+
+# ---------------------------------------------------------------------------
+# boundary samplers of A
+
+
+def _slice_face_grid(prob, samples):
+    """Grid over the slice face {w_bar . y = gamma_slice} of A."""
+    w = prob.w_bar / np.linalg.norm(prob.w_bar)
+    y0 = prob.gamma_slice / float(prob.w_bar @ w) * w
+    # orthonormal basis of the plane
+    basis = []
+    for i in range(prob.q):
+        v = np.zeros(prob.q)
+        v[i] = 1.0
+        v = v - (v @ w) * w
+        for b in basis:
+            v = v - (v @ b) * b
+        if np.linalg.norm(v) > 1e-9:
+            basis.append(v / np.linalg.norm(v))
+        if len(basis) == prob.q - 1:
+            break
+    R = DIAMETER_HINT[prob.key]
+    if prob.q == 2:
+        n = max(8, samples)
+        t = np.linspace(-R, R, n)
+        cand = y0[None, :] + t[:, None] * basis[0][None, :]
+    else:
+        n = max(8, int(math.sqrt(samples)))
+        t1, t2 = np.meshgrid(np.linspace(-R, R, n), np.linspace(-R, R, n))
+        cand = (y0[None, :] + t1.ravel()[:, None] * basis[0][None, :]
+                + t2.ravel()[:, None] * basis[1][None, :])
+    keep = [y for y in cand if upper_contains(prob, y, 1e-9)]
+    return np.array(keep) if keep else np.empty((0, prob.q))
+
+
+def _example1_samples(prob, samples):
+    e = np.ones(prob.q)
+    pts = []
+    if prob.q == 2:
+        theta = np.linspace(0.0, math.pi / 2.0, samples)
+        arc = e[None, :] - np.column_stack([np.cos(theta), np.sin(theta)])
+        pts.append(arc[[slice_contains(prob, y, 1e-12) for y in arc]])
+    else:
+        n = max(4, int(math.sqrt(samples)))
+        th, ph = np.meshgrid(np.linspace(0, math.pi / 2, n),
+                             np.linspace(0, math.pi / 2, n))
+        u = np.column_stack([
+            (np.sin(ph) * np.cos(th)).ravel(),
+            (np.sin(ph) * np.sin(th)).ravel(),
+            np.cos(ph).ravel(),
+        ])
+        cap = e[None, :] - u
+        pts.append(cap[[slice_contains(prob, y, 1e-12) for y in cap]])
+    pts.append(_slice_face_grid(prob, samples))
+    return np.vstack([p for p in pts if len(p)])
+
+
+def _ellipse_samples(prob, samples):
+    phi = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    t = np.column_stack([math.sqrt(_ELLIPSE_AXES_SQ[0]) * np.cos(phi),
+                         math.sqrt(_ELLIPSE_AXES_SQ[1]) * np.sin(phi)])
+    bd = t @ _ELLIPSE_M.T + _ELLIPSE_X0
+    arc = bd[[slice_contains(prob, y, 1e-12) for y in bd]]
+    face = _slice_face_grid(prob, samples)
+    return np.vstack([p for p in (arc, face) if len(p)])
+
+
+def _example2_samples(prob, samples):
+    # frontier via weighted-sum minimizers on a simplex grid; the
+    # unconstrained weighted centroid is always feasible here
+    n = max(6, int(math.sqrt(samples)))
+    pts = []
+    for w1 in np.linspace(0.0, 1.0, n):
+        for w2 in np.linspace(0.0, 1.0 - w1, max(2, int(n * (1.0 - w1)) + 1)):
+            w = np.array([w1, w2, 1.0 - w1 - w2])
+            x = w @ _ANCHORS
+            y = prob.gamma_eval(x)
+            if slice_contains(prob, y, 1e-12):
+                pts.append(y)
+    frontier = np.array(pts)
+    face = _slice_face_grid(prob, min(samples, 900))
+    return np.vstack([p for p in (frontier, face) if len(p)])
+
+
+_SAMPLERS = {
+    "example1-q2": _example1_samples,
+    "example1-q3": _example1_samples,
+    "ellipse": _ellipse_samples,
+    "example2": _example2_samples,
+}
+
+
+@lru_cache(maxsize=None)
+def _cached_samples(key, samples):
+    return _SAMPLERS[key](by_key(key), samples)
+
+
+def boundary_samples(prob, samples):
+    """Points of A, mostly on its boundary, as an (m, q) array (cached per
+    problem and sample count)."""
+    return _cached_samples(prob.key, samples)
+
+
+def oracle_distance(prob, v, ne: NormExponent, samples=2000):
+    """Brute-force lp distance from v to A via dense boundary sampling.
+
+    Guaranteed >= the true distance minus a mesh-dependent error.  Returns 0
+    for points already in A.
+    """
+    v = np.asarray(v, dtype=float)
+    if in_A(prob, v, tol=1e-9):
+        return 0.0
+    diffs = boundary_samples(prob, samples) - v[None, :]
+    return min(lp_norm(d, ne) for d in diffs)

@@ -70,6 +70,19 @@ class TestTraceIO:
         with pytest.raises(TraceFormatError):
             load_trace(str(path))
 
+    def test_loads_removed_config_keys(self, small_trace):
+        # older traces carry seed, record_pairs and tolerances.objective,
+        # which nothing read; they load, and are not written back
+        doc = json.loads(dumps_trace(small_trace))
+        doc["config"].update(seed=42, record_pairs=True)
+        doc["config"]["tolerances"]["objective"] = 1e-7
+        loaded = trace_from_dict(doc)
+        assert loaded.config == small_trace.config
+        text = dumps_trace(loaded)
+        for key in ("seed", "record_pairs", "objective"):
+            assert f'"{key}"' not in text
+        assert text == dumps_trace(small_trace)
+
     def test_deterministic_bytes_excluding_metadata(self, small_trace):
         again = run(small_trace.config)
         assert dumps_trace(small_trace, None) == dumps_trace(again, None)
@@ -116,22 +129,18 @@ class TestRunCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
-    def test_lpoa_seed_env(self, runner, tmp_path):
-        out = tmp_path / "trace.json"
-        res = runner.invoke(main, ["run", "--problem", "ellipse", "--p", "2",
-                                   "--eps", "0.05", "--out", str(out)],
-                            env={"LPOA_SEED": "7"})
-        assert res.exit_code == 0
-        assert load_trace(str(out)).config.seed == 7
-
-    def test_seed_flag_beats_env(self, runner, tmp_path):
-        out = tmp_path / "trace.json"
-        res = runner.invoke(main, ["run", "--problem", "ellipse", "--p", "2",
-                                   "--eps", "0.05", "--out", str(out),
-                                   "--seed", "11"],
-                            env={"LPOA_SEED": "7"})
-        assert res.exit_code == 0
-        assert load_trace(str(out)).config.seed == 11
+    @pytest.mark.parametrize("args", [
+        ["run", "--problem", "ellipse", "--p", "1", "--eps", "0.1"],
+        ["run", "--problem", "ellipse", "--p", "2", "--eps", "-1"],
+        ["sweep", "--problem", "ellipse", "--p-list", "2,abc"],
+    ])
+    def test_invalid_argument_exit_64(self, runner, tmp_path, args):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            res = runner.invoke(main, args)
+        assert res.exit_code == 64, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ")
+        assert "Traceback" not in res.output
 
 
 class TestSweepCommand:

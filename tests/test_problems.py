@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from lpoa.lp_geometry import NormExponent
 from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0,
-                           PROBLEM_KEYS, by_key, oracle_distance,
-                           weighted_sum)
+                           PROBLEM_KEYS, by_key, weighted_sum)
+
+from oracles import (boundary_samples, in_A, oracle_distance, slice_contains,
+                     upper_contains)
 
 
 @pytest.fixture(params=PROBLEM_KEYS)
@@ -98,7 +102,7 @@ class TestMembership:
         # the component-wise minimum over weighted sums is strictly infeasible
         offsets = np.array([weighted_sum(prob, np.eye(prob.q)[i])[1]
                             for i in range(prob.q)])
-        assert not prob.in_A(offsets - 0.1)
+        assert not in_A(prob, offsets - 0.1)
 
     def test_gamma_values_in_A(self, prob):
         rng = np.random.default_rng(31)
@@ -106,27 +110,43 @@ class TestMembership:
         for _ in range(100):
             x = prob.feasible_project(rng.normal(size=prob.n) * 2.0)
             y = prob.gamma_eval(x)
-            if prob.slice_contains(y, 1e-9):
-                assert prob.in_A(y, tol=1e-7)
+            if slice_contains(prob, y, 1e-9):
+                assert in_A(prob, y, tol=1e-7)
                 hits += 1
         assert hits > 0
 
     def test_dominated_points_in_upper_image(self, prob):
         y = prob.gamma_eval(prob.x_init)
-        assert prob.upper_contains(y + 0.5, tol=1e-7)
+        assert upper_contains(prob, y + 0.5, tol=1e-7)
+
+
+class TestExample2Membership:
+    """example2 membership against the decisions of the projected-gradient
+    hinge solver it replaced, recorded on the 900- and 289-point slice-face
+    grid candidates and the points of the membership and distance tests."""
+
+    RECORDED = json.loads((Path(__file__).parent / "data"
+                           / "example2_membership.json").read_text())
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_matches_recorded_decisions(self, tol):
+        prob = by_key("example2")
+        got = "".join("1" if upper_contains(prob, y, tol) else "0"
+                      for y in self.RECORDED["points"])
+        assert got == self.RECORDED["inside"]
 
 
 class TestBoundarySampler:
     def test_samples_in_A(self, prob):
-        pts = prob.boundary_sampler(300)
+        pts = boundary_samples(prob, 300)
         assert len(pts) >= 100
         for y in pts[:: max(1, len(pts) // 50)]:
-            assert prob.slice_contains(y, 1e-6)
-            assert prob.upper_contains(y, tol=1e-6)
+            assert slice_contains(prob, y, 1e-6)
+            assert upper_contains(prob, y, tol=1e-6)
 
     def test_oracle_distance_zero_inside(self, prob):
         y = prob.gamma_eval(prob.x_init)
-        if prob.slice_contains(y, 1e-9):
+        if slice_contains(prob, y, 1e-9):
             assert oracle_distance(prob, y, NormExponent(2)) == 0.0
 
     def test_oracle_distance_positive_outside(self, prob):
