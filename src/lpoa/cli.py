@@ -8,7 +8,8 @@ Commands
 
 Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
 sweep -> 1 if any run failed; run and sweep -> 64 for an unknown problem key
-or an invalid argument; verify -> 1 on violations, 65 on a malformed trace.
+or an invalid argument; verify -> 1 on violations, 64 for a non-positive
+--eta, 65 on a malformed trace.
 """
 
 from __future__ import annotations
@@ -203,6 +204,8 @@ def cmd_verify(trace_path, eta, self_test, out_path):
     if self_test:
         report = run_self_test()
     elif trace_path:
+        if not eta > 0.0:
+            _usage_error(f"--eta must be positive, got {eta!r}")
         try:
             trace = load_trace(trace_path)
         except (TraceFormatError, OSError) as exc:

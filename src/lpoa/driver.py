@@ -1,14 +1,31 @@
 """Outer-approximation loop: initialize, enumerate vertices, cut, record.
 
-Each iteration solves the norm-minimization subproblem at every new vertex,
-selects the farthest one (its residual norm equals the Hausdorff error of
-the current polytope), and adds the supporting halfspace through the support
-point with the lp-gradient normal.  The full per-iteration history is kept
-in a RunTrace for the analysis layer.
+Each iteration selects the farthest vertex of the current polytope (its
+residual norm, the lp distance to the approximated set A, equals the
+Hausdorff error of the polytope) and adds the supporting halfspace through
+its support point with the lp-gradient normal.  The full per-iteration
+history is kept in a RunTrace for the analysis layer.
+
+Selection is lazy.  Every vertex carries either the exact result of the
+norm-minimization subproblem or an upper bound on its distance to A, both
+kept across iterations by the vertex's exact coordinates (polytope.cut keeps
+surviving rows bit for bit).  A point y of the upper image U gives a point
+of A near v: y + t (v - y)_+ with the largest t in [0, 1] that stays in the
+slice; a point outside the slice gives none.  The coarse bound is the
+minimum over the known points of U (the coordinate minimizers and every
+support point solved so far), updated as points arrive; the refined bound,
+computed once per vertex on demand, searches the exact frontier points of U
+over weighted-sum weights.  The loop takes the open vertex with the largest
+bound, refines it, and solves it only if the bound, inflated by the solver
+tolerance, still reaches the largest exact residual.  It stops when every
+open bound falls strictly below that residual, so the first maximum over
+the solved vertices in lexicographic order is the vertex that solving every
+vertex would select, and traces are unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -133,10 +150,108 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
     return P0, len(halfspaces)
 
 
-def _select_farthest(vertices: np.ndarray, results) -> int:
-    """Index of the max-residual vertex; vertices arrive lex-sorted, and
-    argmax returns the first maximum, so ties break lexicographically."""
-    return int(np.argmax([res.residual_norm for res in results]))
+# Support points lie in A, and residuals are exact, only to the subproblem
+# solver's accuracy, so a bound is compared with a residual only after
+# relative and absolute slack of SolverTolerances.vi (1e-6), the tolerance at
+# which the solver accepts a stalled iterate.
+def _inflate(bound: float, tol: SolverTolerances) -> float:
+    return bound * (1.0 + tol.vi) + tol.vi
+
+
+_REFINE_EVALS = 40  # weighted sums per refined bound
+
+
+def _bounds(prob: ProblemInstance, p: float, V: np.ndarray,
+            Y: np.ndarray) -> np.ndarray:
+    """Upper bound on dist_p(v, A) for each row v of V from the points Y of
+    A (support points lie in A to solver accuracy).
+
+    A point y of U inside the slice gives the point y + t (v - y)_+ of A,
+    with t the largest value in [0, 1] that keeps it inside the slice
+    (t = 1 gives max(v, y), t = 0 gives y); the bound is its distance to v.
+    """
+    D = Y[None, :, :] - V[:, None, :]
+    up = np.maximum(-D, 0.0)                        # (v - y)_+
+    w = prob.w_bar
+    room = np.maximum(prob.gamma_slice - Y @ w, 0.0)
+    t = np.minimum(1.0, room / np.maximum(up @ w, 1e-300))
+    b = np.sum(np.abs(D + t[:, :, None] * up) ** p, axis=2) ** (1.0 / p)
+    return b.min(axis=1)
+
+
+def _point_bound(v: list, y: list, w: list, room: float, p: float) -> float:
+    """_bounds for one vertex and one point y of U inside the slice, with
+    room = gamma_slice - w_bar . y >= 0, in scalar arithmetic."""
+    need = sum(wi * (vi - yi) for wi, vi, yi in zip(w, v, y) if vi > yi)
+    s = 1.0 - room / need if need > room else 0.0
+    return sum((s * (vi - yi)) ** p if vi > yi else (yi - vi) ** p
+               for vi, yi in zip(v, y)) ** (1.0 / p)
+
+
+def _refined_bound(prob: ProblemInstance, p: float, v: list,
+                   normals) -> float:
+    """Bound at vertex v from points of U built from the exact frontier
+    points y(omega) = gamma(x*(omega)): a Nelder-Mead search over simplex
+    weights omega in scalar arithmetic, capped at _REFINE_EVALS weighted sums.
+
+    A frontier point outside the slice gives no bound.  The search starts
+    at the mean of the nonnegative vectors among `normals` (the normals of
+    the halfspaces active at v, outward from U), scaled to the simplex, with
+    their spread as the initial size.
+    """
+    q = prob.q
+    w = prob.w_bar.tolist()
+    g = prob.gamma_slice
+
+    def f(u):
+        # u holds the first q - 1 weights; the last one makes the sum 1
+        last = 1.0 - sum(u)
+        if last < 0.0 or min(u) < 0.0:
+            return math.inf
+        y = prob.gamma_eval(prob.ws_closed_form(np.array(u + [last]))).tolist()
+        room = g - sum(wi * yi for wi, yi in zip(w, y))
+        return _point_bound(v, y, w, room, p) if room >= 0.0 else math.inf
+
+    starts = [[c / sum(n) for c in n] for n in map(list, normals)
+              if min(n) >= 0.0 and max(n) > 0.0] or [[1.0 / q] * q]
+    om = [sum(c) / len(starts) for c in zip(*starts)]
+    size = max(max(abs(a - b) for a, b in zip(s, om)) for s in starts)
+    size = size if size > 1e-9 else 0.05
+    n = q - 1
+    simplex = [om[:n]] + [[c + size * (k == j) for k, c in enumerate(om[:n])]
+                          for j in range(n)]
+    vals = [f(u) for u in simplex]
+    evals = len(vals)
+    while evals < _REFINE_EVALS:
+        order = sorted(range(n + 1), key=vals.__getitem__)
+        simplex = [simplex[k] for k in order]
+        vals = [vals[k] for k in order]
+        mid = [sum(u[k] for u in simplex[:n]) / n for k in range(n)]
+        worst = simplex[n]
+        ur = [2.0 * m - x for m, x in zip(mid, worst)]
+        fr = f(ur)
+        evals += 1
+        if fr < vals[0]:
+            ue = [3.0 * m - 2.0 * x for m, x in zip(mid, worst)]
+            fe = f(ue)
+            evals += 1
+            simplex[n], vals[n] = (ue, fe) if fe < fr else (ur, fr)
+        elif fr < vals[n - 1]:
+            simplex[n], vals[n] = ur, fr
+        else:
+            uc = [0.5 * (m + x) for m, x in zip(mid, worst)]
+            fc = f(uc)
+            evals += 1
+            if fc < vals[n]:
+                simplex[n], vals[n] = uc, fc
+            else:
+                # shrink toward the best point
+                for k in range(1, n + 1):
+                    simplex[k] = [0.5 * (a + b)
+                                  for a, b in zip(simplex[0], simplex[k])]
+                    vals[k] = f(simplex[k])
+                    evals += 1
+    return min(vals)
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -149,8 +264,21 @@ def run(config: RunConfig) -> RunTrace:
     """
     prob = by_key(config.problem_key)
     ne = NormExponent(config.p)
-    P, j_plus_1 = initialize(prob)
-    cache: dict = {}
+    tol = config.tolerances
+    try:
+        P, j_plus_1 = initialize(prob)
+        # known points of A: the coordinate minimizers, then every
+        # support point
+        known = np.array([prob.gamma_eval(prob.ws_closed_form(e))
+                          for e in np.eye(prob.q)])
+    except ValueError:
+        # an exception from a problem oracle before the first iteration
+        return RunTrace(config=config, initial_halfspace_count=prob.q + 1,
+                        iterations=(), final_polytope=None,
+                        termination="solver_failure")
+    exact: dict = {}      # vertex key -> ScalarizationResult
+    bounds: dict = {}     # vertex key -> upper bound on its residual
+    refined: set = set()  # keys whose bound had the frontier search
     records: list[IterationRecord] = []
     termination = "max_iterations"
     prev_vertex_count = 0
@@ -158,16 +286,51 @@ def run(config: RunConfig) -> RunTrace:
     for k in range(config.max_iterations):
         t0 = time.perf_counter()
         verts = P.vertices()
-        solved_before = len(cache)
+        keys = [tuple(row) for row in verts.tolist()]
+        new = [i for i, key in enumerate(keys)
+               if key not in exact and key not in bounds]
+        hits = len(keys) - len(new)
         try:
-            results = solve_batch(prob, verts, ne, config.tolerances, cache)
-        except SubproblemError:
+            if new:
+                coarse = _bounds(prob, ne.p, verts[new], known)
+                bounds.update(zip([keys[i] for i in new], coarse.tolist()))
+            open_rows = [i for i, key in enumerate(keys) if key not in exact]
+            open_bounds = np.array([bounds[keys[i]] for i in open_rows])
+            best = max((exact[key].residual_norm for key in keys
+                        if key in exact), default=-math.inf)
+            # solve the vertex with the largest bound until no bound can
+            # reach the largest exact residual
+            while open_rows:
+                j = int(np.argmax(open_bounds))
+                if _inflate(float(open_bounds[j]), tol) < best:
+                    break
+                i = open_rows[j]
+                if best > -math.inf and keys[i] not in refined:
+                    refined.add(keys[i])
+                    normals = [-P.halfspaces[h].normal for h in P.incidence[i]]
+                    open_bounds[j] = min(open_bounds[j], _refined_bound(
+                        prob, ne.p, verts[i].tolist(), normals))
+                    continue
+                res, = solve_batch(prob, verts[i:i + 1], ne, tol, exact)
+                del bounds[keys[i]]
+                del open_rows[j]
+                open_bounds = np.delete(open_bounds, j)
+                best = max(best, res.residual_norm)
+                known = np.vstack([known, res.y_support])
+                if open_rows:
+                    open_bounds = np.minimum(open_bounds, _bounds(
+                        prob, ne.p, verts[open_rows], res.y_support[None, :]))
+            bounds.update(zip([keys[i] for i in open_rows],
+                              open_bounds.tolist()))
+        except (SubproblemError, ValueError):
+            # ADMM non-convergence, or an exception from a problem oracle
             termination = "solver_failure"
             break
-        # the rows of one batch are distinct: every vertex not added is a hit
-        hits = len(verts) - (len(cache) - solved_before)
-        idx = _select_farthest(verts, results)
-        far = results[idx]
+        # every open vertex is certified strictly below best, so the first
+        # maximum over the solved rows (lex order) is the farthest vertex
+        idx = max((i for i, key in enumerate(keys) if key in exact),
+                  key=lambda i: exact[keys[i]].residual_norm)
+        far = exact[keys[idx]]
         new_count = len(verts) - prev_vertex_count if k else len(verts)
 
         if far.cut_normal is None:

@@ -3,8 +3,11 @@
 p values in parallel worker processes and records the sweep wall time."""
 
 import concurrent.futures
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from lpoa.driver import RunConfig
 from lpoa.lp_geometry import LemmaConstants, NormExponent, lp_norm
 from lpoa.problems import by_key
 from lpoa.scalarization import solve_subproblem
+from lpoa.trace_io import dumps_trace
 
 from oracles import in_A, oracle_distance
 from test_polytope import (assert_vertex_sets_equal, box,
@@ -36,6 +40,12 @@ REFERENCE_C_HAT = {
     "example1-q3": (2.46, 2.38, 2.40, 2.40, 2.45, 2.51),
     "example2": (2.74, 2.69, 2.66, 2.75, 2.72, 2.72),
 }
+
+# termination, iteration count, residual series and SHA-256 of the trace
+# bytes (empty metadata) of every matrix run, recorded before lazy
+# farthest-vertex selection; ellipse also records its farthest vertices
+MATRIX_FINGERPRINT = json.loads(
+    (Path(__file__).parent / "data" / "matrix_fingerprint.json").read_text())
 
 REFERENCE_ITERATIONS = {
     "example1-q3": (89, 82, 74, 59, 57, 50),
@@ -292,4 +302,42 @@ def test_criterion_11_cut_accounting(matrix):
                 if margin >= 0.0:
                     problems.append(f"{key} p={p:g} k={r.k}: cut does not "
                                     "remove farthest vertex")
+    assert not problems, "; ".join(problems)
+
+
+def test_matrix_fingerprint(matrix):
+    # example1 and example2 traces are byte-identical to the recorded ones.
+    # ellipse is mirror-symmetric about y1 = y2, so mirror vertices tie to
+    # within rounding and a last-bit change can select either: it is
+    # compared by termination, iteration count, residuals within 1e-8
+    # relative and farthest vertices up to the coordinate swap.
+    assert MATRIX_FINGERPRINT["epsilon"] == MATRIX_EPS
+    problems = []
+    for key, entry in matrix.items():
+        for p, trace in entry["traces"].items():
+            ref = MATRIX_FINGERPRINT["runs"][key][repr(p)]
+            label = f"{key} p={p:g}"
+            if key != "ellipse":
+                digest = hashlib.sha256(
+                    dumps_trace(trace).encode()).hexdigest()
+                if digest != ref["sha256"]:
+                    problems.append(f"{label}: trace hash {digest[:12]} != "
+                                    f"recorded {ref['sha256'][:12]}")
+                continue
+            if (trace.termination != ref["termination"]
+                    or len(trace.iterations) != ref["iterations"]):
+                problems.append(f"{label}: {trace.termination} after "
+                                f"{len(trace.iterations)} iterations")
+                continue
+            got = np.array([r.residual_norm for r in trace.iterations])
+            expected = np.array(ref["residual_norm"])
+            if np.any(np.abs(got - expected) > 1e-8 * expected):
+                problems.append(f"{label}: residual series moved")
+            for rec, v in zip(trace.iterations, ref["farthest_vertex"]):
+                v = np.array(v)
+                err = min(np.max(np.abs(rec.farthest_vertex - v)),
+                          np.max(np.abs(rec.farthest_vertex - v[::-1])))
+                if err > 1e-9:
+                    problems.append(f"{label} k={rec.k}: farthest vertex "
+                                    f"{rec.farthest_vertex} != recorded {v}")
     assert not problems, "; ".join(problems)

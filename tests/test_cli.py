@@ -9,9 +9,12 @@ from lpoa import driver
 from lpoa import polytope as pt
 from lpoa.cli import CSV_HEADER, main
 from lpoa.driver import RunConfig, run
+from lpoa.problems import by_key
 from lpoa.trace_io import (SCHEMA_VERSION, TraceFormatError, dumps_trace,
                            load_trace, save_trace, trace_from_dict,
                            trace_to_dict)
+
+from test_driver import _fault_call, _oracle_with_fault
 
 
 @pytest.fixture
@@ -114,6 +117,20 @@ class TestRunCommand:
                                    "--p", "2", "--eps", "1e-3"])
         assert res.exit_code == 3, res.output
         assert "solver_failure" in res.output
+
+    def test_oracle_error_exit_three(self, runner, monkeypatch):
+        # a ValueError from gamma_eval inside a subproblem solve is a
+        # solver failure, not a traceback
+        config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
+        fail_at = _fault_call("example2", config, "_project_upper")
+        inst, callers = _oracle_with_fault(by_key("example2"), fail_at)
+        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+        res = runner.invoke(main, ["run", "--problem", "example2",
+                                   "--p", "2", "--eps", "0.3"])
+        assert len(callers) == fail_at
+        assert res.exit_code == 3, res.output
+        assert "solver_failure" in res.output
+        assert "Traceback" not in res.output
 
     def test_unknown_problem_exit_64(self, runner):
         res = runner.invoke(main, ["run", "--problem", "nope", "--p", "2",
@@ -222,6 +239,17 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--trace", str(path)])
         assert res.exit_code == 1
         assert "violation" in res.output
+
+    @pytest.mark.parametrize("eta", ["-1", "0"])
+    def test_nonpositive_eta_exit_64(self, runner, tmp_path, small_trace, eta):
+        path = tmp_path / "t.json"
+        save_trace(str(path), small_trace)
+        res = runner.invoke(main, ["verify", "--trace", str(path),
+                                   "--eta", eta])
+        assert res.exit_code == 64, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ")
+        assert "Traceback" not in res.output
 
     def test_malformed_trace_exit_65(self, runner, tmp_path):
         path = tmp_path / "junk.json"

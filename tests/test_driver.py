@@ -1,16 +1,22 @@
+import dataclasses
 import json
+import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from lpoa import driver
+from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (RunConfig, RunTrace, hausdorff_series, initialize,
-                         run)
+from lpoa.driver import (RunConfig, RunTrace, _bounds, _inflate,
+                         _refined_bound, hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
-from lpoa.problems import _POLY_A, _POLY_B, by_key
+from lpoa.problems import _POLY_A, _POLY_B, PROBLEM_KEYS, by_key
+from lpoa.scalarization import SolverTolerances, solve_batch
 
 from oracles import boundary_samples, in_A
 
@@ -234,3 +240,162 @@ class TestEllipseRecorded:
             err = min(np.max(np.abs(rec.farthest_vertex - v)),
                       np.max(np.abs(rec.farthest_vertex - v[::-1])))
             assert err <= 1e-9, (rec.k, rec.farthest_vertex, v)
+
+
+@lru_cache(maxsize=None)
+def _bound_setup(key, p):
+    """Initial polytope and known points of U: the coordinate minimizers and
+    the supports solved at the vertices and edge midpoints of the polytope."""
+    prob = by_key(key)
+    ne = NormExponent(p)
+    P0, _ = initialize(prob)
+    V = P0.vertices()
+    known = [prob.gamma_eval(prob.ws_closed_form(e)) for e in np.eye(prob.q)]
+    points = list(V) + [0.5 * (a + b)
+                        for i, a in enumerate(V) for b in V[i + 1:]]
+    known += [scalarization.solve_subproblem(prob, v, ne).y_support
+              for v in points]
+    return P0, np.array(known)
+
+
+_UNIT = st.floats(0.0, 1.0)
+
+
+class TestLazySelection:
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.sampled_from([1.25, 2.0, 8.0]),
+           weights=st.lists(_UNIT, min_size=4, max_size=4),
+           toward=_UNIT, support=st.integers(0, 100), on_face=st.booleans(),
+           active=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_bounds_cover_residual(self, key, p, weights, toward, support,
+                                   on_face, active):
+        # v is a point of the initial polytope: a convex combination of its
+        # vertices, moved toward a known point of U and, if on_face, along
+        # w_bar onto the slice face; both bounds, inflated, lie at or above
+        # the residual the subproblem solver returns at v
+        prob = by_key(key)
+        P0, known = _bound_setup(key, p)
+        V = P0.vertices()
+        lam = np.array(weights[:len(V)]) + 1e-12
+        v = (1.0 - toward) * (lam @ V) / lam.sum() + toward * known[
+            support % len(known)]
+        if on_face:
+            w = prob.w_bar
+            v = v + (prob.gamma_slice - w @ v) / (w @ w) * w
+        normals = [-h.normal for h, on in zip(P0.halfspaces, active) if on]
+        residual = scalarization.solve_subproblem(
+            prob, v, NormExponent(p)).residual_norm
+        tol = SolverTolerances()
+        coarse = float(_bounds(prob, p, v[None, :], known)[0])
+        refined = _refined_bound(prob, p, v.tolist(), normals)
+        assert residual <= _inflate(coarse, tol)
+        assert residual <= _inflate(refined, tol)
+
+    def test_skipped_vertices_below_selected(self, monkeypatch):
+        # example2 at eps = 0.3: every vertex the lazy loop left unsolved in
+        # an iteration, re-solved, lies strictly below the selected residual,
+        # and the selected vertex is the first maximum over all vertices
+        events = []
+        real_solve = scalarization.solve_subproblem
+        real_cut = pt.cut
+
+        def solve(prob, v, *args, **kwargs):
+            events.append(tuple(np.asarray(v, dtype=float).tolist()))
+            return real_solve(prob, v, *args, **kwargs)
+
+        def cut(P, h):
+            events.append(None)
+            return real_cut(P, h)
+
+        monkeypatch.setattr(scalarization, "solve_subproblem", solve)
+        monkeypatch.setattr(pt, "cut", cut)
+        config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
+        trace = run(config)
+        monkeypatch.undo()
+        assert trace.termination == "converged"
+
+        prob = by_key("example2")
+        ne = NormExponent(config.p)
+        P, _ = initialize(prob)
+        eager: dict = {}
+        solved: set = set()
+        pending = iter(events)
+        skipped = 0
+        for rec in trace.iterations:
+            for key in pending:
+                if key is None:
+                    break
+                solved.add(key)
+            verts = P.vertices()
+            results = solve_batch(prob, verts, ne, config.tolerances, eager)
+            residuals = [res.residual_norm for res in results]
+            idx = int(np.argmax(residuals))
+            assert np.array_equal(verts[idx], rec.farthest_vertex)
+            assert residuals[idx] == rec.residual_norm
+            for v, r in zip(verts.tolist(), residuals):
+                if tuple(v) not in solved:
+                    skipped += 1
+                    assert r < rec.residual_norm, (rec.k, v, r)
+            P = pt.cut(P, pt.Halfspace(
+                -rec.cut_normal, -float(rec.cut_normal @ rec.support_point)))
+        lazy_solves = sum(key is not None for key in events)
+        assert lazy_solves == len(solved)
+        assert skipped > 0
+        assert lazy_solves < len(eager)
+
+
+def _oracle_with_fault(prob, fail_at=None):
+    """The instance with a gamma_eval that records the function calling it
+    and raises ValueError at call number `fail_at` (never if None)."""
+    callers = []
+
+    def gamma_eval(x):
+        callers.append(sys._getframe(1).f_code.co_name)
+        if len(callers) == fail_at:
+            raise ValueError("injected oracle failure")
+        return prob.gamma_eval(x)
+
+    return dataclasses.replace(prob, gamma_eval=gamma_eval), callers
+
+
+def _fault_call(key, config, site):
+    """The first gamma_eval call past the middle of a clean run of config
+    that comes from the function `site`."""
+    inst, callers = _oracle_with_fault(by_key(key))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "by_key", lambda _key: inst)
+        run(config)
+    return next(n for n in range(len(callers) // 2, len(callers))
+                if callers[n] == site) + 1
+
+
+class TestOracleFailure:
+    @pytest.mark.parametrize("key, site", [
+        ("example2", "_project_upper"),   # inside a subproblem solve
+        ("ellipse", "f"),                 # inside a refined bound
+    ])
+    def test_oracle_error_is_solver_failure(self, monkeypatch, key, site):
+        # a ValueError from a problem oracle ends the run with a recorded
+        # termination; the iterations before it are those of a clean run
+        config = RunConfig(problem_key=key, p=2.0, epsilon=0.05)
+        clean = run(config)
+        fail_at = _fault_call(key, config, site)
+        inst, callers = _oracle_with_fault(by_key(key), fail_at)
+        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+        trace = run(config)
+        assert len(callers) == fail_at and callers[-1] == site
+        assert trace.termination == "solver_failure"
+        assert 0 < len(trace.iterations) < len(clean.iterations)
+        assert (hausdorff_series(trace)
+                == hausdorff_series(clean)[:len(trace.iterations)])
+        assert len(trace.final_polytope.halfspaces) == (
+            trace.initial_halfspace_count + len(trace.iterations))
+
+    def test_oracle_error_before_first_iteration(self, monkeypatch):
+        inst, callers = _oracle_with_fault(by_key("ellipse"), 1)
+        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+        trace = run(RunConfig(problem_key="ellipse", p=2.0, epsilon=0.05))
+        assert callers == ["weighted_sum"]
+        assert trace.termination == "solver_failure"
+        assert trace.iterations == () and trace.final_polytope is None
