@@ -51,8 +51,10 @@ class RunConfig:
 
     def __post_init__(self):
         NormExponent(self.p)  # raises ValueError unless 1 < p < inf
-        if self.epsilon <= self.tolerances.tol_zero:
-            raise ValueError("epsilon must exceed the zero-residual threshold")
+        if not (math.isfinite(self.epsilon)
+                and self.epsilon > self.tolerances.tol_zero):
+            raise ValueError("epsilon must be finite and exceed the "
+                             "zero-residual threshold")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 

@@ -2,9 +2,11 @@
 
 A Polytope keeps the full halfspace list together with the exact vertex set
 and per-vertex incidence (which halfspaces are active).  Construction from
-scratch enumerates q-subsets of halfspaces; adding a single halfspace uses
-incremental clipping of the vertex/edge structure, which is the only access
-pattern the outer-approximation driver needs.
+scratch enumerates q-subsets of halfspaces, after checking the recession cone
+through the null vectors of (q - 1)-subsets, and rejects an empty interior
+from the enumerated vertices; no linear program is solved.  Adding a single
+halfspace uses incremental clipping of the vertex/edge structure, which is
+the only access pattern the outer-approximation driver needs.
 
 Arithmetic is floating point with relative tolerances; q = 2 and 3 are the
 supported dimensions (higher q is attempted on a best-effort basis).
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "Halfspace",
@@ -37,9 +38,7 @@ class PolytopeError(Exception):
 
 
 class InfeasibleError(PolytopeError):
-    def __init__(self, msg, certificate=None):
-        super().__init__(msg)
-        self.certificate = certificate
+    pass
 
 
 class UnboundedError(PolytopeError):
@@ -142,43 +141,39 @@ def _feas_tolerances(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarra
 
 
 def _check_bounded(A: np.ndarray) -> None:
-    """Raise UnboundedError with a certificate if {d : A d <= 0} != {0}."""
+    """Raise UnboundedError with a direction if {d : A d <= 0} != {0}.
+
+    The candidates are the last right singular vectors of all (q - 1)-row
+    subsets of A, each a unit vector of the subset's null space, with both
+    signs.  A nonzero cone is either pointed, and then spanned by extreme
+    rays, each the null vector of q - 1 independent rows; or it contains
+    the null space of A (rank A < q), which is the whole null space of any
+    subset holding a basis of A's rows.  Either way some candidate lies in
+    the cone.
+    """
     q = A.shape[1]
-    bounds = [(-1.0, 1.0)] * q
-    for i in range(q):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(q)
-            c[i] = -sgn  # linprog minimizes
-            res = linprog(c, A_ub=A, b_ub=np.zeros(A.shape[0]), bounds=bounds,
-                          method="highs")
-            if res.status == 0 and -res.fun > 1e-7:
-                raise UnboundedError(
-                    "halfspace intersection has a recession direction",
-                    direction=res.x / np.max(np.abs(res.x)),
-                )
-
-
-def _chebyshev_center(A: np.ndarray, b: np.ndarray):
-    """(center, radius) of the largest Euclidean ball inside {A y <= b}."""
-    m, q = A.shape
-    norms = np.linalg.norm(A, axis=1)
-    c = np.zeros(q + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([A, norms[:, None]])
-    res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * q + [(None, None)],
-                  method="highs")
-    if res.status != 0:
-        return None, -np.inf
-    return res.x[:q], res.x[-1]
+    unit = A / np.linalg.norm(A, axis=1, keepdims=True)
+    subsets = unit[np.array(list(combinations(range(len(A)), q - 1)))]
+    cand = np.linalg.svd(subsets)[2][:, -1, :]  # (n_subset, q), unit rows
+    cand = np.vstack([cand, -cand])
+    in_cone = np.all(unit @ cand.T <= FEAS_TOL, axis=0)
+    if np.any(in_cone):
+        d = cand[np.argmax(in_cone)]
+        raise UnboundedError(
+            "halfspace intersection has a recession direction",
+            direction=d / np.max(np.abs(d)),
+        )
 
 
 def from_halfspaces(halfspaces) -> Polytope:
     """Build a bounded polytope as the intersection of the given halfspaces.
 
-    Vertices are found by enumerating all q-subsets, solving the q x q
-    systems and filtering by feasibility.  Raises InfeasibleError when the
-    intersection has empty interior and UnboundedError (with a certificate
-    direction) when it has a recession direction.
+    Raises UnboundedError (with a recession direction) when the intersection
+    has a recession direction, decided from the cone {d : A d <= 0} alone.
+    Otherwise the vertices are found by enumerating all q-subsets, solving
+    the q x q systems and filtering by feasibility; InfeasibleError is
+    raised when no vertex is feasible or the vertex centroid lies on some
+    halfspace's boundary, i.e. when the intersection has empty interior.
     """
     hs = tuple(h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces)
     if not hs:
@@ -194,35 +189,30 @@ def from_halfspaces(halfspaces) -> Polytope:
 
     _check_bounded(A)
 
-    center, radius = _chebyshev_center(A, b)
-    if radius <= 1e-12:
-        raise InfeasibleError(
-            "halfspace intersection has empty interior",
-            certificate=center,
-        )
-
     combos = np.array(list(combinations(range(m), q)))
     mats = A[combos]                      # (n_combo, q, q)
     rhs = b[combos]                       # (n_combo, q)
     dets = np.linalg.det(mats)
     row_norms = np.linalg.norm(mats, axis=2)
     nondeg = np.abs(dets) > 1e-12 * np.prod(np.maximum(row_norms, 1e-30), axis=1)
-    if not np.any(nondeg):
-        raise InfeasibleError("no vertex candidates", certificate=center)
     pts = np.linalg.solve(mats[nondeg], rhs[nondeg][..., None])[..., 0]
 
     tol = _feas_tolerances(A, b, pts)
     feas = np.all(A @ pts.T - b[:, None] <= tol, axis=0)
     pts = pts[feas]
     if len(pts) == 0:
-        raise InfeasibleError("halfspace intersection has no vertices",
-                              certificate=center)
+        raise InfeasibleError("halfspace intersection has no vertices")
 
     act_tol = _feas_tolerances(A, b, pts)
     active = np.abs(A @ pts.T - b[:, None]) <= act_tol
     incid = [frozenset(np.nonzero(active[:, i])[0].tolist()) for i in range(len(pts))]
 
     verts, kept_inc = _merge_close(pts, incid, MERGE_TOL)
+    # the centroid of a bounded polytope's vertices is interior unless the
+    # polytope is flat, when some halfspace holds with equality there
+    slack = (b - A @ verts.mean(axis=0)) / np.linalg.norm(A, axis=1)
+    if slack.min() <= 1e-12:
+        raise InfeasibleError("halfspace intersection has empty interior")
     order = _lex_order(verts)
     return Polytope(hs, verts[order], tuple(kept_inc[i] for i in order))
 
@@ -248,7 +238,7 @@ def cut(P: Polytope, h: Halfspace) -> Polytope:
     if not np.any(outside):
         return Polytope(P.halfspaces, P.vertices_array, P.incidence, null_cut=True)
     if np.all(outside):
-        raise InfeasibleError("cut removes every vertex", certificate=h.normal)
+        raise InfeasibleError("cut removes every vertex")
 
     new_index = len(P.halfspaces)
     kept_pts: list[np.ndarray] = []

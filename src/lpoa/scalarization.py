@@ -42,8 +42,6 @@ class SolverTolerances:
 
 @dataclass(frozen=True)
 class ScalarizationResult:
-    x_opt: np.ndarray
-    z_opt: np.ndarray
     y_support: np.ndarray
     residual_norm: float
     cut_normal: Optional[np.ndarray]
@@ -223,8 +221,8 @@ def _project_slice(prob: ProblemInstance, a: np.ndarray) -> np.ndarray:
 
 
 def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
-                     tol: SolverTolerances = SolverTolerances(),
-                     x0=None) -> ScalarizationResult:
+                     tol: SolverTolerances = SolverTolerances()
+                     ) -> ScalarizationResult:
     """lp projection of vertex v onto A, with support point and cut normal.
 
     Returns residual_norm = lp distance from v to A.  If v is (numerically)
@@ -237,7 +235,7 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
 
     rho = 1.0
     relax = 1.7
-    x = prob.feasible_project(prob.x_init if x0 is None else np.asarray(x0, float))
+    x = prob.feasible_project(prob.x_init)
     y = v.copy()
     y1 = y.copy()
     y2 = y.copy()
@@ -295,7 +293,6 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
     z = y - v
     nrm = lp_norm(z, ne)
     if nrm <= tol.tol_zero:
-        z = np.zeros_like(z)
         y = v.copy()
         normal = None
         nrm = 0.0
@@ -312,7 +309,7 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
             if 0.0 < gap < 1e-4:
                 y = y - gap * normal / float(normal @ normal)
     return ScalarizationResult(
-        x_opt=x, z_opt=z, y_support=y, residual_norm=nrm,
+        y_support=y, residual_norm=nrm,
         cut_normal=normal, iterations=it, kkt_residual=float(kkt),
         wall_time=time.perf_counter() - t_start)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import polytope as pt
 from .driver import IterationRecord, RunConfig, RunTrace
+from .problems import PROBLEM_KEYS
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -72,6 +73,11 @@ def trace_from_dict(doc: dict) -> RunTrace:
             f"unsupported schema version {doc['schema_version']!r}")
     if doc["termination"] not in _TERMINATIONS:
         raise TraceFormatError(f"unknown termination {doc['termination']!r}")
+    if not (isinstance(doc["config"], dict)
+            and isinstance(doc["iterations"], list)
+            and all(isinstance(d, dict) for d in doc["iterations"])):
+        raise TraceFormatError(
+            "config and every iteration entry must be JSON objects")
     try:
         config = RunConfig.from_dict(doc["config"])
         iterations = tuple(IterationRecord.from_dict(d)
@@ -80,6 +86,8 @@ def trace_from_dict(doc: dict) -> RunTrace:
         final = None if poly is None else _polytope_from_dict(poly)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed trace: {exc}") from exc
+    if config.problem_key not in PROBLEM_KEYS:
+        raise TraceFormatError(f"unknown problem key {config.problem_key!r}")
     for rec in iterations:
         if rec.support_point.shape != rec.farthest_vertex.shape:
             raise TraceFormatError("inconsistent point dimensions in trace")

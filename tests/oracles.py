@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from lpoa.lp_geometry import NormExponent, lp_norm
+from lpoa.lp_geometry import NormExponent
 from lpoa.problems import (_ANCHORS, _ELLIPSE_AXES_SQ, _ELLIPSE_M,
                            _ELLIPSE_X0, _POLY_A, _POLY_B,
                            _ellipse_frontier_height, by_key, weighted_sum)
@@ -212,5 +212,8 @@ def oracle_distance(prob, v, ne: NormExponent, samples=2000):
     v = np.asarray(v, dtype=float)
     if in_A(prob, v, tol=1e-9):
         return 0.0
-    diffs = boundary_samples(prob, samples) - v[None, :]
-    return min(lp_norm(d, ne) for d in diffs)
+    a = np.abs(boundary_samples(prob, samples) - v[None, :])
+    # lp_norm row by row: scaled by each row's max entry
+    m = a.max(axis=1)
+    scaled = a / np.where(m > 0.0, m, 1.0)[:, None]
+    return float(np.min(m * np.sum(scaled ** ne.p, axis=1) ** (1.0 / ne.p)))

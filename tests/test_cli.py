@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,19 @@ def runner():
 @pytest.fixture(scope="module")
 def small_trace():
     return run(RunConfig(problem_key="ellipse", p=2.0, epsilon=0.05))
+
+
+def malformed_documents(trace):
+    """Trace documents whose config or an iteration entry is not a JSON
+    object, or whose problem key is unknown."""
+    def doc():
+        return json.loads(dumps_trace(trace))
+    bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
+    bad_config["config"] = [bad_config["config"]]
+    bad_entry["iterations"][0] = [1, 2]
+    bad_entries["iterations"] = {"0": bad_entries["iterations"][0]}
+    bad_key["config"]["problem_key"] = "nope"
+    return [bad_config, bad_entry, bad_entries, bad_key]
 
 
 class TestTraceIO:
@@ -66,6 +81,11 @@ class TestTraceIO:
         doc["termination"] = "exploded"
         with pytest.raises(TraceFormatError):
             trace_from_dict(doc)
+
+    def test_malformed_documents_rejected(self, small_trace):
+        for doc in malformed_documents(small_trace):
+            with pytest.raises(TraceFormatError):
+                trace_from_dict(doc)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -150,6 +170,8 @@ class TestRunCommand:
         ["run", "--problem", "ellipse", "--p", "1", "--eps", "0.1"],
         ["run", "--problem", "ellipse", "--p", "2", "--eps", "-1"],
         ["sweep", "--problem", "ellipse", "--p-list", "2,abc"],
+        ["run", "--problem", "ellipse", "--p", "2", "--eps", "nan"],
+        ["sweep", "--problem", "ellipse", "--p-list", "2", "--eps", "nan"],
     ])
     def test_invalid_argument_exit_64(self, runner, tmp_path, args):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -251,7 +273,7 @@ class TestVerifyCommand:
         assert res.output.startswith("error: ")
         assert "Traceback" not in res.output
 
-    def test_malformed_trace_exit_65(self, runner, tmp_path):
+    def test_malformed_trace_exit_65(self, runner, tmp_path, small_trace):
         path = tmp_path / "junk.json"
         path.write_text("{\"schema_version\": 1}")
         res = runner.invoke(main, ["verify", "--trace", str(path)])
@@ -259,6 +281,11 @@ class TestVerifyCommand:
         res2 = runner.invoke(main, ["verify", "--trace",
                                     str(tmp_path / "missing.json")])
         assert res2.exit_code == 65
+        for doc in malformed_documents(small_trace):
+            path.write_text(json.dumps(doc))
+            res = runner.invoke(main, ["verify", "--trace", str(path)])
+            assert res.exit_code == 65, res.output
+            assert "Traceback" not in res.output
 
     def test_usage_error_without_args(self, runner):
         res = runner.invoke(main, ["verify"])
@@ -268,3 +295,16 @@ class TestVerifyCommand:
         res = runner.invoke(main, ["verify", "--self-test"])
         assert res.exit_code == 0, res.output
         assert "0 violations" in res.output
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The library is numpy-only: importing the CLI loads no scipy."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lpoa.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

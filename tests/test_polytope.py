@@ -2,8 +2,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from lpoa.polytope import (FEAS_TOL, MERGE_TOL, Halfspace, InfeasibleError,
                            Polytope, UnboundedError, _merge_close, cut,
@@ -198,6 +199,97 @@ def test_fuzz_against_brute_force(q):
         oracle = brute_force_vertices(hs)
         assert_vertex_sets_equal(P.vertices(), oracle)
     assert built == 250
+
+
+# ---------------------------------------------------------------------------
+# boundedness and interior against linear programs
+
+
+def lp_recession_direction(A):
+    """Reference: some d != 0 in the box with A d <= 0 maximizing a signed
+    coordinate, or None if every such LP optimum is below 1e-7."""
+    q = A.shape[1]
+    for i in range(q):
+        for sgn in (1.0, -1.0):
+            c = np.zeros(q)
+            c[i] = -sgn
+            res = linprog(c, A_ub=A, b_ub=np.zeros(len(A)),
+                          bounds=[(-1.0, 1.0)] * q, method="highs")
+            if res.status == 0 and -res.fun > 1e-7:
+                return res.x
+    return None
+
+
+def lp_chebyshev_radius(A, b):
+    """Reference: radius of the largest Euclidean ball inside {A y <= b}."""
+    q = A.shape[1]
+    c = np.zeros(q + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]),
+                  b_ub=b, bounds=[(None, None)] * (q + 1), method="highs")
+    return res.x[-1] if res.status == 0 else -np.inf
+
+
+@st.composite
+def integer_systems(draw):
+    """Small-integer halfspace systems, so that every decision is far from
+    the tolerances: a recession direction or an interior ball is either
+    absent or of size well above 1e-7."""
+    q = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(q + 1, q + 4))
+    A = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=q,
+                                        max_size=q),
+                               min_size=m, max_size=m)), dtype=float)
+    assume(np.all(np.any(A != 0.0, axis=1)))
+    b = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)),
+                 dtype=float)
+    return A, b
+
+
+class TestChecksAgainstLP:
+    @settings(max_examples=300, deadline=None)
+    @given(system=integer_systems())
+    def test_matches_linprog(self, system):
+        A, b = system
+        hs = [Halfspace(a, o) for a, o in zip(A, b)]
+        lp_direction = lp_recession_direction(A)
+        try:
+            P = from_halfspaces(hs)
+        except UnboundedError as exc:
+            assert lp_direction is not None
+            assert np.all(A @ exc.direction <= 1e-6)
+            return
+        except InfeasibleError:
+            assert lp_direction is None
+            assert lp_chebyshev_radius(A, b) <= 1e-12
+            return
+        assert lp_direction is None
+        assert lp_chebyshev_radius(A, b) > 1e-12
+        assert_vertex_sets_equal(P.vertices(), brute_force_vertices(hs))
+
+    def test_line_in_recession_cone(self):
+        # rank A = 2 < q = 3: the z axis is a line of the cone
+        hs = box(2, lo=-1.0, hi=1.0) + [Halfspace(np.array([1.0, 1.0]), 1.5)]
+        hs = [Halfspace(np.append(h.normal, 0.0), h.offset) for h in hs]
+        A = np.vstack([h.normal for h in hs])
+        assert lp_recession_direction(A) is not None
+        with pytest.raises(UnboundedError) as exc:
+            from_halfspaces(hs)
+        d = exc.value.direction
+        assert np.all(A @ d <= 1e-6)
+        assert np.allclose(np.abs(d), [0.0, 0.0, 1.0])
+
+    def test_flat_nonempty_intersection(self):
+        # x <= 0 and -x <= 0 leave the segment x = 0 of the box: nonempty,
+        # with vertices, but no interior
+        hs = box(2, lo=-1.0, hi=1.0) + [Halfspace(np.array([1.0, 0.0]), 0.0),
+                                        Halfspace(np.array([-1.0, 0.0]), 0.0)]
+        A = np.vstack([h.normal for h in hs])
+        b = np.array([h.offset for h in hs])
+        assert len(brute_force_vertices(hs)) == 2
+        assert lp_chebyshev_radius(A, b) <= 1e-12
+        with pytest.raises(InfeasibleError):
+            from_halfspaces(hs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpoa.lp_geometry import NormExponent
+from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0,
                            PROBLEM_KEYS, by_key, weighted_sum)
 
@@ -154,6 +154,18 @@ class TestBoundarySampler:
                           for i in range(prob.q)]) - 1.0
         d = oracle_distance(prob, below, NormExponent(2), samples=2000)
         assert d > 0.1
+
+    @pytest.mark.parametrize("p", [1.25, 2.0, 8.0])
+    def test_oracle_distance_matches_lp_norm_loop(self, prob, p):
+        # the vectorized minimum against lp_norm row by row; the two sum
+        # at most three terms in possibly different order, so a few ulps
+        below = np.array([weighted_sum(prob, np.eye(prob.q)[i])[1]
+                          for i in range(prob.q)]) - 1.0
+        ne = NormExponent(p)
+        diffs = boundary_samples(prob, 2000) - below
+        ref = min(lp_norm(d, ne) for d in diffs)
+        assert oracle_distance(prob, below, ne, samples=2000) == pytest.approx(
+            ref, rel=1e-14)
 
 
 class TestEllipseProjection:
