@@ -2,10 +2,11 @@
 
 The rate fitter performs ordinary least squares in log-log coordinates on
 the monotone envelope of the Hausdorff error series, reporting the exponent
-c_hat with the dimension factor q - 1 absorbed.  The verifiers re-check the
-geometric inequalities behind the convergence proof (hyperplane distance
-bound, deviation-vector separation, packing growth) on every recorded
-support point / cut normal pair of a run.
+c_hat with the dimension factor q - 1 absorbed.  The verifier re-checks the
+geometric inequalities behind the convergence proof (support conditions,
+hyperplane distance bound, deviation-vector separation) on every pair of
+recorded cuts of a run, however long the run; packing growth is a test
+diagnostic (tests/test_analysis.py), not part of the report.
 """
 
 from __future__ import annotations
@@ -20,18 +21,12 @@ from .lp_geometry import LemmaConstants, NormExponent, lp_norm
 
 __all__ = [
     "RateFit",
-    "DeviationPair",
     "monotone_envelope",
     "fit_rate",
-    "build_pairs",
-    "verify_hyperplane_lemma",
-    "verify_separation",
     "verify_trace",
-    "packing_census",
 ]
 
 VERIFY_TOL = 1e-6
-PAIR_CAP = 200_000
 
 
 def monotone_envelope(series) -> list[float]:
@@ -112,169 +107,110 @@ def fit_rate(series, q: int, epsilon: float) -> RateFit:
 
 
 # ---------------------------------------------------------------------------
-# deviation-vector pair construction and lemma verifiers
+# lemma verification over every pair of recorded cuts
 
 
-@dataclass(frozen=True)
-class DeviationPair:
-    """One ordered pair of recorded cuts with its deviation-vector geometry.
-
-    alpha = y - eta * w is the support point pushed inward along its normal;
-    d_ij = <w_j, y_i - y_j> is the distance of y_i above the j-th supporting
-    hyperplane (nonnegative by the support conditions).
-    """
-
-    i: int
-    j: int
-    y_i: np.ndarray
-    y_j: np.ndarray
-    w_i: np.ndarray
-    w_j: np.ndarray
-    alpha_i: np.ndarray
-    alpha_j: np.ndarray
-    d_ij: float
-    d_ji: float
-    dist_p: float       # ||alpha_i - alpha_j||_p
-    w_dot: float        # <w_i, w_j>
-    h: float            # error level of the later cut (series[max(i,j) - 1])
-
-
-def build_pairs(trace: RunTrace, eta: float = 0.1, cap: int = PAIR_CAP,
-                seed: int = 0) -> list[DeviationPair]:
-    """All unordered index pairs of recorded cuts as DeviationPair objects.
-
-    Pairs beyond the cap are subsampled deterministically with the given
-    seed.  Iterations without a cut normal (zero-residual terminal step)
-    are excluded.
-    """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    recs = [r for r in trace.iterations if r.cut_normal is not None]
-    if len(recs) < 2:
-        return []
-    ne = NormExponent(trace.config.p)
-    series = hausdorff_series(trace)
-    Y = np.array([r.support_point for r in recs])
-    W = np.array([r.cut_normal for r in recs])
-    ks = [r.k for r in recs]
-    A = Y - eta * W
-    # d[i, j] = <w_j, y_i - y_j>
-    D = Y @ W.T - np.sum(Y * W, axis=1)[None, :]
-    G = W @ W.T
-
-    n = len(recs)
-    idx_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(idx_pairs) > cap:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(idx_pairs), size=cap, replace=False)
-        idx_pairs = [idx_pairs[c] for c in sorted(chosen)]
-
-    pairs = []
-    for i, j in idx_pairs:
-        later = max(ks[i], ks[j])
-        pairs.append(DeviationPair(
-            i=ks[i], j=ks[j], y_i=Y[i], y_j=Y[j], w_i=W[i], w_j=W[j],
-            alpha_i=A[i], alpha_j=A[j],
-            d_ij=float(D[i, j]), d_ji=float(D[j, i]),
-            dist_p=lp_norm(A[i] - A[j], ne),
-            w_dot=float(G[i, j]),
-            h=series[later - 1] if later >= 1 else series[0],
-        ))
-    return pairs
-
-
-def verify_hyperplane_lemma(pairs, lc: LemmaConstants,
-                            tol: float = VERIFY_TOL) -> dict:
-    """Check d <= C_pq ||alpha_i - alpha_j||_p^2 / eta for every ordered pair,
-    plus the support conditions d_ij, d_ji >= -tol."""
-    violations = []
-    max_ratio = 0.0
-    for pr in pairs:
-        bound = lc.C_pq * pr.dist_p ** 2 / lc.eta
-        for label, d in (("d_ij", pr.d_ij), ("d_ji", pr.d_ji)):
-            if d < -tol:
-                violations.append({"pair": [pr.i, pr.j], "kind": "support",
-                                   "which": label, "d": d})
-            if d > bound + tol:
-                violations.append({"pair": [pr.i, pr.j], "kind": "hyperplane",
-                                   "which": label, "d": d, "bound": bound})
-            if bound > 0.0:
-                max_ratio = max(max_ratio, d / bound)
-    return {
-        "checked": 2 * len(pairs),
-        "violations": violations,
-        "max_slack_ratio": max_ratio,
-    }
-
-
-def verify_separation(pairs, lc: LemmaConstants,
-                      tol: float = VERIFY_TOL) -> dict:
-    """Check the two separation lower bounds on ||alpha_i - alpha_j||_p.
-
-    Part (i): pairs whose hyperplane distance reaches the error level h of
-    the later cut must be C3 sqrt(eta h) apart.  Part (ii): pairs with
-    non-acute normals must be C2 eta apart.
-    """
-    violations = []
-    checked_i = checked_ii = 0
-    for pr in pairs:
-        if max(pr.d_ij, pr.d_ji) >= pr.h:
-            checked_i += 1
-            bound = lc.C3 * math.sqrt(lc.eta * pr.h)
-            if pr.dist_p < bound - tol:
-                violations.append({"pair": [pr.i, pr.j], "kind": "part_i",
-                                   "dist": pr.dist_p, "bound": bound})
-        if pr.w_dot <= 0.0:
-            checked_ii += 1
-            bound = lc.C2 * lc.eta
-            if pr.dist_p < bound - tol:
-                violations.append({"pair": [pr.i, pr.j], "kind": "part_ii",
-                                   "dist": pr.dist_p, "bound": bound})
-    return {
-        "checked_part_i": checked_i,
-        "checked_part_ii": checked_ii,
-        "violations": violations,
-    }
-
-
-def packing_census(alphas, ne: NormExponent, eps_sep: float) -> int:
-    """Greedy count of an eps_sep-separated subset of the deviation vectors
-    in the lp norm (first-fit in the given order)."""
-    if eps_sep <= 0.0:
-        raise ValueError("eps_sep must be positive")
-    chosen: list[np.ndarray] = []
-    for a in np.asarray(alphas, dtype=float):
-        if all(lp_norm(a - c, ne) >= eps_sep for c in chosen):
-            chosen.append(a)
-    return len(chosen)
+def _lp_distances(alpha: np.ndarray, others: np.ndarray,
+                  ne: NormExponent) -> list[float]:
+    """||alpha - others[j]||_p for every row j, equal to lp_norm's value to
+    the bit.  It uses lp_norm's max-scaled form and takes the root in Python
+    floats, as the caller takes the square: numpy's vectorised pow can
+    differ from the scalar pow in the last place."""
+    a = np.abs(alpha - others)
+    m = a.max(axis=1)
+    s = np.sum((a / np.where(m > 0.0, m, 1.0)[:, None]) ** ne.p, axis=1)
+    inv_p = 1.0 / ne.p
+    return [mi * si ** inv_p for mi, si in zip(m.tolist(), s.tolist())]
 
 
 def verify_trace(trace: RunTrace, eta: float = 0.1) -> dict:
-    """Full lemma verification report for one trace (used by the CLI)."""
-    ne = NormExponent(trace.config.p)
-    ne_dual = NormExponent(ne.p_star)
-    lc = LemmaConstants.for_exponent(ne, trace.q, eta=eta)
-    pairs = build_pairs(trace, eta=eta)
+    """Full lemma verification report for one trace (used by the CLI).
 
-    hyper = verify_hyperplane_lemma(pairs, lc)
-    sep = verify_separation(pairs, lc)
+    For every pair i < j of recorded cuts, with alpha = y - eta w and
+    d_ij = <w_j, y_i - y_j> the distance of y_i above the j-th supporting
+    hyperplane, it checks the support conditions d_ij, d_ji >= -tol, the
+    hyperplane bound d <= C_pq ||alpha_i - alpha_j||_p^2 / eta for both
+    orders, and the two separation lower bounds on ||alpha_i - alpha_j||_p:
+    C3 sqrt(eta h) when max(d_ij, d_ji) reaches the error level h of the
+    later cut (part i), C2 eta when <w_i, w_j> <= 0 (part ii).  Iterations
+    without a cut normal (zero-residual terminal step) are excluded.
+    """
+    ne = NormExponent(trace.config.p)
+    lc = LemmaConstants.for_exponent(ne, trace.q, eta=eta)
+    tol = VERIFY_TOL
+    recs = [r for r in trace.iterations if r.cut_normal is not None]
+    n = len(recs)
+    series = np.asarray(hausdorff_series(trace), dtype=float)
+    Y = np.array([r.support_point for r in recs]).reshape(n, trace.q)
+    W = np.array([r.cut_normal for r in recs]).reshape(n, trace.q)
+    ks = np.array([r.k for r in recs], dtype=np.int64)
+    A = Y - eta * W
+    # D[i, j] = d_ij = <w_j, y_i - y_j>
+    D = Y @ W.T - np.sum(Y * W, axis=1)[None, :]
+    G = W @ W.T
+
+    hyper: list[dict] = []
+    sep: list[dict] = []
+    max_ratio = 0.0
+    checked_i = checked_ii = 0
+    bound_ii = lc.C2 * lc.eta
+    for i in range(n - 1):
+        rest = slice(i + 1, n)
+        dist = _lp_distances(A[i], A[rest], ne)
+        bound = [lc.C_pq * d ** 2 / lc.eta for d in dist]
+        dist_a, bound_a = np.array(dist), np.array(bound)
+        d_ij, d_ji = D[i, rest], D[rest, i]
+        d_max = np.maximum(d_ij, d_ji)
+        pos = bound_a > 0.0
+        if pos.any():
+            max_ratio = max(max_ratio,
+                            float(np.max(d_max[pos] / bound_a[pos])))
+        # error level of the later cut
+        h = series[np.maximum(np.maximum(ks[i], ks[rest]) - 1, 0)]
+        bound_i = lc.C3 * np.sqrt(lc.eta * h)
+        reached = d_max >= h
+        non_acute = G[i, rest] <= 0.0
+        checked_i += int(np.count_nonzero(reached))
+        checked_ii += int(np.count_nonzero(non_acute))
+        flagged = ((np.minimum(d_ij, d_ji) < -tol) | (d_max > bound_a + tol)
+                   | (reached & (dist_a < bound_i - tol))
+                   | (non_acute & (dist_a < bound_ii - tol)))
+        # the few flagged pairs are re-checked one by one so that their
+        # entries come out in pair order, each pair's entries in a fixed order
+        for t in np.flatnonzero(flagged).tolist():
+            pair = [int(ks[i]), int(ks[i + 1 + t])]
+            for label, d in (("d_ij", float(d_ij[t])),
+                             ("d_ji", float(d_ji[t]))):
+                if d < -tol:
+                    hyper.append({"pair": pair, "kind": "support",
+                                  "which": label, "d": d})
+                if d > bound[t] + tol:
+                    hyper.append({"pair": pair, "kind": "hyperplane",
+                                  "which": label, "d": d, "bound": bound[t]})
+            if reached[t] and dist[t] < bound_i[t] - tol:
+                sep.append({"pair": pair, "kind": "part_i", "dist": dist[t],
+                            "bound": float(bound_i[t])})
+            if non_acute[t] and dist[t] < bound_ii - tol:
+                sep.append({"pair": pair, "kind": "part_ii", "dist": dist[t],
+                            "bound": bound_ii})
+
+    ne_dual = NormExponent(ne.p_star)
     dual_violations = []
-    for rec in trace.iterations:
-        if rec.cut_normal is None:
-            continue
+    for rec in recs:
         dn = lp_norm(rec.cut_normal, ne_dual)
-        if abs(dn - 1.0) > VERIFY_TOL:
+        if abs(dn - 1.0) > tol:
             dual_violations.append({"k": rec.k, "dual_norm": dn})
 
-    n_viol = (len(hyper["violations"]) + len(sep["violations"])
-              + len(dual_violations))
+    pairs = n * (n - 1) // 2
     return {
         "problem": trace.config.problem_key,
         "p": trace.config.p,
         "eta": eta,
-        "pairs": len(pairs),
-        "hyperplane": hyper,
-        "separation": sep,
+        "pairs": pairs,
+        "hyperplane": {"checked": 2 * pairs, "violations": hyper,
+                       "max_slack_ratio": max_ratio},
+        "separation": {"checked_part_i": checked_i,
+                       "checked_part_ii": checked_ii, "violations": sep},
         "dual_norm_violations": dual_violations,
-        "total_violations": n_viol,
+        "total_violations": len(hyper) + len(sep) + len(dual_violations),
     }

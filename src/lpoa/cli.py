@@ -27,7 +27,7 @@ from .analysis import fit_rate, monotone_envelope, verify_trace
 from .checks import run_self_test
 from .driver import RunConfig, RunTrace, hausdorff_series, run
 from .plot_svg import write_svg
-from .problems import PROBLEM_KEYS, by_key
+from .problems import PROBLEM_KEYS
 from .trace_io import (TraceFormatError, atomic_write_text, default_metadata,
                        load_trace, save_trace)
 
@@ -59,10 +59,9 @@ def _check_problem(key: str) -> None:
 
 def _trace_curve(trace: RunTrace) -> dict:
     series = monotone_envelope(hausdorff_series(trace))
-    q = by_key(trace.config.problem_key).q
-    fit = fit_rate(series, q, trace.config.epsilon)
+    fit = fit_rate(series, trace.q, trace.config.epsilon)
     return {"label": f"p = {trace.config.p:g}", "series": series,
-            "fit": fit, "q": q}
+            "fit": fit, "q": trace.q}
 
 
 @click.group()
@@ -123,7 +122,7 @@ def _sweep_one(args) -> tuple[float, RunTrace, float]:
               show_default=True)
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Parallel runs.")
+              help="Parallel runs (at most one per p value).")
 @click.option("--svg", "svg_path", type=click.Path(dir_okay=False),
               default=None, help="Combined log-log SVG output path.")
 def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
@@ -138,17 +137,20 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
                    for p in p_values]
     except ValueError as exc:
         _usage_error(str(exc))
+    if jobs < 1:
+        _usage_error(f"--jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
 
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers) as ex:
             results = list(ex.map(_sweep_one,
                                   [(c.to_dict(),) for c in configs]))
     else:
         results = [_sweep_one((c.to_dict(),)) for c in configs]
     results.sort(key=lambda r: r[0])
 
-    q = by_key(problem_key).q
     rows = []
     curves = []
     any_failed = False
@@ -161,12 +163,11 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
             rows.append((p, p / (p - 1.0), float("nan"), float("nan"),
                          len(trace.iterations), status))
             continue
-        env = monotone_envelope(hausdorff_series(trace))
-        fit = fit_rate(env, q, epsilon)
+        curve = _trace_curve(trace)
+        fit = curve["fit"]
         rows.append((p, p / (p - 1.0), fit.c_hat, fit.r_squared,
                      len(trace.iterations), status))
-        curves.append({"label": f"p = {p:g}", "series": env, "fit": fit,
-                       "q": q})
+        curves.append(curve)
         click.echo(f"p={p:g}: {len(trace.iterations)} iterations, "
                    f"c_hat={fit.c_hat:.3f}, r2={fit.r_squared:.4f} "
                    f"({wall:.2f}s)")

@@ -9,6 +9,7 @@ can compare traces with metadata stripped.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from datetime import datetime, timezone
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import polytope as pt
 from .driver import IterationRecord, RunConfig, RunTrace
-from .problems import PROBLEM_KEYS
+from .problems import PROBLEM_KEYS, by_key
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,6 +63,23 @@ def _polytope_from_dict(d: dict) -> pt.Polytope:
     return pt.Polytope(hs, verts, incidence)
 
 
+def _check_iteration(rec: IterationRecord, q: int, count: int) -> None:
+    """An integer k in [0, count), a finite residual norm and finite points
+    and cut normal in R^q."""
+    if type(rec.k) is not int or not 0 <= rec.k < count:
+        raise TraceFormatError(
+            f"iteration k must be an integer in [0, {count}), got {rec.k!r}")
+    res = rec.residual_norm
+    if type(res) not in (int, float) or not math.isfinite(res):
+        raise TraceFormatError(
+            f"residual_norm must be a finite number, got {res!r}")
+    for name in ("farthest_vertex", "support_point", "cut_normal"):
+        v = getattr(rec, name)
+        if v is not None and (v.shape != (q,) or not np.isfinite(v).all()):
+            raise TraceFormatError(
+                f"{name} of iteration {rec.k} must be {q} finite numbers")
+
+
 def trace_from_dict(doc: dict) -> RunTrace:
     if not isinstance(doc, dict):
         raise TraceFormatError("trace document must be a JSON object")
@@ -88,9 +106,9 @@ def trace_from_dict(doc: dict) -> RunTrace:
         raise TraceFormatError(f"malformed trace: {exc}") from exc
     if config.problem_key not in PROBLEM_KEYS:
         raise TraceFormatError(f"unknown problem key {config.problem_key!r}")
+    q = by_key(config.problem_key).q
     for rec in iterations:
-        if rec.support_point.shape != rec.farthest_vertex.shape:
-            raise TraceFormatError("inconsistent point dimensions in trace")
+        _check_iteration(rec, q, len(iterations))
     return RunTrace(config=config,
                     initial_halfspace_count=doc["initial_halfspace_count"],
                     iterations=iterations, final_polytope=final,

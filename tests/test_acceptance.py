@@ -12,17 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpoa.analysis import (build_pairs, fit_rate, monotone_envelope,
-                           verify_hyperplane_lemma, verify_separation,
+from lpoa.analysis import (VERIFY_TOL, fit_rate, monotone_envelope,
                            verify_trace)
 from lpoa.cli import _sweep_one
 from lpoa.driver import RunConfig
-from lpoa.lp_geometry import LemmaConstants, NormExponent, lp_norm
+from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import by_key
 from lpoa.scalarization import solve_subproblem
 from lpoa.trace_io import dumps_trace
 
 from oracles import in_A, oracle_distance
+from pairwise_reference import negate_every_third_normal, reference_report
 from test_polytope import (assert_vertex_sets_equal, box,
                            brute_force_vertices)
 from lpoa.polytope import Halfspace, InfeasibleError, from_halfspaces
@@ -192,21 +192,34 @@ def test_criterion_05_iteration_counts(matrix):
 def test_criterion_06_lemma_suite(matrix):
     problems = []
     for key, entry in matrix.items():
-        q = by_key(key).q
         for p, trace in entry["traces"].items():
             if trace.termination != "converged":
                 continue
-            lc = LemmaConstants.for_exponent(NormExponent(p), q, eta=0.1)
-            pairs = build_pairs(trace, eta=0.1)
-            hyper = verify_hyperplane_lemma(pairs, lc, tol=1e-6)
-            sep = verify_separation(pairs, lc, tol=1e-6)
-            support = [pr for pr in pairs
-                       if pr.d_ij < -1e-6 or pr.d_ji < -1e-6]
-            n = (len(hyper["violations"]) + len(sep["violations"])
-                 + len(support))
+            # hyperplane and support violations share one list; every
+            # check uses VERIFY_TOL = 1e-6
+            report = verify_trace(trace, eta=0.1)
+            n = (len(report["hyperplane"]["violations"])
+                 + len(report["separation"]["violations"]))
             if n:
                 problems.append(f"{key} p={p:g}: {n} violations")
+    assert VERIFY_TOL == 1e-6
     assert not problems, "; ".join(problems)
+
+
+def test_verify_matches_pairwise_reference(matrix):
+    """The array verifier's report equals the per-pair loop's byte for byte
+    on every matrix trace, clean and with every third cut normal negated."""
+    problems = []
+    for key, entry in matrix.items():
+        for p, trace in entry["traces"].items():
+            for variant, tr in (("clean", trace),
+                                ("negated", negate_every_third_normal(trace))):
+                got = json.dumps(verify_trace(tr, eta=0.1), sort_keys=True)
+                want = json.dumps(reference_report(tr, eta=0.1),
+                                  sort_keys=True)
+                if got != want:
+                    problems.append(f"{key} p={p:g} {variant}")
+    assert not problems, "reports differ: " + "; ".join(problems)
 
 
 def test_criterion_07_dual_norm_identity(matrix):

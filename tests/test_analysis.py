@@ -1,19 +1,77 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from lpoa.analysis import (DeviationPair, RateFit, build_pairs, fit_rate,
-                           monotone_envelope, packing_census,
-                           verify_hyperplane_lemma, verify_separation,
-                           verify_trace)
-from lpoa.driver import RunConfig, hausdorff_series, run
-from lpoa.lp_geometry import LemmaConstants, NormExponent, lp_norm
+from lpoa.analysis import fit_rate, monotone_envelope, verify_trace
+from lpoa.driver import (IterationRecord, RunConfig, RunTrace,
+                         hausdorff_series, run)
+from lpoa.lp_geometry import NormExponent, lp_norm
+
+from pairwise_reference import negate_every_third_normal, reference_report
 
 
 @pytest.fixture(scope="module")
 def trace():
     return run(RunConfig(problem_key="example1-q2", p=2.0, epsilon=1e-3))
+
+
+def cut_trace(points, normals, residuals, p=2.0) -> RunTrace:
+    """A hand-made example1-q2 trace whose iteration k cuts at points[k]
+    with normal normals[k] at error level residuals[k]."""
+    records = tuple(
+        IterationRecord(k=k, farthest_vertex=np.asarray(y, dtype=float),
+                        residual_norm=float(r),
+                        support_point=np.asarray(y, dtype=float),
+                        cut_normal=np.asarray(w, dtype=float),
+                        vertex_count=3, new_vertex_count=1, cache_hits=0,
+                        wall_ms=0.0)
+        for k, (y, w, r) in enumerate(zip(points, normals, residuals)))
+    return RunTrace(config=RunConfig(problem_key="example1-q2", p=p,
+                                     epsilon=1e-6),
+                    initial_halfspace_count=3, iterations=records,
+                    final_polytope=None, termination="converged")
+
+
+def arc_trace(n: int) -> RunTrace:
+    """n cuts supporting the unit disk + R^2_+ along its lower-left arc."""
+    theta = np.linspace(0.05, 0.5 * np.pi - 0.05, n)
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    return cut_trace(-normals, normals, 1.0 / np.arange(1, n + 1))
+
+
+def parallel_trace(n: int, p: float) -> RunTrace:
+    """n cuts with one normal at random offsets along it: thousands of
+    hyperplane and part (i) entries, each carrying a distance or bound."""
+    rng = np.random.default_rng(7)
+    points = np.column_stack([-np.sort(rng.uniform(0.0, 0.1, n)),
+                              rng.uniform(-1.0, 0.0, n)])
+    return cut_trace(points, np.tile([1.0, 0.0], (n, 1)),
+                     np.exp(rng.uniform(-12.0, -4.0, n)), p=p)
+
+
+def assert_matches_reference(trace: RunTrace, eta: float) -> None:
+    """verify_trace's report JSON equals the per-pair reference's."""
+    got = json.dumps(verify_trace(trace, eta=eta), sort_keys=True)
+    want = json.dumps(reference_report(trace, eta=eta), sort_keys=True)
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"reports differ at character {at}: "
+                    f"{got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+def packing_census(alphas, ne: NormExponent, eps_sep: float) -> int:
+    """Greedy count of an eps_sep-separated subset of the deviation vectors
+    in the lp norm (first-fit in the given order)."""
+    if eps_sep <= 0.0:
+        raise ValueError("eps_sep must be positive")
+    chosen: list[np.ndarray] = []
+    for a in np.asarray(alphas, dtype=float):
+        if all(lp_norm(a - c, ne) >= eps_sep for c in chosen):
+            chosen.append(a)
+    return len(chosen)
 
 
 class TestEnvelope:
@@ -85,31 +143,30 @@ class TestFitRate:
                           "window", "reliable"}
 
 
-class TestBuildPairs:
+class TestPairs:
     def test_count_and_fields(self, trace):
-        pairs = build_pairs(trace, eta=0.1)
+        report = verify_trace(trace, eta=0.1)
         n = len([r for r in trace.iterations if r.cut_normal is not None])
-        assert len(pairs) == n * (n - 1) // 2
-        series = hausdorff_series(trace)
-        ne = NormExponent(trace.config.p)
-        for pr in pairs[:50]:
-            assert pr.i < pr.j
-            assert np.allclose(pr.alpha_i, pr.y_i - 0.1 * pr.w_i)
-            assert pr.d_ij == pytest.approx(
-                float(pr.w_j @ (pr.y_i - pr.y_j)), abs=1e-12)
-            assert pr.dist_p == pytest.approx(
-                lp_norm(pr.alpha_i - pr.alpha_j, ne), abs=1e-12)
-            assert pr.h == series[max(pr.i, pr.j) - 1]
-
-    def test_cap_subsamples_deterministically(self, trace):
-        p1 = build_pairs(trace, eta=0.1, cap=20, seed=3)
-        p2 = build_pairs(trace, eta=0.1, cap=20, seed=3)
-        assert len(p1) == 20
-        assert [(a.i, a.j) for a in p1] == [(b.i, b.j) for b in p2]
+        assert report["pairs"] == n * (n - 1) // 2
+        assert report["hyperplane"]["checked"] == 2 * report["pairs"]
+        assert_matches_reference(trace, eta=0.1)
 
     def test_eta_validation(self, trace):
         with pytest.raises(ValueError):
-            build_pairs(trace, eta=0.0)
+            verify_trace(trace, eta=0.0)
+
+    def test_every_pair_of_a_long_trace(self):
+        # past 632 cuts the per-pair verifier used to check a sample
+        report = verify_trace(arc_trace(700), eta=0.1)
+        assert report["pairs"] == 700 * 699 // 2 == 244_650
+        assert report["hyperplane"]["checked"] == 2 * 244_650
+
+    def test_short_traces(self):
+        for n in (0, 1):
+            report = verify_trace(arc_trace(n), eta=0.1)
+            assert report["pairs"] == 0
+            assert report["total_violations"] == 0
+            assert_matches_reference(arc_trace(n), eta=0.1)
 
 
 class TestVerifiers:
@@ -123,39 +180,54 @@ class TestVerifiers:
         assert 0.0 < report["hyperplane"]["max_slack_ratio"] <= 1.0
 
     def test_separation_parts_exercised(self, trace):
-        lc = LemmaConstants.for_exponent(NormExponent(2.0), 2, eta=0.1)
-        pairs = build_pairs(trace, eta=0.1)
-        rep = verify_separation(pairs, lc)
-        assert rep["checked_part_i"] > 0
+        sep = verify_trace(trace, eta=0.1)["separation"]
+        assert sep["checked_part_i"] > 0
         # frontier normals on this problem all lie in one orthant, so the
         # non-acute branch is vacuous here (exercised synthetically below)
-        assert rep["checked_part_ii"] == 0
+        assert sep["checked_part_ii"] == 0
 
     def test_detects_corrupted_normal(self, trace):
-        # flipping a cut normal breaks the support condition d >= 0
-        pairs = build_pairs(trace, eta=0.1)
-        bad = []
-        for pr in pairs[:200]:
-            bad.append(DeviationPair(
-                i=pr.i, j=pr.j, y_i=pr.y_i, y_j=pr.y_j,
-                w_i=pr.w_i, w_j=-pr.w_j, alpha_i=pr.alpha_i,
-                alpha_j=pr.alpha_j, d_ij=-pr.d_ij, d_ji=pr.d_ji,
-                dist_p=pr.dist_p, w_dot=-pr.w_dot, h=pr.h))
-        lc = LemmaConstants.for_exponent(NormExponent(2.0), 2, eta=0.1)
-        rep = verify_hyperplane_lemma(bad, lc)
-        assert len(rep["violations"]) > 0
+        # flipping cut normals breaks the support condition d >= 0
+        bad = negate_every_third_normal(trace)
+        report = verify_trace(bad, eta=0.1)
+        kinds = {v["kind"] for v in report["hyperplane"]["violations"]}
+        assert "support" in kinds
+        assert_matches_reference(bad, eta=0.1)
 
     def test_synthetic_hyperplane_violation(self):
-        # two far-apart hyperplane distances with tiny deviation distance
-        lc = LemmaConstants.for_exponent(NormExponent(2.0), 2, eta=0.1)
-        pr = DeviationPair(i=1, j=2, y_i=np.zeros(2), y_j=np.zeros(2),
-                           w_i=np.array([1.0, 0.0]), w_j=np.array([0.0, 1.0]),
-                           alpha_i=np.zeros(2), alpha_j=np.zeros(2),
-                           d_ij=1.0, d_ji=0.0, dist_p=1e-4, w_dot=0.0, h=2.0)
-        rep = verify_hyperplane_lemma([pr], lc)
-        assert any(v["kind"] == "hyperplane" for v in rep["violations"])
-        rep2 = verify_separation([pr], lc)
-        assert any(v["kind"] == "part_ii" for v in rep2["violations"])
+        # two parallel cuts 1e-3 apart: the hyperplane distance is linear
+        # in the offset, the bound quadratic
+        report = verify_trace(cut_trace([[0.0, 0.0], [-1e-3, 0.0]],
+                                        [[1.0, 0.0], [1.0, 0.0]],
+                                        [1.0, 1.0]), eta=0.1)
+        assert [(v["kind"], v["which"])
+                for v in report["hyperplane"]["violations"]] == [
+            ("hyperplane", "d_ij"), ("support", "d_ji")]
+
+    @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
+    def test_each_violation_kind_matches_reference(self, eta):
+        # cuts 1 and 2: parallel and 1e-3 apart at a small error level
+        # (hyperplane, support, part i); cuts 0 and 3: orthogonal normals
+        # with equal deviation vectors (support, part ii)
+        trace = cut_trace(
+            [[0.1, 0.0], [0.0, 0.0], [-1e-3, 0.0], [0.0, 0.1]],
+            [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            [1.0, 1e-4, 1e-4, 1e-4])
+        report = verify_trace(trace, eta=eta)
+        kinds = {v["kind"] for part in ("hyperplane", "separation")
+                 for v in report[part]["violations"]}
+        if eta == 0.1:
+            assert kinds == {"support", "hyperplane", "part_i", "part_ii"}
+        assert_matches_reference(trace, eta=eta)
+
+    @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
+    def test_synthetic_traces_match_reference(self, eta):
+        # the parallel cuts put enough distances and bounds in the report
+        # that a last-place difference from lp_norm would show
+        for trace in (arc_trace(120), negate_every_third_normal(
+                arc_trace(120)), parallel_trace(200, 1.5),
+                parallel_trace(200, 3.0)):
+            assert_matches_reference(trace, eta=eta)
 
 
 class TestPackingCensus:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lpoa import driver
+from lpoa import cli, driver
 from lpoa import polytope as pt
 from lpoa.cli import CSV_HEADER, main
 from lpoa.driver import RunConfig, run
@@ -31,7 +31,9 @@ def small_trace():
 
 def malformed_documents(trace):
     """Trace documents whose config or an iteration entry is not a JSON
-    object, or whose problem key is unknown."""
+    object, whose problem key is unknown, or whose iteration entry has a
+    k that is not an iteration index, a residual norm that is not a finite
+    number, or a point or cut normal that is not q finite numbers."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -39,7 +41,26 @@ def malformed_documents(trace):
     bad_entry["iterations"][0] = [1, 2]
     bad_entries["iterations"] = {"0": bad_entries["iterations"][0]}
     bad_key["config"]["problem_key"] = "nope"
-    return [bad_config, bad_entry, bad_entries, bad_key]
+    docs = [bad_config, bad_entry, bad_entries, bad_key]
+    mid = len(trace.iterations) // 2
+    q = len(trace.iterations[0].support_point)
+    edits = [("k", "3"), ("k", 2.0), ("k", True), ("k", -1),
+             ("k", len(trace.iterations)),
+             ("residual_norm", "0.1"), ("residual_norm", None),
+             ("residual_norm", float("nan")), ("residual_norm", float("inf"))]
+    for field in ("farthest_vertex", "support_point", "cut_normal"):
+        edits += [(field, [0.5] * (q + 1)), (field, [0.5] * (q - 1)),
+                  (field, [0.5] + [float("nan")] * (q - 1)),
+                  (field, [float("inf")] * q), (field, ["a"] * q)]
+    for field, value in edits:
+        d = doc()
+        d["iterations"][mid][field] = value
+        docs.append(d)
+    both = doc()
+    both["iterations"][mid]["farthest_vertex"] = [0.5] * (q + 1)
+    both["iterations"][mid]["support_point"] = [0.5] * (q + 1)
+    docs.append(both)
+    return docs
 
 
 class TestTraceIO:
@@ -172,6 +193,8 @@ class TestRunCommand:
         ["sweep", "--problem", "ellipse", "--p-list", "2,abc"],
         ["run", "--problem", "ellipse", "--p", "2", "--eps", "nan"],
         ["sweep", "--problem", "ellipse", "--p-list", "2", "--eps", "nan"],
+        ["sweep", "--problem", "ellipse", "--p-list", "2", "--jobs", "0"],
+        ["sweep", "--problem", "ellipse", "--p-list", "2", "--jobs", "-2"],
     ])
     def test_invalid_argument_exit_64(self, runner, tmp_path, args):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -219,6 +242,34 @@ class TestSweepCommand:
             assert res.exit_code == 0, res.output
         assert ((d1 / "ellipse-summary.csv").read_text()
                 == (d2 / "ellipse-summary.csv").read_text())
+
+    def test_jobs_capped_at_run_count(self, runner, tmp_path, monkeypatch):
+        # a serial stand-in records the pool size it is asked for; no
+        # worker processes are started
+        sizes = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            SerialExecutor)
+        for jobs, p_list in (("500", "2,3"), ("4", "2")):
+            res = runner.invoke(main, ["sweep", "--problem", "ellipse",
+                                       "--p-list", p_list, "--eps", "0.05",
+                                       "--out-dir", str(tmp_path),
+                                       "--jobs", jobs])
+            assert res.exit_code == 0, res.output
+        assert sizes == [2]
 
     def test_sweep_svg(self, runner, tmp_path):
         svg = tmp_path / "sweep.svg"
