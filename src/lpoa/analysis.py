@@ -48,16 +48,6 @@ class RateFit:
     window: tuple[int, int]
     reliable: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "c_hat": self.c_hat,
-            "lambda_hat": self.lambda_hat,
-            "r_squared": self.r_squared,
-            "points_used": self.points_used,
-            "window": list(self.window),
-            "reliable": self.reliable,
-        }
-
 
 def fit_rate(series, q: int, epsilon: float) -> RateFit:
     """OLS of log delta against log k over the stable window of the envelope.
@@ -81,7 +71,7 @@ def fit_rate(series, q: int, epsilon: float) -> RateFit:
     mask = base & (delta > 2.0 * epsilon)
     if np.count_nonzero(mask) < 5:
         mask = base & (delta > 1.2 * epsilon)
-    reliable = np.count_nonzero(mask) >= 5
+    reliable = bool(np.count_nonzero(mask) >= 5)
     if np.count_nonzero(mask) < 2:
         return RateFit(c_hat=float("nan"), lambda_hat=float("nan"),
                        r_squared=float("nan"),

@@ -27,7 +27,6 @@ from .analysis import fit_rate, monotone_envelope, verify_trace
 from .checks import run_self_test
 from .driver import RunConfig, RunTrace, hausdorff_series, run
 from .plot_svg import write_svg
-from .problems import PROBLEM_KEYS
 from .trace_io import (TraceFormatError, atomic_write_text, default_metadata,
                        load_trace, save_trace)
 
@@ -51,10 +50,8 @@ def _usage_error(message: str) -> NoReturn:
     sys.exit(EXIT_USAGE)
 
 
-def _check_problem(key: str) -> None:
-    if key not in PROBLEM_KEYS:
-        _usage_error(f"unknown problem key {key!r}; "
-                     f"choose from {', '.join(PROBLEM_KEYS)}")
+def _trace_name(problem_key: str, p: float) -> str:
+    return f"{problem_key}-p{p:g}.json"
 
 
 def _trace_curve(trace: RunTrace) -> dict:
@@ -81,7 +78,6 @@ def main() -> None:
               default=None, help="Optional log-log SVG output path.")
 def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
     """Execute one run and write its trace."""
-    _check_problem(problem_key)
     try:
         config = RunConfig(problem_key=problem_key, p=p_value, epsilon=eps,
                            max_iterations=max_iters)
@@ -104,9 +100,7 @@ def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
         sys.exit(EXIT_SOLVER_FAILURE)
 
 
-def _sweep_one(args) -> tuple[float, RunTrace, float]:
-    config_dict, = args
-    config = RunConfig.from_dict(config_dict)
+def _sweep_one(config: RunConfig) -> tuple[float, RunTrace, float]:
     t0 = time.perf_counter()
     trace = run(config)
     return config.p, trace, time.perf_counter() - t0
@@ -127,8 +121,8 @@ def _sweep_one(args) -> tuple[float, RunTrace, float]:
               default=None, help="Combined log-log SVG output path.")
 def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     """Run every p value for one problem; write traces and a summary CSV."""
-    _check_problem(problem_key)
-    epsilon = DEFAULT_EPSILONS[problem_key] if eps is None else eps
+    # an unknown key finds no default epsilon; RunConfig rejects the key
+    epsilon = DEFAULT_EPSILONS.get(problem_key) if eps is None else eps
     try:
         p_values = (DEFAULT_P_LIST if p_list is None
                     else tuple(float(s) for s in p_list.split(",")))
@@ -137,6 +131,8 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
                    for p in p_values]
     except ValueError as exc:
         _usage_error(str(exc))
+    if len({_trace_name(problem_key, p) for p in p_values}) < len(p_values):
+        _usage_error(f"--p-list values {p_list} repeat a trace file name")
     if jobs < 1:
         _usage_error(f"--jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
@@ -145,18 +141,17 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers) as ex:
-            results = list(ex.map(_sweep_one,
-                                  [(c.to_dict(),) for c in configs]))
+            results = list(ex.map(_sweep_one, configs))
     else:
-        results = [_sweep_one((c.to_dict(),)) for c in configs]
+        results = [_sweep_one(c) for c in configs]
     results.sort(key=lambda r: r[0])
 
     rows = []
     curves = []
     any_failed = False
     for p, trace, wall in results:
-        name = f"{problem_key}-p{p:g}.json".replace("/", "_")
-        save_trace(os.path.join(out_dir, name), trace, default_metadata(wall))
+        save_trace(os.path.join(out_dir, _trace_name(problem_key, p)), trace,
+                   default_metadata(wall))
         status = trace.termination
         if status != "converged":
             any_failed = True

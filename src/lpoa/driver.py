@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import polytope as pt
 from .lp_geometry import NormExponent
-from .problems import ProblemInstance, by_key, weighted_sum
-from .scalarization import SolverTolerances, SubproblemError, solve_batch
+from .problems import PROBLEM_KEYS, ProblemInstance, by_key, weighted_sum
+from .scalarization import STALL_TOL, ZERO_TOL, SubproblemError, solve_batch
 
 __all__ = ["RunConfig", "IterationRecord", "RunTrace", "initialize", "run",
            "hausdorff_series"]
@@ -47,41 +47,24 @@ class RunConfig:
     p: float
     epsilon: float
     max_iterations: int = 500
-    tolerances: SolverTolerances = field(default_factory=SolverTolerances)
 
     def __post_init__(self):
+        """The one check of a configuration, from the CLI or a trace."""
+        if self.problem_key not in PROBLEM_KEYS:
+            raise ValueError(f"unknown problem key {self.problem_key!r}; "
+                             f"choose from {', '.join(PROBLEM_KEYS)}")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in (self.p, self.epsilon)):
+            raise ValueError("p and epsilon must be real numbers, got "
+                             f"{self.p!r} and {self.epsilon!r}")
         NormExponent(self.p)  # raises ValueError unless 1 < p < inf
-        if not (math.isfinite(self.epsilon)
-                and self.epsilon > self.tolerances.tol_zero):
+        if not (math.isfinite(self.epsilon) and self.epsilon > ZERO_TOL):
             raise ValueError("epsilon must be finite and exceed the "
                              "zero-residual threshold")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "problem_key": self.problem_key,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "max_iterations": self.max_iterations,
-            "tolerances": {
-                "primal": self.tolerances.primal,
-                "dual": self.tolerances.dual,
-                "vi": self.tolerances.vi,
-                "tol_zero": self.tolerances.tol_zero,
-                "max_iterations": self.tolerances.max_iterations,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        # traces written before seed, record_pairs and tolerances.objective
-        # were removed still carry them; none of the three was ever read
-        tol = dict(d.get("tolerances", {}))
-        tol.pop("objective", None)
-        return cls(problem_key=d["problem_key"], p=d["p"], epsilon=d["epsilon"],
-                   max_iterations=d.get("max_iterations", 500),
-                   tolerances=SolverTolerances(**tol))
+        m = self.max_iterations
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError("max_iterations must be an integer >= 1, got "
+                             f"{self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -92,36 +75,8 @@ class IterationRecord:
     support_point: np.ndarray
     cut_normal: Optional[np.ndarray]
     vertex_count: int
-    new_vertex_count: int
     cache_hits: int
     wall_ms: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "farthest_vertex": self.farthest_vertex.tolist(),
-            "residual_norm": self.residual_norm,
-            "support_point": self.support_point.tolist(),
-            "cut_normal": None if self.cut_normal is None else self.cut_normal.tolist(),
-            "vertex_count": self.vertex_count,
-            "new_vertex_count": self.new_vertex_count,
-            "cache_hits": self.cache_hits,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationRecord":
-        cn = d.get("cut_normal")
-        return cls(
-            k=d["k"],
-            farthest_vertex=np.asarray(d["farthest_vertex"], dtype=float),
-            residual_norm=d["residual_norm"],
-            support_point=np.asarray(d["support_point"], dtype=float),
-            cut_normal=None if cn is None else np.asarray(cn, dtype=float),
-            vertex_count=d["vertex_count"],
-            new_vertex_count=d["new_vertex_count"],
-            cache_hits=d["cache_hits"],
-            wall_ms=d.get("wall_ms", 0.0),
-        )
 
 
 @dataclass(frozen=True)
@@ -154,10 +109,10 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
 
 # Support points lie in A, and residuals are exact, only to the subproblem
 # solver's accuracy, so a bound is compared with a residual only after
-# relative and absolute slack of SolverTolerances.vi (1e-6), the tolerance at
-# which the solver accepts a stalled iterate.
-def _inflate(bound: float, tol: SolverTolerances) -> float:
-    return bound * (1.0 + tol.vi) + tol.vi
+# relative and absolute slack of STALL_TOL (1e-6), the tolerance at which the
+# solver accepts a stalled iterate.
+def _inflate(bound: float) -> float:
+    return bound * (1.0 + STALL_TOL) + STALL_TOL
 
 
 _REFINE_EVALS = 40  # weighted sums per refined bound
@@ -266,7 +221,6 @@ def run(config: RunConfig) -> RunTrace:
     """
     prob = by_key(config.problem_key)
     ne = NormExponent(config.p)
-    tol = config.tolerances
     try:
         P, j_plus_1 = initialize(prob)
         # known points of A: the coordinate minimizers, then every
@@ -283,7 +237,6 @@ def run(config: RunConfig) -> RunTrace:
     refined: set = set()  # keys whose bound had the frontier search
     records: list[IterationRecord] = []
     termination = "max_iterations"
-    prev_vertex_count = 0
 
     for k in range(config.max_iterations):
         t0 = time.perf_counter()
@@ -304,7 +257,7 @@ def run(config: RunConfig) -> RunTrace:
             # reach the largest exact residual
             while open_rows:
                 j = int(np.argmax(open_bounds))
-                if _inflate(float(open_bounds[j]), tol) < best:
+                if _inflate(float(open_bounds[j])) < best:
                     break
                 i = open_rows[j]
                 if best > -math.inf and keys[i] not in refined:
@@ -313,7 +266,7 @@ def run(config: RunConfig) -> RunTrace:
                     open_bounds[j] = min(open_bounds[j], _refined_bound(
                         prob, ne.p, verts[i].tolist(), normals))
                     continue
-                res, = solve_batch(prob, verts[i:i + 1], ne, tol, exact)
+                res, = solve_batch(prob, verts[i:i + 1], ne, exact)
                 del bounds[keys[i]]
                 del open_rows[j]
                 open_bounds = np.delete(open_bounds, j)
@@ -333,40 +286,30 @@ def run(config: RunConfig) -> RunTrace:
         idx = max((i for i, key in enumerate(keys) if key in exact),
                   key=lambda i: exact[keys[i]].residual_norm)
         far = exact[keys[idx]]
-        new_count = len(verts) - prev_vertex_count if k else len(verts)
 
-        if far.cut_normal is None:
-            # farthest vertex already in A: the polytope equals A numerically
-            records.append(IterationRecord(
-                k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
-                support_point=far.y_support, cut_normal=None,
-                vertex_count=len(verts), new_vertex_count=new_count,
-                cache_hits=hits,
-                wall_ms=(time.perf_counter() - t0) * 1e3))
-            termination = "converged"
-            break
-
-        h = pt.Halfspace(-far.cut_normal, -float(far.cut_normal @ far.y_support))
-        try:
-            P_next = pt.cut(P, h)
-        except pt.InfeasibleError:
-            # the cut removed every vertex: the supporting halfspace is
-            # inconsistent with the current polytope
-            termination = "solver_failure"
-            break
-        if P_next.null_cut:
-            # numerically redundant cut: tolerance mismatch between solver
-            # and polytope layers; surface it instead of masking
-            termination = "solver_failure"
-            break
+        # no cut normal: the farthest vertex is already in A, the polytope
+        # equals A numerically, and the zero residual ends the run below
+        if far.cut_normal is not None:
+            h = pt.Halfspace(-far.cut_normal,
+                             -float(far.cut_normal @ far.y_support))
+            try:
+                P_next = pt.cut(P, h)
+            except pt.InfeasibleError:
+                # the cut removed every vertex: the supporting halfspace is
+                # inconsistent with the current polytope
+                termination = "solver_failure"
+                break
+            if P_next.null_cut:
+                # numerically redundant cut: tolerance mismatch between
+                # solver and polytope layers; surface it instead of masking
+                termination = "solver_failure"
+                break
+            P = P_next
         records.append(IterationRecord(
             k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
             support_point=far.y_support, cut_normal=far.cut_normal,
-            vertex_count=len(verts), new_vertex_count=new_count,
-            cache_hits=hits,
+            vertex_count=len(verts), cache_hits=hits,
             wall_ms=(time.perf_counter() - t0) * 1e3))
-        prev_vertex_count = len(verts)
-        P = P_next
         if far.residual_norm <= config.epsilon:
             termination = "converged"
             break

@@ -61,13 +61,6 @@ class Halfspace:
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
 
-    def to_dict(self) -> dict:
-        return {"normal": self.normal.tolist(), "offset": self.offset}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Halfspace":
-        return cls(np.asarray(d["normal"], dtype=float), d["offset"])
-
 
 def _lex_order(points: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically by coordinates."""
@@ -112,25 +105,6 @@ class Polytope:
     def vertices(self) -> np.ndarray:
         """Vertex rows in deterministic (lexicographic) order."""
         return self.vertices_array.copy()
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A, b) with the polytope equal to {y : A y <= b}."""
-        A = np.vstack([h.normal for h in self.halfspaces])
-        b = np.array([h.offset for h in self.halfspaces])
-        return A, b
-
-    def contains(self, y, tol: float = 1e-7) -> bool:
-        A, b = self.matrices()
-        y = np.asarray(y, dtype=float)
-        scale = np.maximum(1.0, np.abs(b))
-        return bool(np.all(A @ y <= b + tol * scale))
-
-    def to_dict(self) -> dict:
-        return {
-            "halfspaces": [h.to_dict() for h in self.halfspaces],
-            "vertices": self.vertices_array.tolist(),
-            "incidence": [sorted(s) for s in self.incidence],
-        }
 
 
 def _feas_tolerances(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:

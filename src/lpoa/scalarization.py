@@ -22,7 +22,6 @@ from .lp_geometry import NormExponent, lp_gradient, lp_norm
 from .problems import ProblemInstance, weighted_sum
 
 __all__ = [
-    "SolverTolerances",
     "ScalarizationResult",
     "SubproblemError",
     "solve_subproblem",
@@ -31,13 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverTolerances:
-    primal: float = 1e-8
-    dual: float = 1e-8
-    vi: float = 1e-6
-    tol_zero: float = 1e-10
-    max_iterations: int = 50000
+KKT_TOL = 1e-8      # converged: both ADMM residuals below this, times scale
+STALL_TOL = 1e-6    # a stalled iterate within this, times scale, is accepted
+ZERO_TOL = 1e-10    # residual norm at or below which v counts as in A
+MAX_STEPS = 50_000  # ADMM steps before SubproblemError
 
 
 @dataclass(frozen=True)
@@ -220,9 +216,8 @@ def _project_slice(prob: ProblemInstance, a: np.ndarray) -> np.ndarray:
 # the subproblem solver
 
 
-def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
-                     tol: SolverTolerances = SolverTolerances()
-                     ) -> ScalarizationResult:
+def solve_subproblem(prob: ProblemInstance, v,
+                     ne: NormExponent) -> ScalarizationResult:
     """lp projection of vertex v onto A, with support point and cut normal.
 
     Returns residual_norm = lp distance from v to A.  If v is (numerically)
@@ -248,7 +243,7 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
     it = 0
     inner_step = 1.0
 
-    for it in range(1, tol.max_iterations + 1):
+    for it in range(1, MAX_STEPS + 1):
         # inner projection accuracy tracks the outer residual
         inner_tol = min(1e-4, max(1e-13, 1e-3 * kkt)) if np.isfinite(kkt) else 1e-4
         y1, x, inner_step = _project_upper(prob, y - u1, x, inner_tol, inner_step)
@@ -265,14 +260,14 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
         r_pri = max(abs(y1 - y).max(), abs(y2 - y).max())
         r_dual = rho * abs(y - y_old).max()
         kkt = max(r_pri, r_dual)
-        if r_pri <= tol.primal * scale and r_dual <= tol.dual * scale:
+        if kkt <= KKT_TOL * scale:
             break
         if it % 250 == 0:
             # accept a stalled but feasible-enough iterate: when the optimal
             # residual has an exact-zero component the lp prox is maximally
             # flat there and the splitting decays only sublinearly, while the
             # cut is insensitive to that component
-            if kkt <= tol.vi * scale and kkt > 0.6 * kkt_500_ago:
+            if kkt <= STALL_TOL * scale and kkt > 0.6 * kkt_500_ago:
                 break
             kkt_500_ago = kkt
         if it % 50 == 0:
@@ -292,7 +287,7 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
 
     z = y - v
     nrm = lp_norm(z, ne)
-    if nrm <= tol.tol_zero:
+    if nrm <= ZERO_TOL:
         y = v.copy()
         normal = None
         nrm = 0.0
@@ -319,7 +314,6 @@ def solve_subproblem(prob: ProblemInstance, v, ne: NormExponent,
 
 
 def solve_batch(prob: ProblemInstance, vertices, ne: NormExponent,
-                tol: SolverTolerances = SolverTolerances(),
                 cache: Optional[dict] = None) -> list[ScalarizationResult]:
     """Solve the subproblem for each vertex, reusing the results in cache.
 
@@ -332,6 +326,6 @@ def solve_batch(prob: ProblemInstance, vertices, ne: NormExponent,
     for v in vertices:
         key = tuple(np.asarray(v, dtype=float).tolist())
         if key not in cache:
-            cache[key] = solve_subproblem(prob, v, ne, tol)
+            cache[key] = solve_subproblem(prob, v, ne)
         results.append(cache[key])
     return results

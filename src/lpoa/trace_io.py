@@ -1,9 +1,22 @@
-"""Trace JSON serialization (schema version 1) and atomic file output.
+"""Trace JSON, the one module that writes and reads it, and atomic file output.
 
-The deterministic part of a trace (config, iterations, termination, final
-polytope) serializes to byte-identical JSON for identical runs; wall-clock
-information lives in the separate top-level "metadata" object so consumers
-can compare traces with metadata stripped.
+A trace (schema version 2) is a JSON object with the keys
+    schema_version           2
+    config                   problem_key, p, epsilon, max_iterations
+    initial_halfspace_count  J + 1
+    iterations               a list of k, farthest_vertex, residual_norm,
+                             support_point, cut_normal, vertex_count,
+                             cache_hits
+    termination              converged, max_iterations or solver_failure
+    final_polytope           halfspaces (normal, offset), vertices and
+                             incidence, or null
+    metadata                 wall-clock information
+Everything except metadata serializes to byte-identical JSON for identical
+runs.  The loader reads versions 1 and 2 and ignores what older writers
+added and nothing reads: the config's solver tolerances, seed and
+record_pairs, and each iteration's net change in vertex count.  It checks
+each field as it parses it, and raises TraceFormatError for a malformed
+document.
 """
 
 from __future__ import annotations
@@ -18,23 +31,22 @@ import numpy as np
 
 from . import polytope as pt
 from .driver import IterationRecord, RunConfig, RunTrace
-from .problems import PROBLEM_KEYS, by_key
+from .problems import by_key
 
 __all__ = [
     "SCHEMA_VERSION",
     "TraceFormatError",
     "trace_to_dict",
     "trace_from_dict",
+    "fit_to_dict",
     "dumps_trace",
     "save_trace",
     "load_trace",
     "atomic_write_text",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_REQUIRED_KEYS = ("schema_version", "config", "initial_halfspace_count",
-                  "iterations", "termination")
 _TERMINATIONS = ("converged", "max_iterations", "solver_failure")
 
 
@@ -43,76 +55,97 @@ class TraceFormatError(ValueError):
 
 
 def trace_to_dict(trace: RunTrace, metadata: dict | None = None) -> dict:
-    doc = {
+    c = trace.config
+    P = trace.final_polytope
+    return {
         "schema_version": SCHEMA_VERSION,
-        "config": trace.config.to_dict(),
+        "config": {"problem_key": c.problem_key, "p": c.p,
+                   "epsilon": c.epsilon, "max_iterations": c.max_iterations},
         "initial_halfspace_count": trace.initial_halfspace_count,
-        "iterations": [rec.to_dict() for rec in trace.iterations],
+        "iterations": [{
+            "k": rec.k,
+            "farthest_vertex": rec.farthest_vertex.tolist(),
+            "residual_norm": rec.residual_norm,
+            "support_point": rec.support_point.tolist(),
+            "cut_normal": (None if rec.cut_normal is None
+                           else rec.cut_normal.tolist()),
+            "vertex_count": rec.vertex_count,
+            "cache_hits": rec.cache_hits,
+        } for rec in trace.iterations],
         "termination": trace.termination,
-        "final_polytope": (None if trace.final_polytope is None
-                           else trace.final_polytope.to_dict()),
+        "final_polytope": None if P is None else {
+            "halfspaces": [{"normal": h.normal.tolist(), "offset": h.offset}
+                           for h in P.halfspaces],
+            "vertices": P.vertices_array.tolist(),
+            "incidence": [sorted(s) for s in P.incidence],
+        },
         "metadata": metadata if metadata is not None else {},
     }
-    return doc
 
 
-def _polytope_from_dict(d: dict) -> pt.Polytope:
-    hs = tuple(pt.Halfspace.from_dict(h) for h in d["halfspaces"])
-    verts = np.asarray(d["vertices"], dtype=float)
-    incidence = tuple(frozenset(s) for s in d["incidence"])
-    return pt.Polytope(hs, verts, incidence)
+def _point(d: dict, name: str, q: int) -> np.ndarray:
+    v = np.asarray(d[name], dtype=float)
+    if v.shape != (q,) or not np.isfinite(v).all():
+        raise ValueError(f"{name} of iteration {d['k']} must be {q} finite "
+                         "numbers")
+    return v
 
 
-def _check_iteration(rec: IterationRecord, q: int, count: int) -> None:
-    """An integer k in [0, count), a finite residual norm and finite points
-    and cut normal in R^q."""
-    if type(rec.k) is not int or not 0 <= rec.k < count:
-        raise TraceFormatError(
-            f"iteration k must be an integer in [0, {count}), got {rec.k!r}")
-    res = rec.residual_norm
+def _iteration_from_dict(d: dict, q: int, count: int) -> IterationRecord:
+    """k in [0, count), a finite residual, finite points and normal in R^q."""
+    k, res = d["k"], d["residual_norm"]
+    if type(k) is not int or not 0 <= k < count:
+        raise ValueError(
+            f"iteration k must be an integer in [0, {count}), got {k!r}")
     if type(res) not in (int, float) or not math.isfinite(res):
-        raise TraceFormatError(
-            f"residual_norm must be a finite number, got {res!r}")
-    for name in ("farthest_vertex", "support_point", "cut_normal"):
-        v = getattr(rec, name)
-        if v is not None and (v.shape != (q,) or not np.isfinite(v).all()):
-            raise TraceFormatError(
-                f"{name} of iteration {rec.k} must be {q} finite numbers")
+        raise ValueError(f"residual_norm must be a finite number, got {res!r}")
+    return IterationRecord(
+        k=k, farthest_vertex=_point(d, "farthest_vertex", q),
+        residual_norm=res, support_point=_point(d, "support_point", q),
+        cut_normal=(None if d["cut_normal"] is None
+                    else _point(d, "cut_normal", q)),
+        vertex_count=d["vertex_count"], cache_hits=d["cache_hits"],
+        wall_ms=0.0)  # wall time is not part of the trace
 
 
 def trace_from_dict(doc: dict) -> RunTrace:
-    if not isinstance(doc, dict):
-        raise TraceFormatError("trace document must be a JSON object")
-    missing = [k for k in _REQUIRED_KEYS if k not in doc]
-    if missing:
-        raise TraceFormatError(f"trace is missing keys: {missing}")
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise TraceFormatError(
-            f"unsupported schema version {doc['schema_version']!r}")
-    if doc["termination"] not in _TERMINATIONS:
-        raise TraceFormatError(f"unknown termination {doc['termination']!r}")
-    if not (isinstance(doc["config"], dict)
-            and isinstance(doc["iterations"], list)
-            and all(isinstance(d, dict) for d in doc["iterations"])):
-        raise TraceFormatError(
-            "config and every iteration entry must be JSON objects")
     try:
-        config = RunConfig.from_dict(doc["config"])
-        iterations = tuple(IterationRecord.from_dict(d)
-                           for d in doc["iterations"])
-        poly = doc.get("final_polytope")
-        final = None if poly is None else _polytope_from_dict(poly)
-    except (KeyError, TypeError, ValueError) as exc:
+        if doc["schema_version"] not in (1, 2):
+            raise ValueError(
+                f"unsupported schema version {doc['schema_version']!r}")
+        if doc["termination"] not in _TERMINATIONS:
+            raise ValueError(f"unknown termination {doc['termination']!r}")
+        entries = doc["iterations"]
+        if not isinstance(entries, list):
+            raise ValueError("iterations must be a JSON list")
+        c = doc["config"]
+        config = RunConfig(problem_key=c["problem_key"], p=c["p"],
+                           epsilon=c["epsilon"],
+                           max_iterations=c["max_iterations"])
+        q = by_key(config.problem_key).q
+        iterations = tuple(_iteration_from_dict(d, q, len(entries))
+                           for d in entries)
+        poly = doc["final_polytope"]
+        final = None if poly is None else pt.Polytope(
+            tuple(pt.Halfspace(h["normal"], h["offset"])
+                  for h in poly["halfspaces"]),
+            np.asarray(poly["vertices"], dtype=float),
+            tuple(frozenset(s) for s in poly["incidence"]))
+        return RunTrace(config=config,
+                        initial_halfspace_count=doc["initial_halfspace_count"],
+                        iterations=iterations, final_polytope=final,
+                        termination=doc["termination"])
+    except KeyError as exc:
+        raise TraceFormatError(f"trace is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed trace: {exc}") from exc
-    if config.problem_key not in PROBLEM_KEYS:
-        raise TraceFormatError(f"unknown problem key {config.problem_key!r}")
-    q = by_key(config.problem_key).q
-    for rec in iterations:
-        _check_iteration(rec, q, len(iterations))
-    return RunTrace(config=config,
-                    initial_halfspace_count=doc["initial_halfspace_count"],
-                    iterations=iterations, final_polytope=final,
-                    termination=doc["termination"])
+
+
+def fit_to_dict(fit) -> dict:
+    """The JSON form of an analysis.RateFit."""
+    return {"c_hat": fit.c_hat, "lambda_hat": fit.lambda_hat,
+            "r_squared": fit.r_squared, "points_used": fit.points_used,
+            "window": list(fit.window), "reliable": fit.reliable}
 
 
 def dumps_trace(trace: RunTrace, metadata: dict | None = None) -> str:
@@ -121,11 +154,17 @@ def dumps_trace(trace: RunTrace, metadata: dict | None = None) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename; the file
+    gets the mode open(path, "w") would give it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mkstemp creates the file 0600 and the rename keeps that; reading the
+    # umask means setting it, so it is set back at once
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as f:
+            os.fchmod(fd, 0o666 & ~umask)
             f.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -43,7 +43,9 @@ REFERENCE_C_HAT = {
 
 # termination, iteration count, residual series and SHA-256 of the trace
 # bytes (empty metadata) of every matrix run, recorded before lazy
-# farthest-vertex selection; ellipse also records its farthest vertices
+# farthest-vertex selection (hashes re-recorded at schema version 2, which
+# drops config.tolerances and each iteration's new_vertex_count from the
+# same bytes); ellipse also records its farthest vertices
 MATRIX_FINGERPRINT = json.loads(
     (Path(__file__).parent / "data" / "matrix_fingerprint.json").read_text())
 
@@ -59,11 +61,11 @@ REFERENCE_ITERATIONS = {
 def matrix():
     out = {}
     for key, eps in MATRIX_EPS.items():
-        configs = [RunConfig(problem_key=key, p=p, epsilon=eps).to_dict()
+        configs = [RunConfig(problem_key=key, p=p, epsilon=eps)
                    for p in P_LIST]
         t0 = time.perf_counter()
         with concurrent.futures.ProcessPoolExecutor(max_workers=3) as ex:
-            results = list(ex.map(_sweep_one, [(c,) for c in configs]))
+            results = list(ex.map(_sweep_one, configs))
         wall = time.perf_counter() - t0
         out[key] = {"wall": wall,
                     "traces": {p: tr for p, tr, _ in results}}

@@ -8,6 +8,7 @@ from lpoa.analysis import fit_rate, monotone_envelope, verify_trace
 from lpoa.driver import (IterationRecord, RunConfig, RunTrace,
                          hausdorff_series, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
+from lpoa.trace_io import fit_to_dict
 
 from pairwise_reference import negate_every_third_normal, reference_report
 
@@ -25,7 +26,7 @@ def cut_trace(points, normals, residuals, p=2.0) -> RunTrace:
                         residual_norm=float(r),
                         support_point=np.asarray(y, dtype=float),
                         cut_normal=np.asarray(w, dtype=float),
-                        vertex_count=3, new_vertex_count=1, cache_hits=0,
+                        vertex_count=3, cache_hits=0,
                         wall_ms=0.0)
         for k, (y, w, r) in enumerate(zip(points, normals, residuals)))
     return RunTrace(config=RunConfig(problem_key="example1-q2", p=p,
@@ -138,7 +139,8 @@ class TestFitRate:
 
     def test_to_dict(self):
         fit = fit_rate(np.arange(1.0, 40.0) ** -1.0, q=2, epsilon=1e-3)
-        d = fit.to_dict()
+        d = fit_to_dict(fit)
+        assert json.loads(json.dumps(d)) == d
         assert set(d) == {"c_hat", "lambda_hat", "r_squared", "points_used",
                           "window", "reliable"}
 

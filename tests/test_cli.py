@@ -1,22 +1,28 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from lpoa import cli, driver
+from lpoa import cli, driver, scalarization
 from lpoa import polytope as pt
 from lpoa.cli import CSV_HEADER, main
 from lpoa.driver import RunConfig, run
 from lpoa.problems import by_key
-from lpoa.trace_io import (SCHEMA_VERSION, TraceFormatError, dumps_trace,
-                           load_trace, save_trace, trace_from_dict,
-                           trace_to_dict)
+from lpoa.trace_io import (SCHEMA_VERSION, TraceFormatError,
+                           atomic_write_text, dumps_trace, load_trace,
+                           save_trace, trace_from_dict, trace_to_dict)
 
 from test_driver import _fault_call, _oracle_with_fault
+
+# example1-q2, p = 2, eps = 0.01, written by `lpoa run --out` at schema
+# version 1, which also wrote config.tolerances and new_vertex_count
+V1_TRACE = Path(__file__).parent / "data" / "trace_v1_example1-q2.json"
 
 
 @pytest.fixture
@@ -31,7 +37,8 @@ def small_trace():
 
 def malformed_documents(trace):
     """Trace documents whose config or an iteration entry is not a JSON
-    object, whose problem key is unknown, or whose iteration entry has a
+    object, whose problem key is unknown, whose p or epsilon is not a real
+    number or max_iterations not an integer, or whose iteration entry has a
     k that is not an iteration index, a residual norm that is not a finite
     number, or a point or cut normal that is not q finite numbers."""
     def doc():
@@ -42,6 +49,13 @@ def malformed_documents(trace):
     bad_entries["iterations"] = {"0": bad_entries["iterations"][0]}
     bad_key["config"]["problem_key"] = "nope"
     docs = [bad_config, bad_entry, bad_entries, bad_key]
+    for field, value in (("p", "2"), ("p", None), ("p", True),
+                         ("epsilon", "0.05"), ("epsilon", [0.05]),
+                         ("max_iterations", 500.0),
+                         ("max_iterations", "500")):
+        d = doc()
+        d["config"][field] = value
+        docs.append(d)
     mid = len(trace.iterations) // 2
     q = len(trace.iterations[0].support_point)
     edits = [("k", "3"), ("k", 2.0), ("k", True), ("k", -1),
@@ -115,17 +129,41 @@ class TestTraceIO:
             load_trace(str(path))
 
     def test_loads_removed_config_keys(self, small_trace):
-        # older traces carry seed, record_pairs and tolerances.objective,
-        # which nothing read; they load, and are not written back
+        # version 1 traces carry tolerances and new_vertex_count, older ones
+        # also seed, record_pairs and tolerances.objective, which nothing
+        # read; they load, and are not written back
         doc = json.loads(dumps_trace(small_trace))
-        doc["config"].update(seed=42, record_pairs=True)
-        doc["config"]["tolerances"]["objective"] = 1e-7
+        doc["schema_version"] = 1
+        doc["config"].update(seed=42, record_pairs=True, tolerances={
+            "primal": 1e-8, "dual": 1e-8, "vi": 1e-6, "tol_zero": 1e-10,
+            "max_iterations": 50000, "objective": 1e-7})
+        for i, entry in enumerate(doc["iterations"]):
+            entry["new_vertex_count"] = i
         loaded = trace_from_dict(doc)
         assert loaded.config == small_trace.config
         text = dumps_trace(loaded)
-        for key in ("seed", "record_pairs", "objective"):
+        for key in ("seed", "record_pairs", "tolerances", "new_vertex_count"):
             assert f'"{key}"' not in text
         assert text == dumps_trace(small_trace)
+
+    def test_version_1_file_loads_as_current_run(self):
+        # a trace file written at schema version 1 re-dumps to the bytes of
+        # the same run today
+        doc = json.loads(V1_TRACE.read_text())
+        assert doc["schema_version"] == 1
+        loaded = load_trace(str(V1_TRACE))
+        assert dumps_trace(loaded) == dumps_trace(run(loaded.config))
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027])
+    def test_written_file_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(path), "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert path.read_text() == "x\n"
 
     def test_deterministic_bytes_excluding_metadata(self, small_trace):
         again = run(small_trace.config)
@@ -173,6 +211,13 @@ class TestRunCommand:
         assert "solver_failure" in res.output
         assert "Traceback" not in res.output
 
+    def test_admm_nonconvergence_exit_three(self, runner, monkeypatch):
+        monkeypatch.setattr(scalarization, "MAX_STEPS", 1)
+        res = runner.invoke(main, ["run", "--problem", "ellipse",
+                                   "--p", "2", "--eps", "0.05"])
+        assert res.exit_code == 3, res.output
+        assert "solver_failure" in res.output
+
     def test_unknown_problem_exit_64(self, runner):
         res = runner.invoke(main, ["run", "--problem", "nope", "--p", "2",
                                    "--eps", "0.1"])
@@ -195,6 +240,9 @@ class TestRunCommand:
         ["sweep", "--problem", "ellipse", "--p-list", "2", "--eps", "nan"],
         ["sweep", "--problem", "ellipse", "--p-list", "2", "--jobs", "0"],
         ["sweep", "--problem", "ellipse", "--p-list", "2", "--jobs", "-2"],
+        ["sweep", "--problem", "ellipse", "--p-list", "2,2"],
+        ["sweep", "--problem", "ellipse", "--p-list", "2,2.0000001"],
+        ["sweep", "--problem", "nope"],
     ])
     def test_invalid_argument_exit_64(self, runner, tmp_path, args):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -337,6 +385,11 @@ class TestVerifyCommand:
             res = runner.invoke(main, ["verify", "--trace", str(path)])
             assert res.exit_code == 65, res.output
             assert "Traceback" not in res.output
+
+    def test_version_1_trace_verifies(self, runner):
+        res = runner.invoke(main, ["verify", "--trace", str(V1_TRACE)])
+        assert res.exit_code == 0, res.output
+        assert "0 violations" in res.output
 
     def test_usage_error_without_args(self, runner):
         res = runner.invoke(main, ["verify"])

@@ -16,9 +16,11 @@ from lpoa.driver import (RunConfig, RunTrace, _bounds, _inflate,
                          _refined_bound, hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import _POLY_A, _POLY_B, PROBLEM_KEYS, by_key
-from lpoa.scalarization import SolverTolerances, solve_batch
+from lpoa.scalarization import SubproblemError, solve_batch
+from lpoa.trace_io import trace_from_dict, trace_to_dict
 
 from oracles import boundary_samples, in_A
+from test_polytope import contains
 
 # ellipse at eps = 1e-3: residual series and farthest vertices recorded with
 # the numpy ellipse oracles that the scalar ones replaced
@@ -40,15 +42,24 @@ class TestConfig:
     def test_roundtrip(self):
         cfg = RunConfig(problem_key="ellipse", p=1.25, epsilon=1e-3,
                         max_iterations=77)
-        cfg2 = RunConfig.from_dict(cfg.to_dict())
-        assert cfg2 == cfg
+        trace = RunTrace(config=cfg, initial_halfspace_count=3,
+                         iterations=(), final_polytope=None,
+                         termination="max_iterations")
+        assert trace_from_dict(trace_to_dict(trace)).config == cfg
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(problem_key="ellipse", p=2.0, epsilon=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(problem_key="ellipse", p=2.0, epsilon=1e-3,
-                      max_iterations=0)
+        good = dict(problem_key="ellipse", p=2.0, epsilon=1e-3,
+                    max_iterations=5)
+        RunConfig(**good)
+        for fields in ({"epsilon": 0.0}, {"max_iterations": 0},
+                       {"p": "2"}, {"p": True}, {"epsilon": "0.1"},
+                       {"epsilon": None}, {"max_iterations": 2.5},
+                       {"max_iterations": True}, {"max_iterations": "5"}):
+            with pytest.raises(ValueError):
+                RunConfig(**{**good, **fields})
+        with pytest.raises(ValueError, match="unknown problem key 'nope'; "
+                           "choose from " + ", ".join(PROBLEM_KEYS)):
+            RunConfig(**{**good, "problem_key": "nope"})
 
 
 class TestInitialize:
@@ -111,7 +122,7 @@ class TestTraceInvariants:
         # the final polytope still contains the region it approximates
         prob = by_key(trace_q2.config.problem_key)
         for y in boundary_samples(prob, 500):
-            assert trace_q2.final_polytope.contains(y, tol=1e-6)
+            assert contains(trace_q2.final_polytope, y, tol=1e-6)
 
     def test_support_points_in_A(self, trace_q2):
         prob = by_key(trace_q2.config.problem_key)
@@ -158,6 +169,21 @@ class TestRunBehaviour:
                               epsilon=1e-6, max_iterations=5))
         assert trace.termination == "max_iterations"
         assert len(trace.iterations) == 5
+
+    def test_admm_nonconvergence_is_solver_failure(self, monkeypatch):
+        # one ADMM step does not meet the stopping test, so the first solve
+        # raises SubproblemError and the run ends with a recorded termination
+        monkeypatch.setattr(scalarization, "MAX_STEPS", 1)
+        prob = by_key("ellipse")
+        P0, _ = initialize(prob)
+        with pytest.raises(SubproblemError) as err:
+            scalarization.solve_subproblem(prob, P0.vertices()[0],
+                                           NormExponent(2.0))
+        assert np.array_equal(err.value.vertex, P0.vertices()[0])
+        trace = run(RunConfig(problem_key="ellipse", p=2.0, epsilon=0.05))
+        assert trace.termination == "solver_failure"
+        assert trace.iterations == ()
+        assert len(trace.final_polytope.halfspaces) == len(P0.halfspaces)
 
     def test_infeasible_cut_is_solver_failure(self, monkeypatch):
         # a cut that removes every vertex ends the run with a recorded
@@ -286,11 +312,10 @@ class TestLazySelection:
         normals = [-h.normal for h, on in zip(P0.halfspaces, active) if on]
         residual = scalarization.solve_subproblem(
             prob, v, NormExponent(p)).residual_norm
-        tol = SolverTolerances()
         coarse = float(_bounds(prob, p, v[None, :], known)[0])
         refined = _refined_bound(prob, p, v.tolist(), normals)
-        assert residual <= _inflate(coarse, tol)
-        assert residual <= _inflate(refined, tol)
+        assert residual <= _inflate(coarse)
+        assert residual <= _inflate(refined)
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in
@@ -328,7 +353,7 @@ class TestLazySelection:
                     break
                 solved.add(key)
             verts = P.vertices()
-            results = solve_batch(prob, verts, ne, config.tolerances, eager)
+            results = solve_batch(prob, verts, ne, eager)
             residuals = [res.residual_norm for res in results]
             idx = int(np.argmax(residuals))
             assert np.array_equal(verts[idx], rec.farthest_vertex)

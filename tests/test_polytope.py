@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from lpoa.driver import RunConfig, RunTrace
 from lpoa.polytope import (FEAS_TOL, MERGE_TOL, Halfspace, InfeasibleError,
                            Polytope, UnboundedError, _merge_close, cut,
                            from_halfspaces)
+from lpoa.trace_io import trace_from_dict, trace_to_dict
 
 
 def box(q, lo=0.0, hi=1.0):
@@ -19,6 +21,15 @@ def box(q, lo=0.0, hi=1.0):
         hs.append(Halfspace(e, hi))
         hs.append(Halfspace(-e, -lo))
     return hs
+
+
+def contains(P, y, tol=1e-7):
+    """Whether y satisfies every halfspace of P, to tol relative to the
+    offsets."""
+    A = np.vstack([h.normal for h in P.halfspaces])
+    b = np.array([h.offset for h in P.halfspaces])
+    scale = np.maximum(1.0, np.abs(b))
+    return bool(np.all(A @ np.asarray(y, dtype=float) <= b + tol * scale))
 
 
 def brute_force_vertices(halfspaces, tol=1e-7):
@@ -54,10 +65,19 @@ def assert_vertex_sets_equal(got, expected, tol=1e-7):
 
 class TestHalfspace:
     def test_roundtrip(self):
-        h = Halfspace(np.array([1.0, -2.0]), 3.0)
-        h2 = Halfspace.from_dict(h.to_dict())
-        assert np.array_equal(h.normal, h2.normal)
-        assert h.offset == h2.offset
+        # the trace's dict form of the final polytope, through trace_io
+        hs = box(2) + [Halfspace(np.array([1.0, 1.0]), 1.5)]
+        P = from_halfspaces(hs)
+        trace = RunTrace(config=RunConfig(problem_key="example1-q2", p=2.0,
+                                          epsilon=1e-3),
+                         initial_halfspace_count=len(hs), iterations=(),
+                         final_polytope=P, termination="max_iterations")
+        P2 = trace_from_dict(trace_to_dict(trace)).final_polytope
+        for h, h2 in zip(P.halfspaces, P2.halfspaces, strict=True):
+            assert np.array_equal(h.normal, h2.normal)
+            assert h.offset == h2.offset
+        assert np.array_equal(P.vertices_array, P2.vertices_array)
+        assert P.incidence == P2.incidence
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
@@ -126,9 +146,9 @@ class TestFromHalfspaces:
 
     def test_contains(self):
         P = from_halfspaces(box(2))
-        assert P.contains([0.5, 0.5])
-        assert P.contains([1.0, 1.0])
-        assert not P.contains([1.5, 0.5])
+        assert contains(P, [0.5, 0.5])
+        assert contains(P, [1.0, 1.0])
+        assert not contains(P, [1.5, 0.5])
 
 
 class TestCut:
