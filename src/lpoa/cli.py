@@ -4,18 +4,19 @@ Commands
     run    one (problem, p, epsilon) run; writes the trace JSON
     sweep  all p values for one problem; writes traces, a summary CSV and
            optionally a combined log-log SVG
-    verify lemma verification of a saved trace, or the geometry self-test
+    verify lemma verification of a saved trace
 
 Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
 sweep -> 1 if any run failed; run and sweep -> 64 for an unknown problem key
-or an invalid argument; verify -> 1 on violations, 64 for a non-positive
---eta, 65 on a malformed trace.
+or an invalid argument; verify -> 1 on violations, 64 for an --eta that is not
+positive and finite, 65 on a malformed or unreadable trace.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,6 @@ from typing import NoReturn
 import click
 
 from .analysis import fit_rate, monotone_envelope, verify_trace
-from .checks import run_self_test
 from .driver import RunConfig, RunTrace, hausdorff_series, run
 from .plot_svg import write_svg
 from .trace_io import (TraceFormatError, atomic_write_text, default_metadata,
@@ -188,28 +188,21 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
 
 @main.command("verify")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False),
-              default=None, help="Trace JSON to verify.")
+              required=True, help="Trace JSON to verify.")
 @click.option("--eta", type=float, default=0.1, show_default=True,
               help="Deviation-vector offset.")
-@click.option("--self-test", is_flag=True,
-              help="Run the norm-geometry property suites instead.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False),
               default=None, help="Report JSON output path.")
-def cmd_verify(trace_path, eta, self_test, out_path):
-    """Verify the geometric lemmas on a trace, or run the self-test."""
-    if self_test:
-        report = run_self_test()
-    elif trace_path:
-        if not eta > 0.0:
-            _usage_error(f"--eta must be positive, got {eta!r}")
-        try:
-            trace = load_trace(trace_path)
-        except (TraceFormatError, OSError) as exc:
-            click.echo(f"error: cannot read trace: {exc}", err=True)
-            sys.exit(EXIT_BAD_TRACE)
-        report = verify_trace(trace, eta=eta)
-    else:
-        raise click.UsageError("pass --trace FILE or --self-test")
+def cmd_verify(trace_path, eta, out_path):
+    """Verify the geometric lemmas on a trace."""
+    if not 0.0 < eta < math.inf:
+        _usage_error(f"--eta must be positive and finite, got {eta!r}")
+    try:
+        trace = load_trace(trace_path)
+    except (TraceFormatError, OSError) as exc:
+        click.echo(f"error: cannot read trace: {exc}", err=True)
+        sys.exit(EXIT_BAD_TRACE)
+    report = verify_trace(trace, eta=eta)
 
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:

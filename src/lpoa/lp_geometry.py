@@ -17,7 +17,6 @@ __all__ = [
     "lp_norm",
     "lp_gradient",
     "dual_ball_min_euclidean",
-    "moduli_constants",
     "norm_equivalence_constant",
 ]
 
@@ -27,16 +26,11 @@ ZERO_NORM_TOL = 1e-14
 
 @dataclass(frozen=True)
 class NormExponent:
-    """A norm exponent p in (1, inf) with its derived quantities.
-
-    p_star is the conjugate exponent (1/p + 1/p* = 1), s_p = min(p, 2) is the
-    smoothness power type and r_p = max(p, 2) the convexity power type.
-    """
+    """A norm exponent p in (1, inf) with its conjugate exponent p_star
+    (1/p + 1/p* = 1)."""
 
     p: float
     p_star: float
-    s_p: float
-    r_p: float
 
     def __init__(self, p: float):
         p = float(p)
@@ -44,8 +38,6 @@ class NormExponent:
             raise ValueError(f"norm exponent must be finite and > 1, got {p!r}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "p_star", p / (p - 1.0))
-        object.__setattr__(self, "s_p", min(p, 2.0))
-        object.__setattr__(self, "r_p", max(p, 2.0))
 
 
 def _as_vector(z) -> np.ndarray:
@@ -112,24 +104,12 @@ def dual_ball_min_euclidean(ne: NormExponent, q: int) -> float:
     return min(1.0, float(q) ** (0.5 - 1.0 / ne.p_star))
 
 
-def moduli_constants(ne: NormExponent) -> tuple[float, float]:
-    """Constants (S_p, K_p) in the sharp moduli bounds.
-
-    The modulus of smoothness satisfies rho_p(tau) <= S_p tau^{s_p} and the
-    modulus of convexity delta_p(eps) >= K_p eps^{r_p}.
-    """
-    p = ne.p
-    if p <= 2.0:
-        return 1.0 / p, (p - 1.0) / 8.0
-    return (p - 1.0) / 2.0, 1.0 / (p * 2.0**p)
-
-
 @dataclass(frozen=True)
 class LemmaConstants:
     """Closed-form constants used by the trace verifiers in a given dimension.
 
     eta is the deviation-vector offset parameter; the verified inequalities
-    hold for any eta > 0, so it is a free configuration knob here.
+    hold for any finite eta > 0, so it is a free configuration knob here.
     """
 
     q: int
@@ -144,8 +124,8 @@ class LemmaConstants:
     def for_exponent(cls, ne: NormExponent, q: int, eta: float = 0.1) -> "LemmaConstants":
         if q < 2:
             raise ValueError("dimension must be >= 2")
-        if eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {eta!r}")
         n2p = norm_equivalence_constant(ne, q)
         c_pq = dual_ball_min_euclidean(ne, q)
         return cls(

@@ -3,7 +3,7 @@
 A trace (schema version 2) is a JSON object with the keys
     schema_version           2
     config                   problem_key, p, epsilon, max_iterations
-    initial_halfspace_count  J + 1
+    initial_halfspace_count  J + 1 = q + 1
     iterations               a list of k, farthest_vertex, residual_norm,
                              support_point, cut_normal, vertex_count,
                              cache_hits
@@ -15,8 +15,8 @@ Everything except metadata serializes to byte-identical JSON for identical
 runs.  The loader reads versions 1 and 2 and ignores what older writers
 added and nothing reads: the config's solver tolerances, seed and
 record_pairs, and each iteration's net change in vertex count.  It checks
-each field as it parses it, and raises TraceFormatError for a malformed
-document.
+each field as it parses it, and raises TraceFormatError for a file that is
+not UTF-8 JSON or a malformed document.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "TraceFormatError",
     "trace_to_dict",
     "trace_from_dict",
-    "fit_to_dict",
     "dumps_trace",
     "save_trace",
     "load_trace",
@@ -91,8 +90,17 @@ def _point(d: dict, name: str, q: int) -> np.ndarray:
     return v
 
 
+def _count(d: dict, name: str) -> int:
+    n = d[name]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} of iteration {d['k']} must be a "
+                         f"non-negative integer, got {n!r}")
+    return n
+
+
 def _iteration_from_dict(d: dict, q: int, count: int) -> IterationRecord:
-    """k in [0, count), a finite residual, finite points and normal in R^q."""
+    """k in [0, count), a finite residual, finite points and normal in R^q,
+    non-negative integer counts."""
     k, res = d["k"], d["residual_norm"]
     if type(k) is not int or not 0 <= k < count:
         raise ValueError(
@@ -104,7 +112,8 @@ def _iteration_from_dict(d: dict, q: int, count: int) -> IterationRecord:
         residual_norm=res, support_point=_point(d, "support_point", q),
         cut_normal=(None if d["cut_normal"] is None
                     else _point(d, "cut_normal", q)),
-        vertex_count=d["vertex_count"], cache_hits=d["cache_hits"],
+        vertex_count=_count(d, "vertex_count"),
+        cache_hits=_count(d, "cache_hits"),
         wall_ms=0.0)  # wall time is not part of the trace
 
 
@@ -123,6 +132,10 @@ def trace_from_dict(doc: dict) -> RunTrace:
                            epsilon=c["epsilon"],
                            max_iterations=c["max_iterations"])
         q = by_key(config.problem_key).q
+        h0 = doc["initial_halfspace_count"]
+        if type(h0) is not int or h0 != q + 1:
+            raise ValueError(f"initial_halfspace_count must be q + 1 = "
+                             f"{q + 1}, got {h0!r}")
         iterations = tuple(_iteration_from_dict(d, q, len(entries))
                            for d in entries)
         poly = doc["final_polytope"]
@@ -132,20 +145,13 @@ def trace_from_dict(doc: dict) -> RunTrace:
             np.asarray(poly["vertices"], dtype=float),
             tuple(frozenset(s) for s in poly["incidence"]))
         return RunTrace(config=config,
-                        initial_halfspace_count=doc["initial_halfspace_count"],
+                        initial_halfspace_count=h0,
                         iterations=iterations, final_polytope=final,
                         termination=doc["termination"])
     except KeyError as exc:
         raise TraceFormatError(f"trace is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise TraceFormatError(f"malformed trace: {exc}") from exc
-
-
-def fit_to_dict(fit) -> dict:
-    """The JSON form of an analysis.RateFit."""
-    return {"c_hat": fit.c_hat, "lambda_hat": fit.lambda_hat,
-            "r_squared": fit.r_squared, "points_used": fit.points_used,
-            "window": list(fit.window), "reliable": fit.reliable}
 
 
 def dumps_trace(trace: RunTrace, metadata: dict | None = None) -> str:
@@ -186,8 +192,8 @@ def save_trace(path: str, trace: RunTrace, metadata: dict | None = None) -> None
 
 def load_trace(path: str) -> RunTrace:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"not valid JSON: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TraceFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     return trace_from_dict(doc)

@@ -8,7 +8,6 @@ from lpoa.analysis import fit_rate, monotone_envelope, verify_trace
 from lpoa.driver import (IterationRecord, RunConfig, RunTrace,
                          hausdorff_series, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
-from lpoa.trace_io import fit_to_dict
 
 from pairwise_reference import negate_every_third_normal, reference_report
 
@@ -136,13 +135,6 @@ class TestFitRate:
             fit_rate([1.0, 0.5], q=1, epsilon=1e-3)
         with pytest.raises(ValueError):
             fit_rate([], q=2, epsilon=1e-3)
-
-    def test_to_dict(self):
-        fit = fit_rate(np.arange(1.0, 40.0) ** -1.0, q=2, epsilon=1e-3)
-        d = fit_to_dict(fit)
-        assert json.loads(json.dumps(d)) == d
-        assert set(d) == {"c_hat", "lambda_hat", "r_squared", "points_used",
-                          "window", "reliable"}
 
 
 class TestPairs:

@@ -38,9 +38,11 @@ def small_trace():
 def malformed_documents(trace):
     """Trace documents whose config or an iteration entry is not a JSON
     object, whose problem key is unknown, whose p or epsilon is not a real
-    number or max_iterations not an integer, or whose iteration entry has a
-    k that is not an iteration index, a residual norm that is not a finite
-    number, or a point or cut normal that is not q finite numbers."""
+    number or max_iterations not an integer, whose initial halfspace count
+    is not the integer q + 1, or whose iteration entry has a k that is not
+    an iteration index, a residual norm that is not a finite number, a point
+    or cut normal that is not q finite numbers, or a vertex count or cache
+    hit count that is not a non-negative integer."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -56,12 +58,19 @@ def malformed_documents(trace):
         d = doc()
         d["config"][field] = value
         docs.append(d)
-    mid = len(trace.iterations) // 2
     q = len(trace.iterations[0].support_point)
+    for value in ("three", None, float(q + 1), q, q + 2):
+        d = doc()
+        d["initial_halfspace_count"] = value
+        docs.append(d)
+    mid = len(trace.iterations) // 2
     edits = [("k", "3"), ("k", 2.0), ("k", True), ("k", -1),
              ("k", len(trace.iterations)),
              ("residual_norm", "0.1"), ("residual_norm", None),
              ("residual_norm", float("nan")), ("residual_norm", float("inf"))]
+    for field in ("vertex_count", "cache_hits"):
+        edits += [(field, "x"), (field, None), (field, -1), (field, 2.0),
+                  (field, True)]
     for field in ("farthest_vertex", "support_point", "cut_normal"):
         edits += [(field, [0.5] * (q + 1)), (field, [0.5] * (q - 1)),
                   (field, [0.5] + [float("nan")] * (q - 1)),
@@ -124,9 +133,10 @@ class TestTraceIO:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(TraceFormatError):
-            load_trace(str(path))
+        for data in (b"{not json", b"\xff\xfe"):
+            path.write_bytes(data)
+            with pytest.raises(TraceFormatError):
+                load_trace(str(path))
 
     def test_loads_removed_config_keys(self, small_trace):
         # version 1 traces carry tolerances and new_vertex_count, older ones
@@ -361,7 +371,7 @@ class TestVerifyCommand:
         assert res.exit_code == 1
         assert "violation" in res.output
 
-    @pytest.mark.parametrize("eta", ["-1", "0"])
+    @pytest.mark.parametrize("eta", ["-1", "0", "inf", "nan"])
     def test_nonpositive_eta_exit_64(self, runner, tmp_path, small_trace, eta):
         path = tmp_path / "t.json"
         save_trace(str(path), small_trace)
@@ -380,6 +390,10 @@ class TestVerifyCommand:
         res2 = runner.invoke(main, ["verify", "--trace",
                                     str(tmp_path / "missing.json")])
         assert res2.exit_code == 65
+        path.write_bytes(b"\xff\xfe")  # not UTF-8
+        res3 = runner.invoke(main, ["verify", "--trace", str(path)])
+        assert res3.exit_code == 65, res3.output
+        assert res3.output.startswith("error: cannot read trace")
         for doc in malformed_documents(small_trace):
             path.write_text(json.dumps(doc))
             res = runner.invoke(main, ["verify", "--trace", str(path)])
@@ -393,12 +407,13 @@ class TestVerifyCommand:
 
     def test_usage_error_without_args(self, runner):
         res = runner.invoke(main, ["verify"])
-        assert res.exit_code != 0
+        assert res.exit_code == 2
+        assert "--trace" in res.output
 
-    def test_self_test(self, runner):
+    def test_self_test_is_unknown_option(self, runner):
         res = runner.invoke(main, ["verify", "--self-test"])
-        assert res.exit_code == 0, res.output
-        assert "0 violations" in res.output
+        assert res.exit_code == 2
+        assert "No such option '--self-test'" in res.output
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lpoa.lp_geometry import (LemmaConstants, NormExponent,
                               dual_ball_min_euclidean, lp_gradient, lp_norm,
-                              moduli_constants, norm_equivalence_constant)
+                              norm_equivalence_constant)
 
 P_VALUES = [1.25, 1.5, 2.0, 3.0, 4.0, 8.0]
+TOL = 1e-9
 
 
 class TestNormExponent:
@@ -20,13 +23,6 @@ class TestNormExponent:
     def test_conjugate_identity(self, p):
         ne = NormExponent(p)
         assert 1.0 / ne.p + 1.0 / ne.p_star == pytest.approx(1.0, abs=1e-15)
-
-    def test_power_types(self):
-        assert NormExponent(1.5).s_p == 1.5
-        assert NormExponent(1.5).r_p == 2.0
-        assert NormExponent(4.0).s_p == 2.0
-        assert NormExponent(4.0).r_p == 4.0
-        assert NormExponent(2.0).s_p == NormExponent(2.0).r_p == 2.0
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, float("inf"),
                                      float("nan")])
@@ -153,13 +149,6 @@ class TestConstants:
             best = min(best, np.linalg.norm(x / lp_norm(x, dual)))
         assert best == pytest.approx(c, rel=1e-12)
 
-    def test_moduli_constants_values(self):
-        assert moduli_constants(NormExponent(1.25)) == (0.8, 0.25 / 8.0)
-        assert moduli_constants(NormExponent(2)) == (0.5, 0.125)
-        assert moduli_constants(NormExponent(4)) == (1.5, 1.0 / 64.0)
-        s8, k8 = moduli_constants(NormExponent(8))
-        assert s8 == 3.5 and k8 == pytest.approx(1.0 / (8 * 256))
-
     def test_lemma_constants(self):
         ne = NormExponent(2)
         lc = LemmaConstants.for_exponent(ne, 2, eta=0.1)
@@ -175,5 +164,97 @@ class TestConstants:
     def test_lemma_constants_validation(self):
         with pytest.raises(ValueError):
             LemmaConstants.for_exponent(NormExponent(2), 1)
-        with pytest.raises(ValueError):
-            LemmaConstants.for_exponent(NormExponent(2), 2, eta=0.0)
+        for eta in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                LemmaConstants.for_exponent(NormExponent(2), 2, eta=eta)
+
+
+def moduli(p: float) -> tuple[float, float, float, float]:
+    """(S_p, s_p, K_p, r_p) of the sharp moduli bounds on lp: the modulus of
+    smoothness rho_p(tau) <= S_p tau^s_p and the modulus of convexity
+    delta_p(eps) >= K_p eps^r_p, with power types s_p = min(p, 2) and
+    r_p = max(p, 2)."""
+    if p <= 2.0:
+        return 1.0 / p, p, (p - 1.0) / 8.0, 2.0
+    return (p - 1.0) / 2.0, 2.0, 1.0 / (p * 2.0**p), p
+
+
+# drawn in R^3; the q = 2 cases use the first two entries
+VECTORS = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                   min_size=3, max_size=3).map(np.array)
+
+
+def cases(*vectors):
+    """(p, q, ne, the vectors cut to R^q) for every p in P_VALUES and
+    q in {2, 3}."""
+    for p in P_VALUES:
+        ne = NormExponent(p)
+        for q in (2, 3):
+            yield p, q, ne, [v[:q] for v in vectors]
+
+
+def unit(x: np.ndarray, ne: NormExponent) -> np.ndarray:
+    return x / lp_norm(x, ne)
+
+
+def assume_nonzero(*vectors):
+    # every lp norm of the first two entries is then at least 1e-12
+    for v in vectors:
+        assume(np.abs(v[:2]).max() >= 1e-12)
+
+
+class TestUniformGeometry:
+    """Textbook inequalities of the lp unit ball on drawn vectors, to an
+    absolute (for Hanner, scaled) tolerance of 1e-9."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(u=VECTORS, v=VECTORS, log_tau=st.floats(-3.0, 0.5))
+    def test_smoothness_modulus(self, u, v, log_tau):
+        # rho_p(tau) = (||x + tau y|| + ||x - tau y||) / 2 - 1 on unit x, y
+        assume_nonzero(u, v)
+        tau = 10.0 ** log_tau
+        for p, q, ne, (x, y) in cases(u, v):
+            S_p, s_p, _, _ = moduli(p)
+            x, y = unit(x, ne), unit(y, ne)
+            rho = 0.5 * (lp_norm(x + tau * y, ne)
+                         + lp_norm(x - tau * y, ne)) - 1.0
+            assert rho - S_p * tau ** s_p <= TOL, (p, q)
+
+    @settings(derandomize=True, deadline=None)
+    @given(u=VECTORS, v=VECTORS)
+    def test_convexity_modulus(self, u, v):
+        # 1 - ||x + y|| / 2 >= K_p eps^r_p for unit x, y at distance eps
+        assume_nonzero(u, v)
+        for p, q, ne, (x, y) in cases(u, v):
+            _, _, K_p, r_p = moduli(p)
+            x, y = unit(x, ne), unit(y, ne)
+            eps = lp_norm(x - y, ne)
+            if 1e-9 <= eps <= 2.0:
+                margin = K_p * eps ** r_p - (1.0 - 0.5 * lp_norm(x + y, ne))
+                assert margin <= TOL, (p, q)
+
+    @settings(derandomize=True, deadline=None)
+    @given(u=VECTORS, v=VECTORS)
+    def test_hanner(self, u, v):
+        # ||x + y||^p + ||x - y||^p against (||x|| + ||y||)^p
+        # + | ||x|| - ||y|| |^p: >= for p <= 2, <= for p >= 2
+        for p, q, ne, (x, y) in cases(u, v):
+            nx, ny = lp_norm(x, ne), lp_norm(y, ne)
+            lhs = lp_norm(x + y, ne) ** p + lp_norm(x - y, ne) ** p
+            rhs = (nx + ny) ** p + abs(nx - ny) ** p
+            diff = rhs - lhs if p <= 2.0 else lhs - rhs
+            assert diff <= TOL * max(1.0, abs(rhs)), (p, q)
+
+    @settings(derandomize=True, deadline=None)
+    @given(u=VECTORS, v=VECTORS)
+    def test_strict_convexity(self, u, v):
+        # ||x + y|| < 2 for distinct unit x, y.  In double precision the gap
+        # shows only where the convexity modulus K_p eps^r_p exceeds the
+        # tolerance: at p = 8, unit vectors 1.7e-3 apart have ||x + y||
+        # == 2.0 exactly.
+        assume_nonzero(u, v)
+        for p, q, ne, (x, y) in cases(u, v):
+            _, _, K_p, r_p = moduli(p)
+            x, y = unit(x, ne), unit(y, ne)
+            if K_p * lp_norm(x - y, ne) ** r_p > TOL:
+                assert lp_norm(x + y, ne) < 2.0, (p, q)
