@@ -6,21 +6,20 @@ Hausdorff error of the polytope) and adds the supporting halfspace through
 its support point with the lp-gradient normal.  The full per-iteration
 history is kept in a RunTrace for the analysis layer.
 
-Selection is lazy.  Every vertex carries either the exact result of the
-norm-minimization subproblem or an upper bound on its distance to A, both
-kept across iterations by the vertex's exact coordinates (polytope.cut keeps
-surviving rows bit for bit).  A point y of the upper image U gives a point
-of A near v: y + t (v - y)_+ with the largest t in [0, 1] that stays in the
-slice; a point outside the slice gives none.  The coarse bound is the
-minimum over the known points of U (the coordinate minimizers and every
-support point solved so far), updated as points arrive; the refined bound,
-computed once per vertex on demand, searches the exact frontier points of U
-over weighted-sum weights.  The loop takes the open vertex with the largest
-bound, refines it, and solves it only if the bound, inflated by the solver
-tolerance, still reaches the largest exact residual.  It stops when every
-open bound falls strictly below that residual, so the first maximum over
-the solved vertices in lexicographic order is the vertex that solving every
-vertex would select, and traces are unchanged.
+Selection is lazy.  Every vertex carries either its subproblem result (a
+certified lower bound on its distance to A, exact to solver accuracy) or an
+upper bound on that distance, kept across iterations by the vertex's exact
+coordinates (polytope.cut keeps surviving rows bit for bit).  A point y of
+the upper image U inside the slice gives the point y + t (v - y)_+ of A,
+with the largest t in [0, 1] that stays in the slice; a point outside the
+slice gives none.  The coarse bound uses the known points of U (the
+coordinate minimizers and the frontier point gamma(x*(c)) of every solve);
+the refined bound, computed once per vertex on demand, searches the frontier
+over weighted-sum weights.  The loop refines, then solves, the open vertex
+with the largest bound until every open bound falls below the largest
+residual.  A residual is at most the distance, which is at most the bound,
+so the first maximum over the solved vertices in lexicographic order is the
+vertex that solving every vertex would select.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 from . import polytope as pt
 from .lp_geometry import NormExponent
 from .problems import PROBLEM_KEYS, ProblemInstance, by_key, weighted_sum
-from .scalarization import STALL_TOL, ZERO_TOL, SubproblemError, solve_batch
+from .scalarization import ZERO_TOL, SubproblemError, solve_batch
 
 __all__ = ["RunConfig", "IterationRecord", "RunTrace", "initialize", "run",
            "hausdorff_series"]
@@ -107,33 +106,29 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
     return P0, len(halfspaces)
 
 
-# Support points lie in A, and residuals are exact, only to the subproblem
-# solver's accuracy, so a bound is compared with a residual only after
-# relative and absolute slack of STALL_TOL (1e-6), the tolerance at which the
-# solver accepts a stalled iterate.
-def _inflate(bound: float) -> float:
-    return bound * (1.0 + STALL_TOL) + STALL_TOL
-
-
 _REFINE_EVALS = 40  # weighted sums per refined bound
+# relative rounding margin: a vertex tied with the largest residual to within
+# rounding is still solved, so ties resolve as if every vertex were solved
+_ROUNDING = 1e-12
 
 
 def _bounds(prob: ProblemInstance, p: float, V: np.ndarray,
             Y: np.ndarray) -> np.ndarray:
     """Upper bound on dist_p(v, A) for each row v of V from the points Y of
-    A (support points lie in A to solver accuracy).
+    the upper image U.
 
     A point y of U inside the slice gives the point y + t (v - y)_+ of A,
     with t the largest value in [0, 1] that keeps it inside the slice
     (t = 1 gives max(v, y), t = 0 gives y); the bound is its distance to v.
+    A point outside the slice is not in A and gives +inf.
     """
     D = Y[None, :, :] - V[:, None, :]
     up = np.maximum(-D, 0.0)                        # (v - y)_+
     w = prob.w_bar
-    room = np.maximum(prob.gamma_slice - Y @ w, 0.0)
-    t = np.minimum(1.0, room / np.maximum(up @ w, 1e-300))
+    room = prob.gamma_slice - Y @ w
+    t = np.minimum(1.0, np.maximum(room, 0.0) / np.maximum(up @ w, 1e-300))
     b = np.sum(np.abs(D + t[:, :, None] * up) ** p, axis=2) ** (1.0 / p)
-    return b.min(axis=1)
+    return np.where(room >= 0.0, b, math.inf).min(axis=1)
 
 
 def _point_bound(v: list, y: list, w: list, room: float, p: float) -> float:
@@ -223,8 +218,7 @@ def run(config: RunConfig) -> RunTrace:
     ne = NormExponent(config.p)
     try:
         P, j_plus_1 = initialize(prob)
-        # known points of A: the coordinate minimizers, then every
-        # support point
+        # known points of U: coordinate minimizers, then frontier points
         known = np.array([prob.gamma_eval(prob.ws_closed_form(e))
                           for e in np.eye(prob.q)])
     except ValueError:
@@ -257,7 +251,7 @@ def run(config: RunConfig) -> RunTrace:
             # reach the largest exact residual
             while open_rows:
                 j = int(np.argmax(open_bounds))
-                if _inflate(float(open_bounds[j])) < best:
+                if open_bounds[j] < best * (1.0 - _ROUNDING):
                     break
                 i = open_rows[j]
                 if best > -math.inf and keys[i] not in refined:
@@ -271,14 +265,15 @@ def run(config: RunConfig) -> RunTrace:
                 del open_rows[j]
                 open_bounds = np.delete(open_bounds, j)
                 best = max(best, res.residual_norm)
-                known = np.vstack([known, res.y_support])
+                known = np.vstack([known, res.frontier_point])
                 if open_rows:
                     open_bounds = np.minimum(open_bounds, _bounds(
-                        prob, ne.p, verts[open_rows], res.y_support[None, :]))
+                        prob, ne.p, verts[open_rows],
+                        res.frontier_point[None, :]))
             bounds.update(zip([keys[i] for i in open_rows],
                               open_bounds.tolist()))
         except (SubproblemError, ValueError):
-            # ADMM non-convergence, or an exception from a problem oracle
+            # solver non-convergence, or an exception from a problem oracle
             termination = "solver_failure"
             break
         # every open vertex is certified strictly below best, so the first

@@ -34,10 +34,12 @@ class NormExponent:
 
     def __init__(self, p: float):
         p = float(p)
-        if not math.isfinite(p) or p <= 1.0:
-            raise ValueError(f"norm exponent must be finite and > 1, got {p!r}")
+        p_star = p / (p - 1.0) if 1.0 < p < math.inf else 1.0
+        if not p_star > 1.0:  # also a finite p whose conjugate rounds to 1
+            raise ValueError(f"norm exponent must be finite and > 1, with "
+                             f"conjugate > 1, got {p!r}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "p_star", p / (p - 1.0))
+        object.__setattr__(self, "p_star", p_star)
 
 
 def _as_vector(z) -> np.ndarray:

@@ -41,7 +41,6 @@ class ProblemInstance:
     feasible_project: Callable[[np.ndarray], np.ndarray]
     w_bar: np.ndarray
     gamma_slice: float
-    x_init: np.ndarray
     # closed-form minimizer of omega . gamma(x) over X
     ws_closed_form: Callable[[np.ndarray], np.ndarray]
     # optional closed-form Euclidean projection onto gamma(X) + R^q_+,
@@ -119,7 +118,6 @@ def example1(q: int) -> ProblemInstance:
             feasible_project=project,
             w_bar=e / q,
             gamma_slice=gamma_slice,
-            x_init=e.copy(),
             ws_closed_form=ws_closed_form,
         )
 
@@ -218,7 +216,6 @@ def rotated_ellipse() -> ProblemInstance:
             feasible_project=project,
             w_bar=np.array([0.5, 0.5]),
             gamma_slice=gamma_slice,
-            x_init=_ELLIPSE_X0.copy(),
             ws_closed_form=ws_closed_form,
             upper_project=upper_project,
         )
@@ -280,7 +277,6 @@ def example2() -> ProblemInstance:
             feasible_project=_project_polygon,
             w_bar=np.ones(3) / 3.0,
             gamma_slice=gamma_slice,
-            x_init=np.mean(_ANCHORS, axis=0),
             ws_closed_form=ws_closed_form,
         )
 

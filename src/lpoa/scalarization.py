@@ -1,25 +1,41 @@
-"""Norm-minimization subproblem: lp projection of a vertex onto the slice A.
+"""Norm-minimization subproblem: lp distance from a vertex v to the slice A.
 
-Solves  min ||z||_p  s.t.  gamma(x) - z - v <= 0 (componentwise),
-                           w_bar . (v + z) <= gamma_slice,  x in X,
-by an augmented-Lagrangian (consensus ADMM) splitting.  The support point
-y = v + z is duplicated into two copies, one constrained to the upper image
-gamma(X) + R^q_+ (handled by projected gradient over X with the orthant
-slack eliminated) and one to the slice halfspace (exact projection); the
-y-update is the proximal step of the lp norm, computed through the Moreau
-identity with a safeguarded 1-D Newton solve.
+The distance is solved through its dual (the cut of Ararat, Ulus & Umer
+2022, JOTA, from the dual side).  For weights c >= 0 of the upper image and
+a multiplier lam >= 0 of the slice, every y in A has n . y >= ws(c) -
+lam gamma_slice with n = c - lam w_bar, so
+
+    R(c, lam) = [ws(c) - c . v + lam (w_bar . v - gamma_slice)] / ||n||_{p*}
+
+bounds dist_p(v, A) from below, with equality at the maximizer.  One
+weighted sum gives R and its gradient (by Danskin's theorem the gradient of
+ws at c is the frontier point gamma(x*(c))).  R is 0-homogeneous and is
+maximized by projected Newton ascent over an orthant, in coordinates
+theta = (r, mu) >= 0 with an exponent e:
+
+    s = r - mu w_bar^(1/e),  n = sgn(s)|s|^e,  lam = mu^e,  c = n + lam w_bar.
+
+e = 1 gives theta = (c, lam).  For p > 2 the optimal n can have components
+near 1e-10 of its largest, where ||.||_{p*} is too sharply curved for Newton
+steps, so the result is polished by a second ascent at e = 2 / p*, where
+||n||_{p*} = ||s||_2^e is smooth.  The first ascent settles which weights
+are zero: at e > 1 the gradient in s_j vanishes with n_j.
+
+Every feasible (c, lam) certifies its cut: the halfspace with normal
+u = n / ||n||_{p*} and offset (ws(c) - lam gamma_slice) / ||n||_{p*}
+contains A, and the support point y = v + R grad||u||_{p*} lies on it.
 """
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .lp_geometry import NormExponent, lp_gradient, lp_norm
-from .problems import ProblemInstance, weighted_sum
+from .problems import ProblemInstance
 
 __all__ = [
     "ScalarizationResult",
@@ -30,10 +46,12 @@ __all__ = [
 ]
 
 
-KKT_TOL = 1e-8      # converged: both ADMM residuals below this, times scale
-STALL_TOL = 1e-6    # a stalled iterate within this, times scale, is accepted
 ZERO_TOL = 1e-10    # residual norm at or below which v counts as in A
-MAX_STEPS = 50_000  # ADMM steps before SubproblemError
+MAX_STEPS = 200     # Newton steps per ascent before SubproblemError
+_FD_STEP = 1e-7     # finite-difference step of the Hessian (theta sums to 1)
+_RADIUS = 0.3       # longest step along one curvature direction
+_GAIN_TOL = 1e-13   # stop when the predicted gain is below this times R
+_COARSE_GAIN_TOL = 1e-8  # the same for the first ascent when p > 2
 
 
 @dataclass(frozen=True)
@@ -41,15 +59,14 @@ class ScalarizationResult:
     y_support: np.ndarray
     residual_norm: float
     cut_normal: Optional[np.ndarray]
-    iterations: int
-    kkt_residual: float
-    wall_time: float
+    # gamma(x*(c)) at the final weights: a point of the upper image
+    frontier_point: np.ndarray
+    iterations: int               # Newton steps, both ascents together
 
 
 class SubproblemError(RuntimeError):
-    def __init__(self, msg, kkt_residual=None, vertex=None):
+    def __init__(self, msg, vertex=None):
         super().__init__(msg)
-        self.kkt_residual = kkt_residual
         self.vertex = vertex
 
 
@@ -163,150 +180,134 @@ def prox_lp_norm(c, tau: float, ne: NormExponent, tol: float = 1e-15,
 
 
 # ---------------------------------------------------------------------------
-# projections used by the splitting
+# the dual solver
 
 
-def _project_upper(prob: ProblemInstance, a: np.ndarray, x_warm: np.ndarray,
-                   inner_tol: float, step: float = 1.0):
-    """Euclidean projection of a onto gamma(X) + R^q_+ (inexact, warm-started).
+def _theta(prob: ProblemInstance, c: np.ndarray, lam: float, e: float):
+    """(r, mu) of the weights (c, lam) at exponent e, on the simplex."""
+    mu = lam ** (1.0 / e)
+    n = c - lam * prob.w_bar
+    s = np.sign(n) * np.abs(n) ** (1.0 / e)
+    theta = np.append(np.maximum(s + mu * prob.w_bar ** (1.0 / e), 0.0), mu)
+    return theta / theta.sum()
 
-    Minimizes ||(gamma(x) - a)_+||^2 over X; the optimal orthant slack gives
-    the projected point max(gamma(x), a).  Returns (point, x, step) so the
-    caller can keep the Armijo step across invocations.
+
+def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
+                    e: float):
+    """theta -> (R, gradient of R in theta, (c, lam)) at exponent e."""
+    w, q = prob.w_bar, prob.q
+    om = w ** (1.0 / e)
+    m = e * ne.p_star           # ||n||_{p*} = ||s||_m^e, m = 2 when e > 1
+
+    def value(theta):
+        r, mu = theta[:q], theta[q]
+        s = r - mu * om
+        a = np.abs(s)
+        lam = mu ** e
+        n = np.sign(s) * a ** e
+        c = n + lam * w
+        top = a.max()
+        if top == 0.0 or not (c > 0.0).any():
+            return -math.inf, np.zeros(q + 1), (c, lam)
+        g = prob.gamma_eval(prob.ws_closed_form(c))
+        nrm = top * float(np.sum((a / top) ** m)) ** (1.0 / m)
+        D = nrm ** e
+        R = (float(c @ g - n @ v) - lam * prob.gamma_slice) / D
+        dD = e * D / nrm * np.sign(s) * (a / nrm) ** (m - 1.0)
+        # floors keep the gradient's sign where |s|^(e-1) vanishes
+        dR = (e * (g - v) * np.maximum(a, 1e-300) ** (e - 1.0) - R * dD) / D
+        dmu = ((float(w @ g) - prob.gamma_slice) / D * e
+               * max(mu, 1e-300) ** (e - 1.0))
+        return R, np.append(dR, dmu - float(om @ dR)), (c, lam)
+
+    return value
+
+
+def _ascend(value, theta: np.ndarray, tol: float):
+    """Projected Newton ascent of a 0-homogeneous function over the orthant.
+
+    Coordinates on the bound with an outward gradient are held; the others
+    move in the tangent space of theta, and each trial point of the
+    backtracking line search is projected back onto the orthant.  Stops when
+    the predicted gain is below tol times R or no trial point increases R;
+    returns (R, point, steps), or None at MAX_STEPS.
     """
-    if prob.upper_project is not None:
-        y, x = prob.upper_project(a)
-        return y, x, step
-    x = x_warm
-    # gx = gamma(x) is carried along: the last Armijo trial point becomes the
-    # next iterate, so its objective value is never evaluated twice
-    gx = prob.gamma_eval(x)
-    for _ in range(300):
-        r = np.maximum(gx - a, 0.0)
-        if not (r > 0.0).any():
-            break
-        g = 2.0 * (prob.gamma_jacobian(x).T @ r)
-        fx = float(r @ r)
-        x_new, gx_new = x, gx
-        while step > 1e-16:
-            x_new = prob.feasible_project(x - step * g)
-            d = x_new - x
-            gx_new = prob.gamma_eval(x_new)
-            r_new = np.maximum(gx_new - a, 0.0)
-            if float(r_new @ r_new) <= fx + g @ d + 0.5 / step * (d @ d) + 1e-18:
+    R, G, point = value(theta)
+    for step in range(1, MAX_STEPS + 1):
+        free = np.flatnonzero((theta > 1e-12) | (G > 0.0))
+        if len(free) < 2:
+            return R, point, step
+        Q = np.linalg.qr(np.column_stack([theta[free], np.eye(len(free))]))[0]
+        B = np.zeros((len(theta), len(free) - 1))
+        B[free] = Q[:, 1:len(free)]
+        g = B.T @ G
+        H = np.column_stack([B.T @ value(theta + _FD_STEP * b)[1] - g
+                             for b in B.T]) / _FD_STEP
+        curv, U = np.linalg.eigh(0.5 * (H + H.T))
+        gu = U.T @ g
+        # the Newton step along directions of negative curvature, at most
+        # _RADIUS long; a step of _RADIUS up the gradient along the others
+        move = np.where(curv < 0.0,
+                        gu / np.maximum(-curv, np.abs(gu) / _RADIUS),
+                        np.sign(gu) * _RADIUS)
+        gain = float(gu @ move)
+        if not gain > tol * abs(R):
+            return R, point, step
+        d = B @ (U @ move)
+        alpha = 1.0
+        while True:
+            trial = np.maximum(theta + alpha * d, 0.0)
+            trial /= trial.sum()
+            R_t, G_t, point_t = value(trial)
+            if R_t > R and R_t >= R + 1e-4 * alpha * gain:
                 break
-            step *= 0.5
-        done = abs(x_new - x).max() <= inner_tol
-        x, gx = x_new, gx_new
-        step = min(step * 1.2, 1e4)
-        if done:
-            break
-    return np.maximum(gx, a), x, step
-
-
-def _project_slice(prob: ProblemInstance, a: np.ndarray) -> np.ndarray:
-    w = prob.w_bar
-    excess = float(w @ a) - prob.gamma_slice
-    if excess <= 0.0:
-        return a
-    return a - excess * w / float(w @ w)
-
-
-# ---------------------------------------------------------------------------
-# the subproblem solver
+            alpha *= 0.5
+            if alpha < 1e-10:
+                return R, point, step
+        theta, R, G, point = trial, R_t, G_t, point_t
+    return None
 
 
 def solve_subproblem(prob: ProblemInstance, v,
                      ne: NormExponent) -> ScalarizationResult:
-    """lp projection of vertex v onto A, with support point and cut normal.
-
-    Returns residual_norm = lp distance from v to A.  If v is (numerically)
-    in A the residual is zero and no cut normal is produced.
+    """lp distance from vertex v to A (R at the dual maximizer), with support
+    point and cut normal.  If v is (numerically) in A the residual is zero
+    and no cut normal is produced.  Raises SubproblemError if an ascent does
+    not converge within MAX_STEPS Newton steps.
     """
-    t_start = time.perf_counter()
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("vertex has non-finite coordinates")
 
-    rho = 1.0
-    relax = 1.7
-    x = prob.feasible_project(prob.x_init)
-    y = v.copy()
-    y1 = y.copy()
-    y2 = y.copy()
-    u1 = np.zeros_like(y)
-    u2 = np.zeros_like(y)
-    scale = max(1.0, float(np.max(np.abs(v))), abs(prob.gamma_slice))
-    kkt = np.inf
-    kkt_500_ago = np.inf
-    prox_state: dict = {}
-    it = 0
-    inner_step = 1.0
+    # start: lam = 0, c toward the positive part of gamma(x*(w_bar)) - v
+    c = np.maximum(prob.gamma_eval(prob.ws_closed_form(prob.w_bar)) - v, 0.0)
+    c, lam = (c / c.max()) ** (ne.p - 1.0) if c.any() else prob.w_bar, 0.0
+    steps = 0
+    phases = ((1.0, _COARSE_GAIN_TOL), (2.0 / ne.p_star, _GAIN_TOL)) \
+        if ne.p > 2.0 else ((1.0, _GAIN_TOL),)
+    for e, tol in phases:
+        out = _ascend(_dual_objective(prob, v, ne, e),
+                      _theta(prob, c, lam, e), tol)
+        if out is None:
+            raise SubproblemError("dual ascent did not converge", vertex=v)
+        _, (c, lam), used = out
+        steps += used
 
-    for it in range(1, MAX_STEPS + 1):
-        # inner projection accuracy tracks the outer residual
-        inner_tol = min(1e-4, max(1e-13, 1e-3 * kkt)) if np.isfinite(kkt) else 1e-4
-        y1, x, inner_step = _project_upper(prob, y - u1, x, inner_tol, inner_step)
-        y2 = _project_slice(prob, y - u2)
-        y1r = relax * y1 + (1.0 - relax) * y
-        y2r = relax * y2 + (1.0 - relax) * y
-        m = 0.5 * (y1r + u1 + y2r + u2)
-        y_old = y
-        prox_tol = min(1e-10, max(1e-15, kkt * 1e-5)) if np.isfinite(kkt) else 1e-10
-        y = v + prox_lp_norm(m - v, 1.0 / (2.0 * rho), ne, prox_tol, prox_state)
-        u1 = u1 + y1r - y
-        u2 = u2 + y2r - y
-
-        r_pri = max(abs(y1 - y).max(), abs(y2 - y).max())
-        r_dual = rho * abs(y - y_old).max()
-        kkt = max(r_pri, r_dual)
-        if kkt <= KKT_TOL * scale:
-            break
-        if it % 250 == 0:
-            # accept a stalled but feasible-enough iterate: when the optimal
-            # residual has an exact-zero component the lp prox is maximally
-            # flat there and the splitting decays only sublinearly, while the
-            # cut is insensitive to that component
-            if kkt <= STALL_TOL * scale and kkt > 0.6 * kkt_500_ago:
-                break
-            kkt_500_ago = kkt
-        if it % 50 == 0:
-            # residual balancing keeps the two ADMM residuals comparable
-            if r_pri > 10.0 * r_dual and rho < 1e6:
-                rho *= 2.0
-                u1 *= 0.5
-                u2 *= 0.5
-            elif r_dual > 10.0 * r_pri and rho > 1e-6:
-                rho *= 0.5
-                u1 *= 2.0
-                u2 *= 2.0
+    # the certificate, recomputed at the final weights
+    c = np.maximum(c, 0.0)
+    g = prob.gamma_eval(prob.ws_closed_form(c))
+    n = c - lam * prob.w_bar
+    dual = NormExponent(ne.p_star)
+    D = lp_norm(n, dual)
+    R = float((c @ g - n @ v) - lam * prob.gamma_slice) / D
+    if R <= ZERO_TOL:
+        y, normal, R = v.copy(), None, 0.0
     else:
-        raise SubproblemError(
-            "subproblem solver did not converge",
-            kkt_residual=kkt, vertex=v)
-
-    z = y - v
-    nrm = lp_norm(z, ne)
-    if nrm <= ZERO_TOL:
-        y = v.copy()
-        normal = None
-        nrm = 0.0
-    else:
-        normal = lp_gradient(z, ne)
-        # polish against the exact support function: an offset even slightly
-        # above it cuts into the approximated set, so when the normal is
-        # nonnegative and the contact point is strictly inside the slice,
-        # snap the support point onto the exact supporting hyperplane
-        if (np.all(normal >= 0.0)
-                and float(prob.w_bar @ y) < prob.gamma_slice - 1e-6):
-            _, exact = weighted_sum(prob, normal)
-            gap = float(normal @ y) - exact
-            if 0.0 < gap < 1e-4:
-                y = y - gap * normal / float(normal @ normal)
-    return ScalarizationResult(
-        y_support=y, residual_norm=nrm,
-        cut_normal=normal, iterations=it, kkt_residual=float(kkt),
-        wall_time=time.perf_counter() - t_start)
+        normal = n / D
+        y = v + R * lp_gradient(normal, dual)
+    return ScalarizationResult(y_support=y, residual_norm=R,
+                               cut_normal=normal, frontier_point=g,
+                               iterations=steps)
 
 
 # ---------------------------------------------------------------------------

@@ -82,12 +82,15 @@ def trace_to_dict(trace: RunTrace, metadata: dict | None = None) -> dict:
     }
 
 
-def _point(d: dict, name: str, q: int) -> np.ndarray:
-    v = np.asarray(d[name], dtype=float)
+def _vector(value, name: str, q: int) -> np.ndarray:
+    v = np.asarray(value, dtype=float)
     if v.shape != (q,) or not np.isfinite(v).all():
-        raise ValueError(f"{name} of iteration {d['k']} must be {q} finite "
-                         "numbers")
+        raise ValueError(f"{name} must be {q} finite numbers, got {value!r}")
     return v
+
+
+def _point(d: dict, name: str, q: int) -> np.ndarray:
+    return _vector(d[name], f"{name} of iteration {d['k']}", q)
 
 
 def _count(d: dict, name: str) -> int:
@@ -138,11 +141,14 @@ def trace_from_dict(doc: dict) -> RunTrace:
                              f"{q + 1}, got {h0!r}")
         iterations = tuple(_iteration_from_dict(d, q, len(entries))
                            for d in entries)
+        if not isinstance(doc.get("metadata", {}), dict):
+            raise ValueError("metadata must be a JSON object")
         poly = doc["final_polytope"]
         final = None if poly is None else pt.Polytope(
-            tuple(pt.Halfspace(h["normal"], h["offset"])
+            tuple(pt.Halfspace(_vector(h["normal"], "halfspace normal", q),
+                               h["offset"])
                   for h in poly["halfspaces"]),
-            np.asarray(poly["vertices"], dtype=float),
+            np.array([_vector(y, "vertex", q) for y in poly["vertices"]]),
             tuple(frozenset(s) for s in poly["incidence"]))
         return RunTrace(config=config,
                         initial_halfspace_count=h0,

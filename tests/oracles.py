@@ -16,6 +16,14 @@ from lpoa.problems import (_ANCHORS, _ELLIPSE_AXES_SQ, _ELLIPSE_M,
                            _ELLIPSE_X0, _POLY_A, _POLY_B,
                            _ellipse_frontier_height, by_key, weighted_sum)
 
+# an interior point of X, per problem
+X_INIT = {
+    "example1-q2": np.ones(2),
+    "example1-q3": np.ones(3),
+    "ellipse": _ELLIPSE_X0.copy(),
+    "example2": np.mean(_ANCHORS, axis=0),
+}
+
 # half-width of the slice-face grid, per problem
 DIAMETER_HINT = {
     "example1-q2": 2.0 * math.sqrt(2),
@@ -52,7 +60,7 @@ def _example2_membership(prob, y, tol):
     a point x of X with max(gamma(x) - y) <= tol proves y inside, a simplex
     weight w with min_X w . gamma > w . y proves it outside."""
     n, q = prob.n, prob.q
-    x0 = prob.x_init
+    x0 = X_INIT[prob.key]
     res = minimize(
         lambda z: z[n], np.append(x0, np.max(prob.gamma_eval(x0) - y)),
         jac=lambda z: np.eye(n + 1)[n], method="SLSQP",
@@ -217,3 +225,97 @@ def oracle_distance(prob, v, ne: NormExponent, samples=2000):
     m = a.max(axis=1)
     scaled = a / np.where(m > 0.0, m, 1.0)[:, None]
     return float(np.min(m * np.sum(scaled ** ne.p, axis=1) ** (1.0 / ne.p)))
+
+
+# ---------------------------------------------------------------------------
+# SLSQP references, independent of the weighted-sum closed forms and of the
+# dual solver
+
+
+def _x_constraint(prob):
+    """X as one vector inequality f(x) >= 0, with its Jacobian."""
+    if prob.key == "example2":
+        return (lambda x: _POLY_B - _POLY_A @ x, lambda x: -_POLY_A)
+    if prob.key == "ellipse":
+        m_inv = np.linalg.inv(_ELLIPSE_M)
+        quad = m_inv.T @ np.diag(1.0 / _ELLIPSE_AXES_SQ) @ m_inv
+        center = _ELLIPSE_X0
+    else:
+        quad, center = np.eye(prob.n), np.ones(prob.n)
+    return (lambda x: np.array([1.0 - (x - center) @ quad @ (x - center)]),
+            lambda x: -2.0 * (quad @ (x - center))[None, :])
+
+
+def _slsqp(prob, objective, gradient, z0, upper=True):
+    """SLSQP over z = (x, y) with y >= gamma(x) when `upper`, else over
+    z = x; always x in X and w_bar . gamma(x) <= w_bar . y <= gamma_slice."""
+    n, q = prob.n, prob.q
+    fx, jx = _x_constraint(prob)
+    m = len(z0) - n
+    pad = np.zeros((1, m))
+    constraints = [
+        {"type": "ineq", "fun": lambda z: fx(z[:n]),
+         "jac": lambda z: np.hstack([jx(z[:n]),
+                                     np.zeros((len(fx(z[:n])), m))])}]
+    if upper:
+        constraints += [
+            {"type": "ineq", "fun": lambda z: z[n:] - prob.gamma_eval(z[:n]),
+             "jac": lambda z: np.hstack([-prob.gamma_jacobian(z[:n]),
+                                         np.eye(q)])},
+            {"type": "ineq",
+             "fun": lambda z: np.array([prob.gamma_slice
+                                        - prob.w_bar @ z[n:]]),
+             "jac": lambda z: np.concatenate([np.zeros(n),
+                                              -prob.w_bar])[None, :]}]
+    else:
+        constraints.append(
+            {"type": "ineq",
+             "fun": lambda z: np.array([prob.gamma_slice
+                                        - prob.w_bar @ prob.gamma_eval(z)]),
+             "jac": lambda z: np.hstack([-(prob.w_bar
+                                           @ prob.gamma_jacobian(z))[None, :],
+                                         pad])})
+    return minimize(objective, z0, jac=gradient, constraints=constraints,
+                    method="SLSQP",
+                    options={"ftol": 1e-16, "maxiter": 1000}).x
+
+
+def support_value(prob, normal):
+    """inf over A of normal . y, as a problem over x alone: for fixed x the
+    slack y - gamma(x) >= 0 goes where normal_j / w_bar_j is least, up to
+    the slice, so inf = min over x of (normal - k w_bar) . gamma(x)
+    + k gamma_slice with k = min(0, min_j normal_j / w_bar_j)."""
+    normal = np.asarray(normal, dtype=float)
+    k = min(0.0, float(np.min(normal / prob.w_bar)))
+    weights = normal - k * prob.w_bar
+    x = _slsqp(prob, lambda x: float(weights @ prob.gamma_eval(x)),
+               lambda x: weights @ prob.gamma_jacobian(x),
+               X_INIT[prob.key], upper=False)
+    return float(weights @ prob.gamma_eval(x)) + k * prob.gamma_slice
+
+
+def reference_distance(prob, v, ne: NormExponent):
+    """lp distance from v to A, from above: SLSQP on sum_i |(y_i - v_i) /
+    s|^p, with the scale s re-set to max |y - v| after each pass, and the
+    distance of its point moved into A."""
+    n, p = prob.n, ne.p
+    v = np.asarray(v, dtype=float)
+    z = np.concatenate([X_INIT[prob.key],
+                        np.maximum(v, prob.gamma_eval(X_INIT[prob.key]))])
+    for _ in range(3):
+        s = float(np.max(np.abs(z[n:] - v)))
+        z = _slsqp(
+            prob, lambda z: float(np.sum(np.abs((z[n:] - v) / s) ** p)),
+            lambda z: np.concatenate([np.zeros(n), p / s * np.sign(z[n:] - v)
+                                      * np.abs((z[n:] - v) / s) ** (p - 1)]),
+            z)
+    # move the point into A: x into X, y up to gamma(x), then y along the
+    # segment toward gamma(x) into the slice; its distance bounds the true
+    # one from above
+    x = prob.feasible_project(z[:n])
+    g = prob.gamma_eval(x)
+    y = np.maximum(z[n:], g)
+    over = float(prob.w_bar @ y) - prob.gamma_slice
+    if over > 0.0:
+        y = y - over / float(prob.w_bar @ (y - g)) * (y - g)
+    return float(np.sum(np.abs(y - v) ** p)) ** (1.0 / p)

@@ -211,7 +211,7 @@ class TestRunCommand:
         # a ValueError from gamma_eval inside a subproblem solve is a
         # solver failure, not a traceback
         config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
-        fail_at = _fault_call("example2", config, "_project_upper")
+        fail_at = _fault_call("example2", config, "solve_subproblem")
         inst, callers = _oracle_with_fault(by_key("example2"), fail_at)
         monkeypatch.setattr(driver, "by_key", lambda _key: inst)
         res = runner.invoke(main, ["run", "--problem", "example2",
@@ -221,9 +221,10 @@ class TestRunCommand:
         assert "solver_failure" in res.output
         assert "Traceback" not in res.output
 
-    def test_admm_nonconvergence_exit_three(self, runner, monkeypatch):
+    def test_nonconvergence_exit_three(self, runner, monkeypatch):
+        # no initial vertex of example2 is solved in one Newton step
         monkeypatch.setattr(scalarization, "MAX_STEPS", 1)
-        res = runner.invoke(main, ["run", "--problem", "ellipse",
+        res = runner.invoke(main, ["run", "--problem", "example2",
                                    "--p", "2", "--eps", "0.05"])
         assert res.exit_code == 3, res.output
         assert "solver_failure" in res.output
@@ -253,6 +254,7 @@ class TestRunCommand:
         ["sweep", "--problem", "ellipse", "--p-list", "2,2"],
         ["sweep", "--problem", "ellipse", "--p-list", "2,2.0000001"],
         ["sweep", "--problem", "nope"],
+        ["run", "--problem", "ellipse", "--p", "1e308", "--eps", "0.1"],
     ])
     def test_invalid_argument_exit_64(self, runner, tmp_path, args):
         with runner.isolated_filesystem(temp_dir=tmp_path):
@@ -399,6 +401,26 @@ class TestVerifyCommand:
             res = runner.invoke(main, ["verify", "--trace", str(path)])
             assert res.exit_code == 65, res.output
             assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("edit", [
+        # a p whose conjugate rounds to 1
+        lambda doc: doc["config"].update(p=1e308),
+        # a halfspace normal and a vertex row that are not q numbers
+        lambda doc: doc["final_polytope"]["halfspaces"][0].update(
+            normal=[1.0]),
+        lambda doc: doc["final_polytope"]["vertices"][0].append(0.0),
+        lambda doc: doc.update(metadata=5),
+    ], ids=["huge_p", "short_normal", "long_vertex", "metadata"])
+    def test_edited_version_1_trace_exit_65(self, runner, tmp_path, edit):
+        doc = json.loads(V1_TRACE.read_text())
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TraceFormatError):
+            load_trace(str(path))
+        res = runner.invoke(main, ["verify", "--trace", str(path)])
+        assert res.exit_code == 65, res.output
+        assert "Traceback" not in res.output
 
     def test_version_1_trace_verifies(self, runner):
         res = runner.invoke(main, ["verify", "--trace", str(V1_TRACE)])

@@ -12,20 +12,20 @@ from scipy.optimize import minimize
 
 from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (RunConfig, RunTrace, _bounds, _inflate,
+from lpoa.driver import (_ROUNDING, RunConfig, RunTrace, _bounds,
                          _refined_bound, hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import _POLY_A, _POLY_B, PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError, solve_batch
 from lpoa.trace_io import trace_from_dict, trace_to_dict
 
-from oracles import boundary_samples, in_A
+from oracles import X_INIT, boundary_samples, in_A, support_value
 from test_polytope import contains
 
-# ellipse at eps = 1e-3: residual series and farthest vertices recorded with
-# the numpy ellipse oracles that the scalar ones replaced
-ELLIPSE_RECORDED = json.loads(
-    (Path(__file__).parent / "data" / "ellipse_eps1e-3.json").read_text())
+# the acceptance-matrix fingerprint holds the residual series and farthest
+# vertices of the ellipse runs at eps = 1e-3
+MATRIX_FINGERPRINT = json.loads(
+    (Path(__file__).parent / "data" / "matrix_fingerprint.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,11 @@ def trace_q2():
 @pytest.fixture(scope="module")
 def trace_q3():
     return run(RunConfig(problem_key="example1-q3", p=3.0, epsilon=0.05))
+
+
+@pytest.fixture(scope="module")
+def trace_example2_p125():
+    return run(RunConfig(problem_key="example2", p=1.25, epsilon=0.05))
 
 
 class TestConfig:
@@ -124,6 +129,17 @@ class TestTraceInvariants:
         for y in boundary_samples(prob, 500):
             assert contains(trace_q2.final_polytope, y, tol=1e-6)
 
+    def test_outer_approximation_q3(self, trace_example2_p125):
+        # every cut contains A: its offset is at most inf over A of n . y,
+        # the support value of an independent SLSQP solve over x
+        prob = by_key("example2")
+        trace = trace_example2_p125
+        assert trace.termination == "converged"
+        excess = [float(r.cut_normal @ r.support_point)
+                  - support_value(prob, r.cut_normal)
+                  for r in trace.iterations]
+        assert max(excess) <= 1e-9
+
     def test_support_points_in_A(self, trace_q2):
         prob = by_key(trace_q2.config.problem_key)
         for rec in trace_q2.iterations[:: max(1, len(trace_q2.iterations) // 10)]:
@@ -170,17 +186,18 @@ class TestRunBehaviour:
         assert trace.termination == "max_iterations"
         assert len(trace.iterations) == 5
 
-    def test_admm_nonconvergence_is_solver_failure(self, monkeypatch):
-        # one ADMM step does not meet the stopping test, so the first solve
-        # raises SubproblemError and the run ends with a recorded termination
+    def test_nonconvergence_is_solver_failure(self, monkeypatch):
+        # one Newton step does not reach the maximum of the dual at any
+        # initial vertex of example2, so the first solve raises
+        # SubproblemError and the run ends with a recorded termination
         monkeypatch.setattr(scalarization, "MAX_STEPS", 1)
-        prob = by_key("ellipse")
+        prob = by_key("example2")
         P0, _ = initialize(prob)
         with pytest.raises(SubproblemError) as err:
             scalarization.solve_subproblem(prob, P0.vertices()[0],
                                            NormExponent(2.0))
         assert np.array_equal(err.value.vertex, P0.vertices()[0])
-        trace = run(RunConfig(problem_key="ellipse", p=2.0, epsilon=0.05))
+        trace = run(RunConfig(problem_key="example2", p=2.0, epsilon=0.05))
         assert trace.termination == "solver_failure"
         assert trace.iterations == ()
         assert len(trace.final_polytope.halfspaces) == len(P0.halfspaces)
@@ -230,7 +247,7 @@ class TestRunBehaviour:
              "jac": lambda z: np.concatenate([np.zeros(n),
                                               -prob.w_bar])[None, :]},
         ]
-        x0 = prob.x_init
+        x0 = X_INIT[prob.key]
         worst = 0.0
         for rec in trace.iterations:
             v = rec.farthest_vertex
@@ -251,11 +268,11 @@ class TestEllipseRecorded:
     last-bit change in a projection can select either: a farthest vertex
     matches the recorded one or its coordinate swap."""
 
-    @pytest.mark.parametrize("p", sorted(ELLIPSE_RECORDED["runs"], key=float))
+    @pytest.mark.parametrize("p", ["1.25", "2", "8"])
     def test_matches_recorded_run(self, p):
-        ref = ELLIPSE_RECORDED["runs"][p]
+        ref = MATRIX_FINGERPRINT["runs"]["ellipse"][repr(float(p))]
         trace = run(RunConfig(problem_key="ellipse", p=float(p),
-                              epsilon=ELLIPSE_RECORDED["epsilon"]))
+                              epsilon=MATRIX_FINGERPRINT["epsilon"]["ellipse"]))
         assert trace.termination == ref["termination"] == "converged"
         assert len(trace.iterations) == len(ref["residual_norm"]) == 32
         got = np.array(hausdorff_series(trace))
@@ -279,7 +296,7 @@ def _bound_setup(key, p):
     known = [prob.gamma_eval(prob.ws_closed_form(e)) for e in np.eye(prob.q)]
     points = list(V) + [0.5 * (a + b)
                         for i, a in enumerate(V) for b in V[i + 1:]]
-    known += [scalarization.solve_subproblem(prob, v, ne).y_support
+    known += [scalarization.solve_subproblem(prob, v, ne).frontier_point
               for v in points]
     return P0, np.array(known)
 
@@ -298,8 +315,8 @@ class TestLazySelection:
                                    on_face, active):
         # v is a point of the initial polytope: a convex combination of its
         # vertices, moved toward a known point of U and, if on_face, along
-        # w_bar onto the slice face; both bounds, inflated, lie at or above
-        # the residual the subproblem solver returns at v
+        # w_bar onto the slice face; both bounds lie at or above the
+        # residual the subproblem solver returns at v, up to rounding
         prob = by_key(key)
         P0, known = _bound_setup(key, p)
         V = P0.vertices()
@@ -314,8 +331,21 @@ class TestLazySelection:
             prob, v, NormExponent(p)).residual_norm
         coarse = float(_bounds(prob, p, v[None, :], known)[0])
         refined = _refined_bound(prob, p, v.tolist(), normals)
-        assert residual <= _inflate(coarse)
-        assert residual <= _inflate(refined)
+        assert residual * (1.0 - _ROUNDING) <= coarse
+        assert residual * (1.0 - _ROUNDING) <= refined
+
+    def test_point_outside_slice_gives_no_bound(self):
+        # a point of U beyond the slice is not in A: it bounds nothing,
+        # while the same point moved onto the slice face gives max(v, y)
+        prob = by_key("example1-q2")
+        v = np.array([0.0, 0.0])
+        w = prob.w_bar
+        y = np.array([3.0, 3.0])
+        assert w @ y > prob.gamma_slice
+        assert _bounds(prob, 2.0, v[None, :], y[None, :])[0] == np.inf
+        y_face = y - (w @ y - prob.gamma_slice) / (w @ w) * w
+        assert _bounds(prob, 2.0, v[None, :], y_face[None, :])[0] == (
+            pytest.approx(np.linalg.norm(y_face)))
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in
@@ -397,7 +427,7 @@ def _fault_call(key, config, site):
 
 class TestOracleFailure:
     @pytest.mark.parametrize("key, site", [
-        ("example2", "_project_upper"),   # inside a subproblem solve
+        ("example2", "solve_subproblem"),  # inside a subproblem solve
         ("ellipse", "f"),                 # inside a refined bound
     ])
     def test_oracle_error_is_solver_failure(self, monkeypatch, key, site):

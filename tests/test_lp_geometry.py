@@ -25,7 +25,7 @@ class TestNormExponent:
         assert 1.0 / ne.p + 1.0 / ne.p_star == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, -2.0, float("inf"),
-                                     float("nan")])
+                                     float("nan"), 1e308])
     def test_invalid_exponent(self, bad):
         with pytest.raises(ValueError):
             NormExponent(bad)

@@ -11,8 +11,8 @@ from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0,
                            PROBLEM_KEYS, by_key, weighted_sum)
 
-from oracles import (boundary_samples, in_A, oracle_distance, slice_contains,
-                     upper_contains)
+from oracles import (X_INIT, boundary_samples, in_A, oracle_distance,
+                     slice_contains, upper_contains)
 
 
 @pytest.fixture(params=PROBLEM_KEYS)
@@ -54,7 +54,7 @@ class TestGammaAndJacobian:
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(20):
-            x = prob.feasible_project(prob.x_init + rng.normal(size=prob.n))
+            x = prob.feasible_project(X_INIT[prob.key] + rng.normal(size=prob.n))
             J = prob.gamma_jacobian(x)
             assert J.shape == (prob.q, prob.n)
             for j in range(prob.n):
@@ -116,7 +116,7 @@ class TestMembership:
         assert hits > 0
 
     def test_dominated_points_in_upper_image(self, prob):
-        y = prob.gamma_eval(prob.x_init)
+        y = prob.gamma_eval(X_INIT[prob.key])
         assert upper_contains(prob, y + 0.5, tol=1e-7)
 
 
@@ -145,7 +145,7 @@ class TestBoundarySampler:
             assert upper_contains(prob, y, tol=1e-6)
 
     def test_oracle_distance_zero_inside(self, prob):
-        y = prob.gamma_eval(prob.x_init)
+        y = prob.gamma_eval(X_INIT[prob.key])
         if slice_contains(prob, y, 1e-9):
             assert oracle_distance(prob, y, NormExponent(2)) == 0.0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +5,12 @@ import pytest
 from scipy.optimize import minimize
 
 from lpoa import scalarization
-from lpoa.driver import initialize
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import by_key
-from lpoa.scalarization import (_project_upper, prox_lp_norm, solve_batch,
-                                solve_subproblem)
+from lpoa.scalarization import prox_lp_norm, solve_batch, solve_subproblem
 
-from oracles import boundary_samples, in_A, oracle_distance
+from oracles import (boundary_samples, in_A, oracle_distance,
+                     reference_distance, support_value, upper_contains)
 
 P_VALUES = [1.25, 1.5, 2.0, 3.0, 4.0, 8.0]
 
@@ -169,81 +167,45 @@ class TestCacheAndBatch:
 
 
 # ---------------------------------------------------------------------------
-# first-order upper-image projection
+# the dual solver
+
+# example2 vertices at p = 8 whose optimal cut normal has a component
+# between 1e-12 and 1e-5 of its largest (-2.5e-10 at (0, 11.25, 5)), where
+# ||.||_{p*} is sharply curved: (0, 11.25, 5) and four vertices met by the
+# p = 8 acceptance-matrix run
+EXAMPLE2_P8_VERTICES = [
+    (0.0, 11.25, 5.0),
+    (1.7671936, 11.25000067, 3.23280573),
+    (0.38824639278870365, 2.5967776834184173, 13.264975923792882),
+    (0.5667184390708304, 2.171672851218343, 13.51160870971083),
+    (0.7734757745729786, 1.8390422911866047, 13.63748193424042),
+]
 
 
-def project_upper_reference(prob, a, x_warm, inner_tol, step=1.0):
-    """The original first-order loop, which evaluates gamma again at every
-    accepted point and once more on return."""
-    x = x_warm
-    for _ in range(300):
-        r = np.maximum(prob.gamma_eval(x) - a, 0.0)
-        if not np.any(r > 0.0):
-            break
-        g = 2.0 * (prob.gamma_jacobian(x).T @ r)
-        fx = float(r @ r)
-        x_new = x
-        while step > 1e-16:
-            x_new = prob.feasible_project(x - step * g)
-            d = x_new - x
-            r_new = np.maximum(prob.gamma_eval(x_new) - a, 0.0)
-            if float(r_new @ r_new) <= fx + g @ d + 0.5 / step * (d @ d) + 1e-18:
-                break
-            step *= 0.5
-        done = np.max(np.abs(x_new - x)) <= inner_tol
-        x = x_new
-        step = min(step * 1.2, 1e4)
-        if done:
-            break
-    gx = prob.gamma_eval(x)
-    return np.maximum(gx, a), x, step
+class TestDualSolver:
+    @pytest.mark.parametrize("v", EXAMPLE2_P8_VERTICES)
+    def test_p8_matches_reference(self, v):
+        prob = by_key("example2")
+        ne = NormExponent(8.0)
+        res = solve_subproblem(prob, np.array(v), ne)
+        ref = reference_distance(prob, v, ne)
+        assert abs(res.residual_norm - ref) <= 1e-8 * ref
 
-
-def counting_gamma(prob):
-    """prob with gamma_eval wrapped by a call counter; (instance, counter)."""
-    calls = [0]
-
-    def gamma_eval(x):
-        calls[0] += 1
-        return prob.gamma_eval(x)
-
-    return dataclasses.replace(prob, gamma_eval=gamma_eval), calls
-
-
-@pytest.fixture(scope="module")
-def example2_projection_inputs():
-    """(a, x_warm, inner_tol, step) of every projection made in one example2
-    subproblem at p = 2: the initial vertex (0, 16.25, 0), 481 ADMM steps."""
-    prob = by_key("example2")
-    recorded = []
-
-    def recording(prob_, a, x_warm, inner_tol, step=1.0):
-        recorded.append((a.copy(), np.array(x_warm), inner_tol, step))
-        return _project_upper(prob_, a, x_warm, inner_tol, step)
-
-    mp = pytest.MonkeyPatch()
-    mp.setattr(scalarization, "_project_upper", recording)
-    try:
-        verts = initialize(prob)[0].vertices()
-        solve_subproblem(prob, verts[np.argmax(verts[:, 1])], NormExponent(2.0))
-    finally:
-        mp.undo()
-    return recorded
-
-
-def test_project_upper_matches_reference(example2_projection_inputs):
-    prob = by_key("example2")
-    assert prob.upper_project is None  # the first-order branch is exercised
-    inputs = example2_projection_inputs
-    assert len(inputs) >= 300
-    new_prob, new_calls = counting_gamma(prob)
-    ref_prob, ref_calls = counting_gamma(prob)
-    for a, x_warm, inner_tol, step in inputs:
-        new_calls[0] = ref_calls[0] = 0
-        y, x, s = _project_upper(new_prob, a, x_warm, inner_tol, step)
-        y_ref, x_ref, s_ref = project_upper_reference(ref_prob, a, x_warm,
-                                                      inner_tol, step)
-        assert y.tobytes() == y_ref.tobytes()
-        assert x.tobytes() == x_ref.tobytes()
-        assert s == s_ref
-        assert new_calls[0] < ref_calls[0]
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_certificate(self, p):
+        # the cut plane through the support point supports A from below (to
+        # rounding), the residual is the distance from v to that plane, and
+        # the frontier point lies in the upper image
+        prob = by_key("example2")
+        ne = NormExponent(p)
+        rng = np.random.default_rng(8)
+        for i in range(3):
+            v = rng.uniform(0.0, 4.0, size=3)
+            v[i] = -0.5                 # gamma >= 0, so v is not in A
+            res = solve_subproblem(prob, v, ne)
+            u = res.cut_normal
+            offset = float(u @ res.y_support)
+            assert offset <= support_value(prob, u) + 1e-9
+            assert offset - float(u @ v) == pytest.approx(res.residual_norm,
+                                                          rel=1e-12)
+            assert upper_contains(prob, res.frontier_point, tol=1e-9)
