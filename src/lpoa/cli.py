@@ -9,7 +9,8 @@ Commands
 Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
 sweep -> 1 if any run failed; run and sweep -> 64 for an unknown problem key
 or an invalid argument; verify -> 1 on violations, 64 for an --eta that is not
-positive and finite, 65 on a malformed or unreadable trace.
+positive and finite, 65 on a malformed or unreadable trace; all three -> 73
+when an output file or directory cannot be written.
 """
 
 from __future__ import annotations
@@ -43,11 +44,21 @@ EXIT_MAX_ITERATIONS = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_USAGE = 64
 EXIT_BAD_TRACE = 65
+EXIT_CANT_CREATE = 73
 
 
 def _usage_error(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_USAGE)
+
+
+def _write(path: str, write, *args, **kwargs) -> None:
+    """write(path, *args, **kwargs); exit 73 if it raises OSError."""
+    try:
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        click.echo(f"error: cannot write {path}: {exc}", err=True)
+        sys.exit(EXIT_CANT_CREATE)
 
 
 def _trace_name(problem_key: str, p: float) -> str:
@@ -87,10 +98,10 @@ def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
     trace = run(config)
     wall = time.perf_counter() - t0
     if out_path:
-        save_trace(out_path, trace, default_metadata(wall))
+        _write(out_path, save_trace, trace, default_metadata(wall))
     if svg_path and trace.iterations:
-        write_svg(svg_path, [_trace_curve(trace)],
-                  title=f"{problem_key}, p = {p_value:g}")
+        _write(svg_path, write_svg, [_trace_curve(trace)],
+               title=f"{problem_key}, p = {p_value:g}")
     click.echo(f"{problem_key} p={p_value:g} eps={eps:g}: "
                f"{trace.termination} after {len(trace.iterations)} iterations "
                f"({wall:.2f}s)")
@@ -135,7 +146,7 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
         _usage_error(f"--p-list values {p_list} repeat a trace file name")
     if jobs < 1:
         _usage_error(f"--jobs must be at least 1, got {jobs}")
-    os.makedirs(out_dir, exist_ok=True)
+    _write(out_dir, os.makedirs, exist_ok=True)
 
     workers = min(jobs, len(configs))
     if workers > 1:
@@ -150,8 +161,8 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     curves = []
     any_failed = False
     for p, trace, wall in results:
-        save_trace(os.path.join(out_dir, _trace_name(problem_key, p)), trace,
-                   default_metadata(wall))
+        _write(os.path.join(out_dir, _trace_name(problem_key, p)),
+               save_trace, trace, default_metadata(wall))
         status = trace.termination
         if status != "converged":
             any_failed = True
@@ -176,11 +187,12 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
             cells.append(row[5])
         lines.append(",".join(cells))
     csv_path = os.path.join(out_dir, f"{problem_key}-summary.csv")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
+    _write(csv_path, atomic_write_text, "\n".join(lines) + "\n")
     click.echo(f"wrote {csv_path}")
 
     if svg_path and curves:
-        write_svg(svg_path, curves, title=f"{problem_key}, eps = {epsilon:g}")
+        _write(svg_path, write_svg, curves,
+               title=f"{problem_key}, eps = {epsilon:g}")
         click.echo(f"wrote {svg_path}")
     if any_failed:
         sys.exit(1)
@@ -206,7 +218,7 @@ def cmd_verify(trace_path, eta, out_path):
 
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        atomic_write_text(out_path, text)
+        _write(out_path, atomic_write_text, text)
     else:
         click.echo(text, nl=False)
     if report["total_violations"] > 0:

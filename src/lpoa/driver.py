@@ -6,20 +6,15 @@ Hausdorff error of the polytope) and adds the supporting halfspace through
 its support point with the lp-gradient normal.  The full per-iteration
 history is kept in a RunTrace for the analysis layer.
 
-Selection is lazy.  Every vertex carries either its subproblem result (a
-certified lower bound on its distance to A, exact to solver accuracy) or an
-upper bound on that distance, kept across iterations by the vertex's exact
-coordinates (polytope.cut keeps surviving rows bit for bit).  A point y of
-the upper image U inside the slice gives the point y + t (v - y)_+ of A,
-with the largest t in [0, 1] that stays in the slice; a point outside the
-slice gives none.  The coarse bound uses the known points of U (the
-coordinate minimizers and the frontier point gamma(x*(c)) of every solve);
-the refined bound, computed once per vertex on demand, searches the frontier
-over weighted-sum weights.  The loop refines, then solves, the open vertex
-with the largest bound until every open bound falls below the largest
-residual.  A residual is at most the distance, which is at most the bound,
-so the first maximum over the solved vertices in lexicographic order is the
-vertex that solving every vertex would select.
+Selection is lazy.  Each vertex carries an upper bound on its distance to
+A, kept by its exact coordinates (polytope.cut keeps surviving rows bit for
+bit): +inf until a search over the frontier of the upper image U lowers it.
+The loop takes the open vertex with the largest bound and searches for its
+bound (once, when it is +inf and some vertex is solved) or solves it (also
+when the search finds no bound), until every open bound falls below the
+largest residual.  A residual is at most the distance, which is at most the
+bound, so the first maximum over the solved vertices in lexicographic order
+is the vertex that solving every vertex would select.
 """
 
 from __future__ import annotations
@@ -112,28 +107,16 @@ _REFINE_EVALS = 40  # weighted sums per refined bound
 _ROUNDING = 1e-12
 
 
-def _bounds(prob: ProblemInstance, p: float, V: np.ndarray,
-            Y: np.ndarray) -> np.ndarray:
-    """Upper bound on dist_p(v, A) for each row v of V from the points Y of
-    the upper image U.
-
-    A point y of U inside the slice gives the point y + t (v - y)_+ of A,
-    with t the largest value in [0, 1] that keeps it inside the slice
-    (t = 1 gives max(v, y), t = 0 gives y); the bound is its distance to v.
-    A point outside the slice is not in A and gives +inf.
+def _point_bound(v: list, y: list, w: list, g: float, p: float) -> float:
+    """Upper bound on dist_p(v, A) from a point y of the upper image U, with
+    w = w_bar and g = gamma_slice: the distance from v to the point
+    y + t (v - y)_+ of A, with t the largest value in [0, 1] that keeps it
+    in the slice (t = 1 gives max(v, y)).  A point outside the slice is not
+    in A and gives +inf.
     """
-    D = Y[None, :, :] - V[:, None, :]
-    up = np.maximum(-D, 0.0)                        # (v - y)_+
-    w = prob.w_bar
-    room = prob.gamma_slice - Y @ w
-    t = np.minimum(1.0, np.maximum(room, 0.0) / np.maximum(up @ w, 1e-300))
-    b = np.sum(np.abs(D + t[:, :, None] * up) ** p, axis=2) ** (1.0 / p)
-    return np.where(room >= 0.0, b, math.inf).min(axis=1)
-
-
-def _point_bound(v: list, y: list, w: list, room: float, p: float) -> float:
-    """_bounds for one vertex and one point y of U inside the slice, with
-    room = gamma_slice - w_bar . y >= 0, in scalar arithmetic."""
+    room = g - sum(wi * yi for wi, yi in zip(w, y))
+    if room < 0.0:
+        return math.inf
     need = sum(wi * (vi - yi) for wi, vi, yi in zip(w, v, y) if vi > yi)
     s = 1.0 - room / need if need > room else 0.0
     return sum((s * (vi - yi)) ** p if vi > yi else (yi - vi) ** p
@@ -142,14 +125,15 @@ def _point_bound(v: list, y: list, w: list, room: float, p: float) -> float:
 
 def _refined_bound(prob: ProblemInstance, p: float, v: list,
                    normals) -> float:
-    """Bound at vertex v from points of U built from the exact frontier
-    points y(omega) = gamma(x*(omega)): a Nelder-Mead search over simplex
+    """Bound at vertex v from the exact frontier points
+    y(omega) = gamma(x*(omega)) of U: a Nelder-Mead search over simplex
     weights omega in scalar arithmetic, capped at _REFINE_EVALS weighted sums.
 
-    A frontier point outside the slice gives no bound.  The search starts
-    at the mean of the nonnegative vectors among `normals` (the normals of
-    the halfspaces active at v, outward from U), scaled to the simplex, with
-    their spread as the initial size.
+    A frontier point outside the slice gives no bound, and a search that
+    meets only such points returns +inf.  The search starts at the mean of
+    the nonnegative vectors among `normals` (the normals of the halfspaces
+    active at v, outward from U), scaled to the simplex, with their spread
+    as the initial size.
     """
     q = prob.q
     w = prob.w_bar.tolist()
@@ -161,8 +145,7 @@ def _refined_bound(prob: ProblemInstance, p: float, v: list,
         if last < 0.0 or min(u) < 0.0:
             return math.inf
         y = prob.gamma_eval(prob.ws_closed_form(np.array(u + [last]))).tolist()
-        room = g - sum(wi * yi for wi, yi in zip(w, y))
-        return _point_bound(v, y, w, room, p) if room >= 0.0 else math.inf
+        return _point_bound(v, y, w, g, p)
 
     starts = [[c / sum(n) for c in n] for n in map(list, normals)
               if min(n) >= 0.0 and max(n) > 0.0] or [[1.0 / q] * q]
@@ -218,17 +201,13 @@ def run(config: RunConfig) -> RunTrace:
     ne = NormExponent(config.p)
     try:
         P, j_plus_1 = initialize(prob)
-        # known points of U: coordinate minimizers, then frontier points
-        known = np.array([prob.gamma_eval(prob.ws_closed_form(e))
-                          for e in np.eye(prob.q)])
     except ValueError:
         # an exception from a problem oracle before the first iteration
         return RunTrace(config=config, initial_halfspace_count=prob.q + 1,
                         iterations=(), final_polytope=None,
                         termination="solver_failure")
-    exact: dict = {}      # vertex key -> ScalarizationResult
-    bounds: dict = {}     # vertex key -> upper bound on its residual
-    refined: set = set()  # keys whose bound had the frontier search
+    exact: dict = {}   # vertex key -> ScalarizationResult
+    bounds: dict = {}  # vertex key -> upper bound on its residual
     records: list[IterationRecord] = []
     termination = "max_iterations"
 
@@ -236,42 +215,29 @@ def run(config: RunConfig) -> RunTrace:
         t0 = time.perf_counter()
         verts = P.vertices()
         keys = [tuple(row) for row in verts.tolist()]
-        new = [i for i, key in enumerate(keys)
-               if key not in exact and key not in bounds]
-        hits = len(keys) - len(new)
+        hits = sum(key in bounds for key in keys)
+        for key in keys:
+            bounds.setdefault(key, math.inf)
+        open_rows = [i for i, key in enumerate(keys) if key not in exact]
+        best = max((exact[key].residual_norm for key in keys if key in exact),
+                   default=-math.inf)
         try:
-            if new:
-                coarse = _bounds(prob, ne.p, verts[new], known)
-                bounds.update(zip([keys[i] for i in new], coarse.tolist()))
-            open_rows = [i for i, key in enumerate(keys) if key not in exact]
-            open_bounds = np.array([bounds[keys[i]] for i in open_rows])
-            best = max((exact[key].residual_norm for key in keys
-                        if key in exact), default=-math.inf)
             # solve the vertex with the largest bound until no bound can
             # reach the largest exact residual
             while open_rows:
-                j = int(np.argmax(open_bounds))
-                if open_bounds[j] < best * (1.0 - _ROUNDING):
+                i = max(open_rows, key=lambda j: bounds[keys[j]])
+                key = keys[i]
+                if bounds[key] < best * (1.0 - _ROUNDING):
                     break
-                i = open_rows[j]
-                if best > -math.inf and keys[i] not in refined:
-                    refined.add(keys[i])
+                if bounds[key] == math.inf and best > -math.inf:
                     normals = [-P.halfspaces[h].normal for h in P.incidence[i]]
-                    open_bounds[j] = min(open_bounds[j], _refined_bound(
-                        prob, ne.p, verts[i].tolist(), normals))
-                    continue
+                    bounds[key] = _refined_bound(prob, ne.p, verts[i].tolist(),
+                                                 normals)
+                    if bounds[key] < math.inf:
+                        continue
                 res, = solve_batch(prob, verts[i:i + 1], ne, exact)
-                del bounds[keys[i]]
-                del open_rows[j]
-                open_bounds = np.delete(open_bounds, j)
+                open_rows.remove(i)
                 best = max(best, res.residual_norm)
-                known = np.vstack([known, res.frontier_point])
-                if open_rows:
-                    open_bounds = np.minimum(open_bounds, _bounds(
-                        prob, ne.p, verts[open_rows],
-                        res.frontier_point[None, :]))
-            bounds.update(zip([keys[i] for i in open_rows],
-                              open_bounds.tolist()))
         except (SubproblemError, ValueError):
             # solver non-convergence, or an exception from a problem oracle
             termination = "solver_failure"

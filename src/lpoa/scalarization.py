@@ -59,8 +59,6 @@ class ScalarizationResult:
     y_support: np.ndarray
     residual_norm: float
     cut_normal: Optional[np.ndarray]
-    # gamma(x*(c)) at the final weights: a point of the upper image
-    frontier_point: np.ndarray
     iterations: int               # Newton steps, both ascents together
 
 
@@ -306,8 +304,7 @@ def solve_subproblem(prob: ProblemInstance, v,
         normal = n / D
         y = v + R * lp_gradient(normal, dual)
     return ScalarizationResult(y_support=y, residual_norm=R,
-                               cut_normal=normal, frontier_point=g,
-                               iterations=steps)
+                               cut_normal=normal, iterations=steps)
 
 
 # ---------------------------------------------------------------------------

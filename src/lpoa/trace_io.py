@@ -101,15 +101,16 @@ def _count(d: dict, name: str) -> int:
     return n
 
 
-def _iteration_from_dict(d: dict, q: int, count: int) -> IterationRecord:
-    """k in [0, count), a finite residual, finite points and normal in R^q,
-    non-negative integer counts."""
+def _iteration_from_dict(d: dict, q: int, position: int) -> IterationRecord:
+    """k equal to the entry's position, a finite non-negative residual,
+    finite points and normal in R^q, non-negative integer counts."""
     k, res = d["k"], d["residual_norm"]
-    if type(k) is not int or not 0 <= k < count:
-        raise ValueError(
-            f"iteration k must be an integer in [0, {count}), got {k!r}")
-    if type(res) not in (int, float) or not math.isfinite(res):
-        raise ValueError(f"residual_norm must be a finite number, got {res!r}")
+    if type(k) is not int or k != position:
+        raise ValueError(f"iteration {position} must have k = {position}, "
+                         f"got {k!r}")
+    if type(res) not in (int, float) or not 0 <= res < math.inf:
+        raise ValueError("residual_norm must be a finite non-negative "
+                         f"number, got {res!r}")
     return IterationRecord(
         k=k, farthest_vertex=_point(d, "farthest_vertex", q),
         residual_norm=res, support_point=_point(d, "support_point", q),
@@ -118,6 +119,27 @@ def _iteration_from_dict(d: dict, q: int, count: int) -> IterationRecord:
         vertex_count=_count(d, "vertex_count"),
         cache_hits=_count(d, "cache_hits"),
         wall_ms=0.0)  # wall time is not part of the trace
+
+
+def _polytope_from_dict(poly: dict, q: int) -> pt.Polytope:
+    """Normals and vertices in R^q, finite offsets, and for each vertex one
+    list of indices into the halfspaces."""
+    hs, inc = poly["halfspaces"], poly["incidence"]
+    for b in (h["offset"] for h in hs):
+        if type(b) not in (int, float) or not math.isfinite(b):
+            raise ValueError("halfspace offset must be a finite number, "
+                             f"got {b!r}")
+    vertices = [_vector(y, "vertex", q) for y in poly["vertices"]]
+    if len(inc) != len(vertices) or not all(
+            isinstance(s, list)
+            and all(type(i) is int and 0 <= i < len(hs) for i in s)
+            for s in inc):
+        raise ValueError(f"incidence must be {len(vertices)} lists of "
+                         f"halfspace indices in [0, {len(hs)})")
+    return pt.Polytope(
+        tuple(pt.Halfspace(_vector(h["normal"], "halfspace normal", q),
+                           h["offset"]) for h in hs),
+        np.array(vertices), tuple(frozenset(s) for s in inc))
 
 
 def trace_from_dict(doc: dict) -> RunTrace:
@@ -139,17 +161,12 @@ def trace_from_dict(doc: dict) -> RunTrace:
         if type(h0) is not int or h0 != q + 1:
             raise ValueError(f"initial_halfspace_count must be q + 1 = "
                              f"{q + 1}, got {h0!r}")
-        iterations = tuple(_iteration_from_dict(d, q, len(entries))
-                           for d in entries)
+        iterations = tuple(_iteration_from_dict(d, q, i)
+                           for i, d in enumerate(entries))
         if not isinstance(doc.get("metadata", {}), dict):
             raise ValueError("metadata must be a JSON object")
         poly = doc["final_polytope"]
-        final = None if poly is None else pt.Polytope(
-            tuple(pt.Halfspace(_vector(h["normal"], "halfspace normal", q),
-                               h["offset"])
-                  for h in poly["halfspaces"]),
-            np.array([_vector(y, "vertex", q) for y in poly["vertices"]]),
-            tuple(frozenset(s) for s in poly["incidence"]))
+        final = None if poly is None else _polytope_from_dict(poly, q)
         return RunTrace(config=config,
                         initial_halfspace_count=h0,
                         iterations=iterations, final_polytope=final,

@@ -39,10 +39,13 @@ def malformed_documents(trace):
     """Trace documents whose config or an iteration entry is not a JSON
     object, whose problem key is unknown, whose p or epsilon is not a real
     number or max_iterations not an integer, whose initial halfspace count
-    is not the integer q + 1, or whose iteration entry has a k that is not
-    an iteration index, a residual norm that is not a finite number, a point
-    or cut normal that is not q finite numbers, or a vertex count or cache
-    hit count that is not a non-negative integer."""
+    is not the integer q + 1, whose iterations are out of order, or whose
+    iteration entry has a k other than its position, a residual norm that
+    is not a finite non-negative number, a point or cut normal that is not
+    q finite numbers, or a vertex count or cache hit count that is not a
+    non-negative integer; or whose final polytope has a halfspace offset
+    that is not a finite number, or an incidence that is not one list of
+    halfspace indices per vertex."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -64,10 +67,15 @@ def malformed_documents(trace):
         d["initial_halfspace_count"] = value
         docs.append(d)
     mid = len(trace.iterations) // 2
+    swapped = doc()
+    its = swapped["iterations"]
+    its[mid], its[mid + 1] = its[mid + 1], its[mid]
+    docs.append(swapped)
     edits = [("k", "3"), ("k", 2.0), ("k", True), ("k", -1),
-             ("k", len(trace.iterations)),
+             ("k", len(trace.iterations)), ("k", mid - 1), ("k", mid + 1),
              ("residual_norm", "0.1"), ("residual_norm", None),
-             ("residual_norm", float("nan")), ("residual_norm", float("inf"))]
+             ("residual_norm", float("nan")), ("residual_norm", float("inf")),
+             ("residual_norm", -0.1)]
     for field in ("vertex_count", "cache_hits"):
         edits += [(field, "x"), (field, None), (field, -1), (field, 2.0),
                   (field, True)]
@@ -83,6 +91,18 @@ def malformed_documents(trace):
     both["iterations"][mid]["farthest_vertex"] = [0.5] * (q + 1)
     both["iterations"][mid]["support_point"] = [0.5] * (q + 1)
     docs.append(both)
+    m = len(trace.final_polytope.halfspaces)
+    for offset in (float("nan"), float("inf"), True, "1.0", None):
+        d = doc()
+        d["final_polytope"]["halfspaces"][0]["offset"] = offset
+        docs.append(d)
+    for incidence in (["0", "1"], [0, m], [-1, 0], [0.0, 1], 3, None):
+        d = doc()
+        d["final_polytope"]["incidence"][0] = incidence
+        docs.append(d)
+    short = doc()
+    short["final_polytope"]["incidence"].pop()
+    docs.append(short)
     return docs
 
 
@@ -243,6 +263,16 @@ class TestRunCommand:
         text = svg.read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
+    @pytest.mark.parametrize("option", ["--out", "--svg"])
+    def test_unwritable_output_exit_73(self, runner, tmp_path, option):
+        path = tmp_path / "missing" / "out"
+        res = runner.invoke(main, ["run", "--problem", "ellipse", "--p", "2",
+                                   "--eps", "0.05", option, str(path)])
+        assert res.exit_code == 73, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("args", [
         ["run", "--problem", "ellipse", "--p", "1", "--eps", "0.1"],
         ["run", "--problem", "ellipse", "--p", "2", "--eps", "-1"],
@@ -331,6 +361,21 @@ class TestSweepCommand:
             assert res.exit_code == 0, res.output
         assert sizes == [2]
 
+    def test_unwritable_output_exit_73(self, runner, tmp_path):
+        # an --out-dir inside a file, then an --svg in a missing directory
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "traces"
+        svg = tmp_path / "missing" / "sweep.svg"
+        for args, path in (
+                (["--out-dir", str(out_dir)], out_dir),
+                (["--out-dir", str(tmp_path), "--svg", str(svg)], svg)):
+            res = runner.invoke(main, ["sweep", "--problem", "ellipse",
+                                       "--p-list", "2", "--eps", "0.05",
+                                       *args])
+            assert res.exit_code == 73, res.output
+            assert f"error: cannot write {path}: " in res.output
+            assert "Traceback" not in res.output
+
     def test_sweep_svg(self, runner, tmp_path):
         svg = tmp_path / "sweep.svg"
         res = runner.invoke(main, ["sweep", "--problem", "ellipse",
@@ -360,6 +405,17 @@ class TestVerifyCommand:
         assert res.exit_code == 0
         report = json.loads(out.read_text())
         assert report["pairs"] > 0
+
+    def test_unwritable_report_exit_73(self, runner, tmp_path, small_trace):
+        # exit 1 would mean violations found
+        path = tmp_path / "t.json"
+        out = tmp_path / "missing" / "report.json"
+        save_trace(str(path), small_trace)
+        res = runner.invoke(main, ["verify", "--trace", str(path),
+                                   "--out", str(out)])
+        assert res.exit_code == 73, res.output
+        assert res.output.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in res.output
 
     def test_corrupted_trace_flagged(self, runner, tmp_path, small_trace):
         # flip one cut normal: support conditions break, exit code 1

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -12,12 +13,12 @@ from scipy.optimize import minimize
 
 from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (_ROUNDING, RunConfig, RunTrace, _bounds,
+from lpoa.driver import (_ROUNDING, RunConfig, RunTrace, _point_bound,
                          _refined_bound, hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import _POLY_A, _POLY_B, PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError, solve_batch
-from lpoa.trace_io import trace_from_dict, trace_to_dict
+from lpoa.trace_io import dumps_trace, trace_from_dict, trace_to_dict
 
 from oracles import X_INIT, boundary_samples, in_A, support_value
 from test_polytope import contains
@@ -288,7 +289,8 @@ class TestEllipseRecorded:
 @lru_cache(maxsize=None)
 def _bound_setup(key, p):
     """Initial polytope and known points of U: the coordinate minimizers and
-    the supports solved at the vertices and edge midpoints of the polytope."""
+    the support points solved at the vertices and edge midpoints of the
+    polytope (points of A)."""
     prob = by_key(key)
     ne = NormExponent(p)
     P0, _ = initialize(prob)
@@ -296,7 +298,7 @@ def _bound_setup(key, p):
     known = [prob.gamma_eval(prob.ws_closed_form(e)) for e in np.eye(prob.q)]
     points = list(V) + [0.5 * (a + b)
                         for i, a in enumerate(V) for b in V[i + 1:]]
-    known += [scalarization.solve_subproblem(prob, v, ne).frontier_point
+    known += [scalarization.solve_subproblem(prob, v, ne).y_support
               for v in points]
     return P0, np.array(known)
 
@@ -315,7 +317,7 @@ class TestLazySelection:
                                    on_face, active):
         # v is a point of the initial polytope: a convex combination of its
         # vertices, moved toward a known point of U and, if on_face, along
-        # w_bar onto the slice face; both bounds lie at or above the
+        # w_bar onto the slice face; the refined bound lies at or above the
         # residual the subproblem solver returns at v, up to rounding
         prob = by_key(key)
         P0, known = _bound_setup(key, p)
@@ -329,9 +331,7 @@ class TestLazySelection:
         normals = [-h.normal for h, on in zip(P0.halfspaces, active) if on]
         residual = scalarization.solve_subproblem(
             prob, v, NormExponent(p)).residual_norm
-        coarse = float(_bounds(prob, p, v[None, :], known)[0])
         refined = _refined_bound(prob, p, v.tolist(), normals)
-        assert residual * (1.0 - _ROUNDING) <= coarse
         assert residual * (1.0 - _ROUNDING) <= refined
 
     def test_point_outside_slice_gives_no_bound(self):
@@ -340,12 +340,26 @@ class TestLazySelection:
         prob = by_key("example1-q2")
         v = np.array([0.0, 0.0])
         w = prob.w_bar
+        g = prob.gamma_slice
         y = np.array([3.0, 3.0])
-        assert w @ y > prob.gamma_slice
-        assert _bounds(prob, 2.0, v[None, :], y[None, :])[0] == np.inf
-        y_face = y - (w @ y - prob.gamma_slice) / (w @ w) * w
-        assert _bounds(prob, 2.0, v[None, :], y_face[None, :])[0] == (
-            pytest.approx(np.linalg.norm(y_face)))
+        assert w @ y > g
+        assert _point_bound(v.tolist(), y.tolist(), w.tolist(), g,
+                            2.0) == math.inf
+        y_face = y - (w @ y - g) / (w @ w) * w
+        assert _point_bound(v.tolist(), y_face.tolist(), w.tolist(), g,
+                            2.0) == pytest.approx(np.linalg.norm(y_face))
+
+    def test_search_without_bound_solves(self, monkeypatch):
+        # a frontier search that finds no point of A leaves the bound at
+        # +inf, and the loop solves the vertex instead: the run ends and
+        # its trace is the one the real search gives
+        config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
+        expected = dumps_trace(run(config))
+        monkeypatch.setattr(driver, "_refined_bound",
+                            lambda *args: math.inf)
+        trace = run(config)
+        assert trace.termination == "converged"
+        assert dumps_trace(trace) == expected
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in
