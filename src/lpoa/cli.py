@@ -10,12 +10,14 @@ Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
 sweep -> 1 if any run failed; run and sweep -> 64 for an unknown problem key
 or an invalid argument; verify -> 1 on violations, 64 for an --eta that is not
 positive and finite, 65 on a malformed or unreadable trace; all three -> 73
-when an output file or directory cannot be written.
+when an output file or directory cannot be written (run and sweep check that
+the directory of --out and --svg exists before the first run).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import errno
 import json
 import math
 import os
@@ -52,13 +54,26 @@ def _usage_error(message: str) -> NoReturn:
     sys.exit(EXIT_USAGE)
 
 
+def _cant_write(path: str, exc: OSError) -> NoReturn:
+    click.echo(f"error: cannot write {path}: {exc}", err=True)
+    sys.exit(EXIT_CANT_CREATE)
+
+
 def _write(path: str, write, *args, **kwargs) -> None:
     """write(path, *args, **kwargs); exit 73 if it raises OSError."""
     try:
         write(path, *args, **kwargs)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_CANT_CREATE)
+        _cant_write(path, exc)
+
+
+def _check_directory(path: str) -> None:
+    """Exit 73 when the directory that will hold `path` is missing or is not
+    a directory; run and sweep call this before their first run."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        _cant_write(path, OSError(code, os.strerror(code), directory))
 
 
 def _trace_name(problem_key: str, p: float) -> str:
@@ -94,6 +109,9 @@ def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
                            max_iterations=max_iters)
     except ValueError as exc:
         _usage_error(str(exc))
+    for path in (out_path, svg_path):
+        if path:
+            _check_directory(path)
     t0 = time.perf_counter()
     trace = run(config)
     wall = time.perf_counter() - t0
@@ -147,6 +165,8 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     if jobs < 1:
         _usage_error(f"--jobs must be at least 1, got {jobs}")
     _write(out_dir, os.makedirs, exist_ok=True)
+    if svg_path:
+        _check_directory(svg_path)
 
     workers = min(jobs, len(configs))
     if workers > 1:

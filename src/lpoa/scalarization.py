@@ -42,7 +42,6 @@ __all__ = [
     "SubproblemError",
     "solve_subproblem",
     "solve_batch",
-    "prox_lp_norm",
 ]
 
 
@@ -52,6 +51,8 @@ _FD_STEP = 1e-7     # finite-difference step of the Hessian (theta sums to 1)
 _RADIUS = 0.3       # longest step along one curvature direction
 _GAIN_TOL = 1e-13   # stop when the predicted gain is below this times R
 _COARSE_GAIN_TOL = 1e-8  # the same for the first ascent when p > 2
+
+prox_lp_norm = None  # not an operator: a name perfbench/spans.py looks up
 
 
 @dataclass(frozen=True)
@@ -66,115 +67,6 @@ class SubproblemError(RuntimeError):
     def __init__(self, msg, vertex=None):
         super().__init__(msg)
         self.vertex = vertex
-
-
-# ---------------------------------------------------------------------------
-# lp norm proximal operator
-
-
-def _refine_components(z, a, beta, p, tol):
-    """Newton-refine each z_i toward the root of z + beta * z^(p-1) = a_i."""
-    pm1 = p - 1.0
-    for i, ci in enumerate(a):
-        if ci < 1e-300:
-            z[i] = 0.0
-            continue
-        zi = z[i]
-        if not 0.0 < zi <= ci:
-            zi = min(ci, (ci / beta) ** (1.0 / pm1))
-            if zi == 0.0:
-                # (c_i / beta)^(1/(p-1)) underflowed: the root is numerically 0
-                z[i] = 0.0
-                continue
-        zlo, zhi = 0.0, ci
-        for _ in range(100):
-            if zi == 0.0:
-                break
-            zp = zi ** pm1
-            val = zi + beta * zp - ci
-            if val > 0.0:
-                zhi = zi
-            else:
-                zlo = zi
-            zn = zi - val / (1.0 + beta * pm1 * zp / zi)
-            # strict lower bound keeps the iterate away from the zi = 0 pole
-            if not zlo < zn <= zhi:
-                zn = 0.5 * (zlo + zhi)
-            if abs(zn - zi) <= tol * max(1e-300, zi):
-                zi = zn
-                break
-            zi = zn
-        z[i] = zi
-    return z
-
-
-def prox_lp_norm(c, tau: float, ne: NormExponent, tol: float = 1e-15,
-                 state: Optional[dict] = None) -> np.ndarray:
-    """prox of tau * ||.||_p at c, i.e. argmin_z tau||z||_p + 0.5||z - c||^2.
-
-    Zero iff ||c||_{p*} <= tau (Moreau: identity minus projection onto the
-    tau-scaled dual-norm ball).  Otherwise solved via a scalar fixed-point
-    equation on t = ||z||_p with componentwise 1-D Newton solves.  A state
-    dict (keys "t", "z") warm-starts repeated calls with nearby arguments.
-    """
-    c = np.asarray(c, dtype=float)
-    a = np.abs(c)
-    m = float(a.max())
-    if m == 0.0:
-        return np.zeros_like(c)
-    p, ps = ne.p, ne.p_star
-    if m * float(np.sum((a / m) ** ps)) ** (1.0 / ps) <= tau:
-        return np.zeros_like(c)
-    if p == 2.0:
-        n2 = float(np.linalg.norm(c))
-        return c * (1.0 - tau / n2)
-
-    sgn = np.sign(c)
-    al = a.tolist()
-    pm1 = p - 1.0
-    norm_p = m * float(np.sum((a / m) ** p)) ** (1.0 / p)
-    tlo, thi = 0.0, norm_p
-    t = norm_p * 0.5
-    z = None
-    if state is not None:
-        t_prev = state.get("t")
-        if t_prev is not None and 0.0 < t_prev < norm_p:
-            t = t_prev
-            z = state.get("z")
-    if z is None or len(z) != len(al):
-        beta = tau / t ** pm1
-        z = [min(ci, (ci / beta) ** (1.0 / pm1)) for ci in al]
-
-    # root of F(t) = ||z(t)||_p - t in (0, ||c||_p): positive near 0 because
-    # ||c||_{p*} > tau, negative at ||c||_p; Newton via implicit differentiation
-    for _ in range(200):
-        z = _refine_components(z, al, tau / t ** pm1, p, tol)
-        nrm = sum(zi ** p for zi in z) ** (1.0 / p)
-        val = nrm - t
-        if val > 0.0:
-            tlo = t
-        else:
-            thi = t
-        s1 = 0.0
-        for zi in z:
-            if zi > 0.0:
-                zp1 = zi ** pm1
-                num = tau * pm1 * t ** -p * zp1
-                den = 1.0 + tau * pm1 * t ** (1.0 - p) * zi ** (p - 2.0)
-                s1 += zp1 * (num / den)
-        dF = nrm ** (1.0 - p) * s1 - 1.0
-        t_new = t - val / dF if dF < 0.0 else 0.5 * (tlo + thi)
-        if not tlo <= t_new <= thi:
-            t_new = 0.5 * (tlo + thi)
-        done = abs(t_new - t) <= tol * max(1e-300, t)
-        t = t_new
-        if done:
-            break
-    z = _refine_components(z, al, tau / t ** pm1, p, tol)
-    if state is not None:
-        state["t"] = t
-        state["z"] = list(z)
-    return sgn * np.array(z)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,10 @@ def _count(d: dict, name: str) -> int:
 
 
 def _iteration_from_dict(d: dict, q: int, position: int) -> IterationRecord:
-    """k equal to the entry's position, a finite non-negative residual,
-    finite points and normal in R^q, non-negative integer counts."""
+    """k equal to the entry's position, a finite non-negative residual that
+    is zero exactly when the cut normal is null, finite points and normal in
+    R^q, non-negative integer counts with no more cache hits than
+    vertices."""
     k, res = d["k"], d["residual_norm"]
     if type(k) is not int or k != position:
         raise ValueError(f"iteration {position} must have k = {position}, "
@@ -111,13 +113,19 @@ def _iteration_from_dict(d: dict, q: int, position: int) -> IterationRecord:
     if type(res) not in (int, float) or not 0 <= res < math.inf:
         raise ValueError("residual_norm must be a finite non-negative "
                          f"number, got {res!r}")
+    if (d["cut_normal"] is None) != (res == 0):
+        raise ValueError(f"iteration {k}: cut_normal must be null exactly "
+                         f"when residual_norm is 0, got {res!r}")
+    vertices, hits = _count(d, "vertex_count"), _count(d, "cache_hits")
+    if hits > vertices:
+        raise ValueError(f"iteration {k} has {hits} cache hits among "
+                         f"{vertices} vertices")
     return IterationRecord(
         k=k, farthest_vertex=_point(d, "farthest_vertex", q),
         residual_norm=res, support_point=_point(d, "support_point", q),
         cut_normal=(None if d["cut_normal"] is None
                     else _point(d, "cut_normal", q)),
-        vertex_count=_count(d, "vertex_count"),
-        cache_hits=_count(d, "cache_hits"),
+        vertex_count=vertices, cache_hits=hits,
         wall_ms=0.0)  # wall time is not part of the trace
 
 

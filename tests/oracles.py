@@ -3,18 +3,21 @@
 Membership in the upper image gamma(X) + R^q_+ and in the approximated set A,
 boundary samplers of A, and a brute-force lp distance to A built on them.
 The solver never calls these; tests use them as independent references.
+The decision space X of each problem (its dimension, the Jacobian of gamma
+and the Euclidean projection onto X) lives here too, in DECISION: the
+solver never works in x, only these references and their tests do.
 """
 
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from lpoa.lp_geometry import NormExponent
 from lpoa.problems import (_ANCHORS, _ELLIPSE_AXES_SQ, _ELLIPSE_M,
-                           _ELLIPSE_X0, _POLY_A, _POLY_B,
-                           _ellipse_frontier_height, by_key, weighted_sum)
+                           _ELLIPSE_X0, by_key, weighted_sum)
 
 # an interior point of X, per problem
 X_INIT = {
@@ -22,6 +25,95 @@ X_INIT = {
     "example1-q3": np.ones(3),
     "ellipse": _ELLIPSE_X0.copy(),
     "example2": np.mean(_ANCHORS, axis=0),
+}
+
+
+# ---------------------------------------------------------------------------
+# decision spaces
+
+
+def _ball_project(x):
+    """Euclidean projection onto the unit ball centered at (1, ..., 1)."""
+    d = x - 1.0
+    r = np.linalg.norm(d)
+    return x if r <= 1.0 else 1.0 + d / r
+
+
+# the ellipse oracles work on floats; t = (x2 - x1, x1 + x2 - 4) and
+# x = M t + (2, 2) are exact
+_EA1, _EA2 = 10.0, 6.0                                  # axes squared
+_EQA2 = 2.0 * (1.0 / _EA1 + 1.0 / _EA2)                 # frontier quadratic
+
+
+def _ellipse_project(x1, x2):
+    """Euclidean projection of (x1, x2) onto the ellipse, as floats."""
+    t1, t2 = x2 - x1, (x1 + x2) - 4.0
+    if t1 * t1 / _EA1 + t2 * t2 / _EA2 > 1.0:
+        # Newton on the Lagrange multiplier; f is convex decreasing in lam > 0
+        w1, w2 = _EA1 * t1 * t1, _EA2 * t2 * t2
+        lam = 0.0
+        for _ in range(200):
+            d1, d2 = _EA1 + lam, _EA2 + lam
+            f = (w1 / (d1 * d1) + w2 / (d2 * d2)) - 1.0
+            if abs(f) <= 1e-14:
+                break
+            lam -= f / (-2.0 * (w1 / (d1 * d1 * d1) + w2 / (d2 * d2 * d2)))
+        t1, t2 = _EA1 * t1 / (_EA1 + lam), _EA2 * t2 / (_EA2 + lam)
+    return (0.5 * t2 - 0.5 * t1) + 2.0, (0.5 * t1 + 0.5 * t2) + 2.0
+
+
+def _ellipse_frontier_height(c):
+    """Smallest x2 over the ellipse at first coordinate x1 = c."""
+    # in the t-frame x1 = c fixes t2 = t1 + d; minimizing x2 = t1 + d/2 + 2
+    # means taking the smaller root of the induced quadratic in t1
+    d = 2.0 * (c - 2.0)
+    qb = 2.0 * d / _EA2
+    qc = d * d / _EA2 - 1.0
+    disc = max(qb * qb - 2.0 * _EQA2 * qc, 0.0)
+    return (-qb - math.sqrt(disc)) / _EQA2 + 0.5 * d + 2.0
+
+
+# example2's polygon X = {x : _POLY_A x <= _POLY_B}, vertices CCW
+_POLY_VERTS = np.array([[0.0, 0.0], [10.0, 0.0], [2.0, 4.0], [0.0, 4.0]])
+_POLY_A = np.array([[1.0, 2.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_POLY_B = np.array([10.0, 10.0, 0.0, 4.0, 0.0])
+_POLY_B_TOL = _POLY_B + 1e-12
+# (start, direction, squared length) of each polygon edge
+_POLY_EDGES = [(a, b - a, (b - a) @ (b - a))
+               for a, b in zip(_POLY_VERTS, np.roll(_POLY_VERTS, -1, axis=0))]
+
+
+def _project_polygon(x):
+    x = np.asarray(x, dtype=float)
+    if (_POLY_A @ x <= _POLY_B_TOL).all():
+        return x
+    nearest, nearest_d = None, np.inf
+    for a, d, dd in _POLY_EDGES:
+        t = (x - a) @ d / dd
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else float(t)
+        cand = a + t * d
+        dist = float(np.sum((cand - x) ** 2))
+        if dist < nearest_d:
+            nearest, nearest_d = cand, dist
+    return nearest
+
+
+class DecisionSpace(NamedTuple):
+    """X of one problem: its dimension n, the q x n Jacobian of gamma at x,
+    and the Euclidean projection onto X."""
+    n: int
+    jacobian: Callable[[np.ndarray], np.ndarray]
+    project: Callable[[np.ndarray], np.ndarray]
+
+
+DECISION = {
+    "example1-q2": DecisionSpace(2, lambda x: np.eye(2), _ball_project),
+    "example1-q3": DecisionSpace(3, lambda x: np.eye(3), _ball_project),
+    "ellipse": DecisionSpace(2, lambda x: np.eye(2), lambda x: np.array(
+        _ellipse_project(*np.asarray(x, dtype=float).tolist()))),
+    "example2": DecisionSpace(
+        2, lambda x: 2.0 * (np.asarray(x, dtype=float)[None, :] - _ANCHORS),
+        _project_polygon),
 }
 
 # half-width of the slice-face grid, per problem
@@ -59,15 +151,15 @@ def _example2_membership(prob, y, tol):
     """Decided by a certificate from min s s.t. gamma_i(x) - y_i <= s, x in X:
     a point x of X with max(gamma(x) - y) <= tol proves y inside, a simplex
     weight w with min_X w . gamma > w . y proves it outside."""
-    n, q = prob.n, prob.q
-    x0 = X_INIT[prob.key]
+    space, q = DECISION[prob.key], prob.q
+    n, x0 = space.n, X_INIT[prob.key]
     res = minimize(
         lambda z: z[n], np.append(x0, np.max(prob.gamma_eval(x0) - y)),
         jac=lambda z: np.eye(n + 1)[n], method="SLSQP",
         constraints=[
             {"type": "ineq",
              "fun": lambda z: z[n] - (prob.gamma_eval(z[:n]) - y),
-             "jac": lambda z: np.hstack([-prob.gamma_jacobian(z[:n]),
+             "jac": lambda z: np.hstack([-space.jacobian(z[:n]),
                                          np.ones((q, 1))])},
             {"type": "ineq",
              "fun": lambda z: _POLY_B - _POLY_A @ z[:n],
@@ -75,7 +167,7 @@ def _example2_membership(prob, y, tol):
                                          np.zeros((len(_POLY_A), 1))])}],
         options={"ftol": 1e-15, "maxiter": 200})
     # SLSQP may stop early (status 8) without harm: only a certificate counts
-    x = prob.feasible_project(res.x[:n])
+    x = space.project(res.x[:n])
     if np.max(prob.gamma_eval(x) - y) <= tol:
         return True
     # the minimax point of squared anchor distances lies in the anchor hull,
@@ -241,7 +333,8 @@ def _x_constraint(prob):
         quad = m_inv.T @ np.diag(1.0 / _ELLIPSE_AXES_SQ) @ m_inv
         center = _ELLIPSE_X0
     else:
-        quad, center = np.eye(prob.n), np.ones(prob.n)
+        n = DECISION[prob.key].n
+        quad, center = np.eye(n), np.ones(n)
     return (lambda x: np.array([1.0 - (x - center) @ quad @ (x - center)]),
             lambda x: -2.0 * (quad @ (x - center))[None, :])
 
@@ -249,7 +342,8 @@ def _x_constraint(prob):
 def _slsqp(prob, objective, gradient, z0, upper=True):
     """SLSQP over z = (x, y) with y >= gamma(x) when `upper`, else over
     z = x; always x in X and w_bar . gamma(x) <= w_bar . y <= gamma_slice."""
-    n, q = prob.n, prob.q
+    space, q = DECISION[prob.key], prob.q
+    n, jacobian = space.n, space.jacobian
     fx, jx = _x_constraint(prob)
     m = len(z0) - n
     pad = np.zeros((1, m))
@@ -260,8 +354,7 @@ def _slsqp(prob, objective, gradient, z0, upper=True):
     if upper:
         constraints += [
             {"type": "ineq", "fun": lambda z: z[n:] - prob.gamma_eval(z[:n]),
-             "jac": lambda z: np.hstack([-prob.gamma_jacobian(z[:n]),
-                                         np.eye(q)])},
+             "jac": lambda z: np.hstack([-jacobian(z[:n]), np.eye(q)])},
             {"type": "ineq",
              "fun": lambda z: np.array([prob.gamma_slice
                                         - prob.w_bar @ z[n:]]),
@@ -272,8 +365,7 @@ def _slsqp(prob, objective, gradient, z0, upper=True):
             {"type": "ineq",
              "fun": lambda z: np.array([prob.gamma_slice
                                         - prob.w_bar @ prob.gamma_eval(z)]),
-             "jac": lambda z: np.hstack([-(prob.w_bar
-                                           @ prob.gamma_jacobian(z))[None, :],
+             "jac": lambda z: np.hstack([-(prob.w_bar @ jacobian(z))[None, :],
                                          pad])})
     return minimize(objective, z0, jac=gradient, constraints=constraints,
                     method="SLSQP",
@@ -289,7 +381,7 @@ def support_value(prob, normal):
     k = min(0.0, float(np.min(normal / prob.w_bar)))
     weights = normal - k * prob.w_bar
     x = _slsqp(prob, lambda x: float(weights @ prob.gamma_eval(x)),
-               lambda x: weights @ prob.gamma_jacobian(x),
+               lambda x: weights @ DECISION[prob.key].jacobian(x),
                X_INIT[prob.key], upper=False)
     return float(weights @ prob.gamma_eval(x)) + k * prob.gamma_slice
 
@@ -298,8 +390,8 @@ def reference_distance(prob, v, ne: NormExponent):
     """lp distance from v to A, from above: SLSQP on sum_i |(y_i - v_i) /
     s|^p, with the scale s re-set to max |y - v| after each pass, and the
     distance of its point moved into A."""
-    n, p = prob.n, ne.p
-    v = np.asarray(v, dtype=float)
+    space, p = DECISION[prob.key], ne.p
+    n, v = space.n, np.asarray(v, dtype=float)
     z = np.concatenate([X_INIT[prob.key],
                         np.maximum(v, prob.gamma_eval(X_INIT[prob.key]))])
     for _ in range(3):
@@ -312,7 +404,7 @@ def reference_distance(prob, v, ne: NormExponent):
     # move the point into A: x into X, y up to gamma(x), then y along the
     # segment toward gamma(x) into the slice; its distance bounds the true
     # one from above
-    x = prob.feasible_project(z[:n])
+    x = space.project(z[:n])
     g = prob.gamma_eval(x)
     y = np.maximum(z[n:], g)
     over = float(prob.w_bar @ y) - prob.gamma_slice

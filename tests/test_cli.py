@@ -25,6 +25,10 @@ from test_driver import _fault_call, _oracle_with_fault
 V1_TRACE = Path(__file__).parent / "data" / "trace_v1_example1-q2.json"
 
 
+def _no_run(config):
+    raise AssertionError(f"a run started: {config}")
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -42,10 +46,11 @@ def malformed_documents(trace):
     is not the integer q + 1, whose iterations are out of order, or whose
     iteration entry has a k other than its position, a residual norm that
     is not a finite non-negative number, a point or cut normal that is not
-    q finite numbers, or a vertex count or cache hit count that is not a
-    non-negative integer; or whose final polytope has a halfspace offset
-    that is not a finite number, or an incidence that is not one list of
-    halfspace indices per vertex."""
+    q finite numbers, a null cut normal with a positive residual or a cut
+    normal with a zero residual, a vertex count or cache hit count that is
+    not a non-negative integer, or more cache hits than vertices; or whose
+    final polytope has a halfspace offset that is not a finite number, or
+    an incidence that is not one list of halfspace indices per vertex."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -87,6 +92,12 @@ def malformed_documents(trace):
         d = doc()
         d["iterations"][mid][field] = value
         docs.append(d)
+    no_normal, no_residual, hits = doc(), doc(), doc()
+    no_normal["iterations"][mid]["cut_normal"] = None
+    no_residual["iterations"][mid]["residual_norm"] = 0.0
+    entry = hits["iterations"][mid]
+    entry["cache_hits"] = entry["vertex_count"] + 1
+    docs += [no_normal, no_residual, hits]
     both = doc()
     both["iterations"][mid]["farthest_vertex"] = [0.5] * (q + 1)
     both["iterations"][mid]["support_point"] = [0.5] * (q + 1)
@@ -264,7 +275,10 @@ class TestRunCommand:
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
     @pytest.mark.parametrize("option", ["--out", "--svg"])
-    def test_unwritable_output_exit_73(self, runner, tmp_path, option):
+    def test_unwritable_output_exit_73(self, runner, tmp_path, monkeypatch,
+                                       option):
+        # the directory is checked before the run starts
+        monkeypatch.setattr(cli, "run", _no_run)
         path = tmp_path / "missing" / "out"
         res = runner.invoke(main, ["run", "--problem", "ellipse", "--p", "2",
                                    "--eps", "0.05", option, str(path)])
@@ -361,20 +375,24 @@ class TestSweepCommand:
             assert res.exit_code == 0, res.output
         assert sizes == [2]
 
-    def test_unwritable_output_exit_73(self, runner, tmp_path):
+    def test_unwritable_output_exit_73(self, runner, tmp_path, monkeypatch):
         # an --out-dir inside a file, then an --svg in a missing directory
+        # and an --svg under a file; all are found before the first run
+        monkeypatch.setattr(cli, "run", _no_run)
         (tmp_path / "file").write_text("")
         out_dir = tmp_path / "file" / "traces"
-        svg = tmp_path / "missing" / "sweep.svg"
-        for args, path in (
-                (["--out-dir", str(out_dir)], out_dir),
-                (["--out-dir", str(tmp_path), "--svg", str(svg)], svg)):
+        cases = [(out_dir, ["--out-dir", str(out_dir)])]
+        for svg in (tmp_path / "missing" / "sweep.svg",
+                    tmp_path / "file" / "sweep.svg"):
+            cases.append((svg, ["--out-dir", str(tmp_path), "--svg", str(svg)]))
+        for path, args in cases:
             res = runner.invoke(main, ["sweep", "--problem", "ellipse",
                                        "--p-list", "2", "--eps", "0.05",
                                        *args])
             assert res.exit_code == 73, res.output
-            assert f"error: cannot write {path}: " in res.output
+            assert res.output.startswith(f"error: cannot write {path}: ")
             assert "Traceback" not in res.output
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_sweep_svg(self, runner, tmp_path):
         svg = tmp_path / "sweep.svg"

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpoa import problems, scalarization
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0,
-                           PROBLEM_KEYS, by_key, weighted_sum)
+                           PROBLEM_KEYS, ProblemInstance, by_key,
+                           weighted_sum)
 
-from oracles import (X_INIT, boundary_samples, in_A, oracle_distance,
-                     slice_contains, upper_contains)
+from oracles import (DECISION, X_INIT, boundary_samples, in_A,
+                     oracle_distance, slice_contains, upper_contains)
 
 
 @pytest.fixture(params=PROBLEM_KEYS)
@@ -36,6 +40,36 @@ class TestRegistry:
         assert by_key("example2").q == 3
 
 
+class TestInstanceFields:
+    """An instance holds what the dual solver reads.  The four names below
+    are bound to None for perfbench/spans.py, which looks them up and skips
+    an oracle that is None; no lpoa code may read or implement them."""
+
+    NAMES = re.compile(r"\b(prox_lp_norm|gamma_jacobian|feasible_project"
+                       r"|upper_project)\b")
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ProblemInstance)] == [
+            "key", "q", "gamma_eval", "w_bar", "gamma_slice", "ws_closed_form"]
+
+    def test_benchmark_names_are_none(self, prob):
+        assert scalarization.prox_lp_norm is None
+        for name in ("gamma_jacobian", "feasible_project", "upper_project"):
+            assert getattr(prob, name) is None
+
+    def test_benchmark_names_only_bound(self):
+        found = {}
+        for path in sorted(Path(problems.__file__).parent.glob("*.py")):
+            for line in path.read_text().splitlines():
+                if self.NAMES.search(line):
+                    code = line.split("#")[0].strip()
+                    found.setdefault(path.name, []).append(code)
+        assert found == {
+            "problems.py": [
+                "gamma_jacobian = feasible_project = upper_project = None"],
+            "scalarization.py": ["prox_lp_norm = None"]}
+
+
 class TestSliceParameters:
     def test_gamma_values(self):
         # gamma = max_i w_bar . Gamma(x*_i) + 0.25 * spread of the ideal points
@@ -51,29 +85,32 @@ class TestSliceParameters:
 
 class TestGammaAndJacobian:
     def test_jacobian_finite_difference(self, prob):
+        space = DECISION[prob.key]
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(20):
-            x = prob.feasible_project(X_INIT[prob.key] + rng.normal(size=prob.n))
-            J = prob.gamma_jacobian(x)
-            assert J.shape == (prob.q, prob.n)
-            for j in range(prob.n):
-                dx = np.zeros(prob.n)
+            x = space.project(X_INIT[prob.key] + rng.normal(size=space.n))
+            J = space.jacobian(x)
+            assert J.shape == (prob.q, space.n)
+            for j in range(space.n):
+                dx = np.zeros(space.n)
                 dx[j] = h
                 fd = (prob.gamma_eval(x + dx) - prob.gamma_eval(x - dx)) / (2 * h)
                 assert np.allclose(J[:, j], fd, atol=1e-5)
 
     def test_feasible_project_idempotent(self, prob):
+        space = DECISION[prob.key]
         rng = np.random.default_rng(9)
         for _ in range(50):
-            x = prob.feasible_project(rng.normal(size=prob.n) * 5.0)
-            x2 = prob.feasible_project(x)
+            x = space.project(rng.normal(size=space.n) * 5.0)
+            x2 = space.project(x)
             assert np.allclose(x, x2, atol=1e-10)
 
 
 class TestWeightedSum:
     def test_support_property(self, prob):
         # offset is a valid supporting value: omega . Gamma(x) >= offset on X
+        space = DECISION[prob.key]
         rng = np.random.default_rng(21)
         for i in range(prob.q):
             omega = np.eye(prob.q)[i]
@@ -81,7 +118,7 @@ class TestWeightedSum:
             assert float(omega @ prob.gamma_eval(x_star)) == pytest.approx(
                 offset, abs=1e-8)
             for _ in range(200):
-                x = prob.feasible_project(rng.normal(size=prob.n) * 4.0)
+                x = space.project(rng.normal(size=space.n) * 4.0)
                 assert float(omega @ prob.gamma_eval(x)) >= offset - 1e-7
 
     def test_example1_closed_form(self):
@@ -105,10 +142,11 @@ class TestMembership:
         assert not in_A(prob, offsets - 0.1)
 
     def test_gamma_values_in_A(self, prob):
+        space = DECISION[prob.key]
         rng = np.random.default_rng(31)
         hits = 0
         for _ in range(100):
-            x = prob.feasible_project(rng.normal(size=prob.n) * 2.0)
+            x = space.project(rng.normal(size=space.n) * 2.0)
             y = prob.gamma_eval(x)
             if slice_contains(prob, y, 1e-9):
                 assert in_A(prob, y, tol=1e-7)
@@ -171,7 +209,7 @@ class TestBoundarySampler:
 class TestEllipseProjection:
     def test_projection_is_closest_boundary_point(self):
         # oracle: dense parameter sweep of the ellipse boundary
-        prob = by_key("ellipse")
+        project = DECISION["ellipse"].project
         rng = np.random.default_rng(41)
         phi = np.linspace(0.0, 2.0 * np.pi, 20001)
         bd = np.column_stack([np.sqrt(_ELLIPSE_AXES_SQ[0]) * np.cos(phi),
@@ -179,15 +217,15 @@ class TestEllipseProjection:
         bd = bd @ _ELLIPSE_M.T + _ELLIPSE_X0
         for _ in range(20):
             x = rng.normal(size=2) * 4.0 + np.array([2.0, 2.0])
-            xp = prob.feasible_project(x)
+            xp = project(x)
             d_proj = np.linalg.norm(xp - x)
             d_oracle = np.min(np.linalg.norm(bd - x, axis=1))
             assert d_proj <= d_oracle + 1e-6
 
 
 # ---------------------------------------------------------------------------
-# reference: the numpy ellipse oracles that the scalar ones replaced, kept
-# verbatim (membership, frontier and candidate rules included) as an oracle
+# reference: the numpy ellipse oracles that the scalar ones in oracles.py
+# replaced, kept verbatim (membership and frontier rules included)
 
 _REF_B = np.array([[-1.0, 1.0], [1.0, 1.0]])       # t = B x + (0, -4)
 _REF_C = np.array([0.0, -4.0])
@@ -232,28 +270,8 @@ def _ref_membership(y, tol, a1_pt, a2_pt):
     return y[1] >= _ref_frontier_height(c) - tol
 
 
-def _ref_upper_project(a, a1_pt, a2_pt):
-    """(point, witness, branch) of the numpy upper-image projection."""
-    a = np.asarray(a, dtype=float)
-    if _ref_membership(a, 0.0, a1_pt, a2_pt):
-        c = min(max(a[0], a1_pt[0]), a2_pt[0])
-        return a, np.array([c, _ref_frontier_height(c)]), "inside"
-    candidates = []
-    p = _ref_project(a)
-    if np.all(a - p <= 1e-12):
-        candidates.append((p, p, "arc"))
-    if a[0] <= a1_pt[0]:
-        qy = np.array([a1_pt[0], max(a[1], a1_pt[1])])
-        candidates.append((qy, a1_pt, "x1-ray"))
-    if a[1] <= a2_pt[1]:
-        qx = np.array([max(a[0], a2_pt[0]), a2_pt[1]])
-        candidates.append((qx, a2_pt, "x2-ray"))
-    if not candidates:
-        candidates.append((p, p, "arc"))
-    return min(candidates, key=lambda cw: float(np.sum((cw[0] - a) ** 2)))
-
-
 _ELLIPSE = by_key("ellipse")
+_PROJECT = DECISION["ellipse"].project
 _A1_PT = _ELLIPSE.ws_closed_form(np.array([1.0, 0.0]))   # x1-minimizer
 _A2_PT = _ELLIPSE.ws_closed_form(np.array([0.0, 1.0]))   # x2-minimizer
 
@@ -290,37 +308,24 @@ _POINTS = st.one_of(
 )
 
 
-def _branch(a, y, x):
-    """Which candidate the scalar upper_project returned, read off its
-    outputs: the input itself, the arc (point is its own witness) or a ray."""
-    if y is a:
-        return "inside"
-    if y is x:
-        return "arc"
-    return "x1-ray" if np.array_equal(x, _A1_PT) else "x2-ray"
-
-
 class TestEllipseScalarOracles:
     @settings(max_examples=400, deadline=None)
     @given(x=_POINTS)
     def test_project_matches_reference(self, x):
-        got = _ELLIPSE.feasible_project(x)
+        got = _PROJECT(x)
         assert isinstance(got, np.ndarray) and got.shape == (2,)
         assert np.max(np.abs(got - _ref_project(x))) <= 1e-13
 
     @settings(max_examples=400, deadline=None)
-    @given(a=_POINTS)
-    def test_upper_project_matches_reference(self, a):
-        y, x = _ELLIPSE.upper_project(a)
-        y_ref, x_ref, branch = _ref_upper_project(a, _A1_PT, _A2_PT)
-        assert _branch(a, y, x) == branch
-        assert np.max(np.abs(y - y_ref)) <= 1e-13
-        assert np.max(np.abs(x - x_ref)) <= 1e-13
+    @given(y=_POINTS)
+    def test_membership_matches_reference(self, y):
+        assert (upper_contains(_ELLIPSE, y, tol=1e-9)
+                == _ref_membership(y, 1e-9, _A1_PT, _A2_PT))
 
     @settings(max_examples=300, deadline=None)
     @given(x=_OUTSIDE)
     def test_project_kkt_outside(self, x):
-        p = _ELLIPSE.feasible_project(x)
+        p = _PROJECT(x)
         t = _REF_B @ p + _REF_C
         # on the boundary
         assert abs(float(np.sum(t * t / _ELLIPSE_AXES_SQ)) - 1.0) <= 1e-12

@@ -2,69 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from lpoa import scalarization
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import by_key
-from lpoa.scalarization import prox_lp_norm, solve_batch, solve_subproblem
+from lpoa.scalarization import solve_batch, solve_subproblem
 
 from oracles import (boundary_samples, in_A, oracle_distance,
                      reference_distance, support_value)
 
 P_VALUES = [1.25, 1.5, 2.0, 3.0, 4.0, 8.0]
-
-
-class TestProx:
-    @pytest.mark.parametrize("p", P_VALUES)
-    def test_against_nelder_mead(self, p):
-        rng = np.random.default_rng(1)
-        ne = NormExponent(p)
-        for _ in range(10):
-            c = rng.normal(size=3) * 2.0
-            tau = abs(rng.normal()) * 1.5 + 0.01
-            z = prox_lp_norm(c, tau, ne)
-
-            def f(w):
-                return (tau * np.sum(np.abs(w) ** p) ** (1.0 / p)
-                        + 0.5 * np.sum((w - c) ** 2))
-
-            res = minimize(f, z + 1e-3 * rng.normal(size=3),
-                           method="Nelder-Mead",
-                           options={"xatol": 1e-13, "fatol": 1e-15,
-                                    "maxiter": 30000})
-            assert f(z) <= res.fun + 1e-10
-
-    @pytest.mark.parametrize("p", P_VALUES)
-    def test_zero_iff_dual_ball(self, p):
-        # Moreau: prox is zero exactly when ||c||_{p*} <= tau
-        ne = NormExponent(p)
-        dual = NormExponent(ne.p_star)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            c = rng.normal(size=3)
-            dn = lp_norm(c, dual)
-            assert np.all(prox_lp_norm(c, dn * 1.0001, ne) == 0.0)
-            if dn > 0:
-                z = prox_lp_norm(c, dn * 0.99, ne)
-                assert lp_norm(z, ne) > 0.0
-
-    def test_p2_closed_form(self):
-        ne = NormExponent(2)
-        c = np.array([3.0, 4.0])
-        z = prox_lp_norm(c, 1.0, ne)
-        assert np.allclose(z, c * (1.0 - 1.0 / 5.0))
-
-    @pytest.mark.parametrize("p", P_VALUES)
-    def test_warm_state_consistent(self, p):
-        ne = NormExponent(p)
-        rng = np.random.default_rng(3)
-        state = {}
-        for _ in range(30):
-            c = rng.normal(size=3)
-            cold = prox_lp_norm(c, 0.3, ne)
-            warm = prox_lp_norm(c, 0.3, ne, state=state)
-            assert np.allclose(cold, warm, atol=1e-11)
 
 
 class TestSubproblem:
