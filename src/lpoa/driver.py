@@ -230,7 +230,8 @@ def run(config: RunConfig) -> RunTrace:
                 if bounds[key] < best * (1.0 - _ROUNDING):
                     break
                 if bounds[key] == math.inf and best > -math.inf:
-                    normals = [-P.halfspaces[h].normal for h in P.incidence[i]]
+                    normals = [-P.halfspaces[h].normal
+                               for h in np.flatnonzero(P.incidence[i])]
                     bounds[key] = _refined_bound(prob, ne.p, verts[i].tolist(),
                                                  normals)
                     if bounds[key] < math.inf:
@@ -254,18 +255,13 @@ def run(config: RunConfig) -> RunTrace:
             h = pt.Halfspace(-far.cut_normal,
                              -float(far.cut_normal @ far.y_support))
             try:
-                P_next = pt.cut(P, h)
-            except pt.InfeasibleError:
-                # the cut removed every vertex: the supporting halfspace is
-                # inconsistent with the current polytope
+                P = pt.cut(P, h)
+            except pt.PolytopeError:
+                # the cut removed every vertex (inconsistent with the
+                # polytope) or none (a tolerance mismatch between solver and
+                # polytope layers): surface it instead of masking it
                 termination = "solver_failure"
                 break
-            if P_next.null_cut:
-                # numerically redundant cut: tolerance mismatch between
-                # solver and polytope layers; surface it instead of masking
-                termination = "solver_failure"
-                break
-            P = P_next
         records.append(IterationRecord(
             k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
             support_point=far.y_support, cut_normal=far.cut_normal,

@@ -1,12 +1,12 @@
 """Bounded polytopes in H- and V-representation with incremental cuts.
 
-A Polytope keeps the full halfspace list together with the exact vertex set
-and per-vertex incidence (which halfspaces are active).  Construction from
-scratch enumerates q-subsets of halfspaces, after checking the recession cone
-through the null vectors of (q - 1)-subsets, and rejects an empty interior
-from the enumerated vertices; no linear program is solved.  Adding a single
-halfspace uses incremental clipping of the vertex/edge structure, which is
-the only access pattern the outer-approximation driver needs.
+A Polytope keeps the full halfspace list, the exact vertex set and a boolean
+incidence array (which halfspaces are active at each vertex).  Construction
+from scratch enumerates q-subsets of halfspaces, after checking the recession
+cone through the null vectors of (q - 1)-subsets, and rejects an empty
+interior from the enumerated vertices; no linear program is solved.  Adding a
+single halfspace clips the vertex/edge structure in array operations, which
+is the only access pattern the outer-approximation driver needs.
 
 Arithmetic is floating point with relative tolerances; q = 2 and 3 are the
 supported dimensions (higher q is attempted on a best-effort basis).
@@ -24,6 +24,7 @@ __all__ = [
     "Polytope",
     "PolytopeError",
     "InfeasibleError",
+    "NullCutError",
     "UnboundedError",
     "from_halfspaces",
     "cut",
@@ -38,6 +39,10 @@ class PolytopeError(Exception):
 
 
 class InfeasibleError(PolytopeError):
+    pass
+
+
+class NullCutError(PolytopeError):
     pass
 
 
@@ -68,25 +73,24 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _merge_close(points: np.ndarray, incidences: list[frozenset[int]], tol: float):
-    """Deduplicate points closer than tol in l_inf, unioning incidence sets.
+def _merge_close(points: np.ndarray, incidence: np.ndarray, tol: float,
+                 start: int = 0):
+    """Deduplicate points closer than tol in l_inf, or-ing incidence rows.
 
     Greedy in input order: each point joins the first kept point within tol,
-    otherwise it is kept.  Returns the kept rows as an array and their merged
-    incidence sets.
+    otherwise it is kept; the first `start` points (pairwise farther apart
+    than tol, as every output is) are kept unchecked.
     """
-    kept = np.empty(points.shape)
-    kept_inc: list[set[int]] = []
-    for pt, inc in zip(points, incidences):
-        n = len(kept_inc)
-        if n:
-            close = np.flatnonzero(abs(kept[:n] - pt).max(axis=1) <= tol)
-            if close.size:
-                kept_inc[close[0]] |= inc
-                continue
-        kept[n] = pt
-        kept_inc.append(set(inc))
-    return kept[:len(kept_inc)], [frozenset(s) for s in kept_inc]
+    kept, kept_inc = points.copy(), incidence.copy()
+    n = start
+    for i in range(start, len(points)):
+        close = np.flatnonzero(abs(kept[:n] - points[i]).max(axis=1) <= tol)
+        if close.size:
+            kept_inc[close[0]] |= incidence[i]
+        else:
+            kept[n], kept_inc[n] = points[i], incidence[i]
+            n += 1
+    return kept[:n], kept_inc[:n]
 
 
 @dataclass(frozen=True, eq=False)  # == and hash by identity: fields are arrays
@@ -94,9 +98,8 @@ class Polytope:
     """Immutable bounded polytope with simultaneous H- and V-representation."""
 
     halfspaces: tuple[Halfspace, ...]
-    vertices_array: np.ndarray            # (m, q), rows in lexicographic order
-    incidence: tuple[frozenset[int], ...]  # active halfspace indices per vertex
-    null_cut: bool = False
+    vertices_array: np.ndarray  # (m, q), rows in lexicographic order
+    incidence: np.ndarray       # (m, n_halfspaces) bool, True where active
 
     @property
     def dim(self) -> int:
@@ -179,25 +182,24 @@ def from_halfspaces(halfspaces) -> Polytope:
 
     act_tol = _feas_tolerances(A, b, pts)
     active = np.abs(A @ pts.T - b[:, None]) <= act_tol
-    incid = [frozenset(np.nonzero(active[:, i])[0].tolist()) for i in range(len(pts))]
 
-    verts, kept_inc = _merge_close(pts, incid, MERGE_TOL)
+    verts, incidence = _merge_close(pts, active.T, MERGE_TOL)
     # the centroid of a bounded polytope's vertices is interior unless the
     # polytope is flat, when some halfspace holds with equality there
     slack = (b - A @ verts.mean(axis=0)) / np.linalg.norm(A, axis=1)
     if slack.min() <= 1e-12:
         raise InfeasibleError("halfspace intersection has empty interior")
     order = _lex_order(verts)
-    return Polytope(hs, verts[order], tuple(kept_inc[i] for i in order))
+    return Polytope(hs, verts[order], incidence[order])
 
 
 def cut(P: Polytope, h: Halfspace) -> Polytope:
     """Intersect P with one more halfspace, updating vertices incrementally.
 
     Vertices strictly violating h are dropped; each edge crossing the cut
-    boundary contributes one new vertex.  If no vertex violates h the
-    polytope is returned unchanged with the null_cut flag set.  A cut that
-    removes every vertex raises InfeasibleError.
+    boundary contributes one new vertex; only new vertices are merged.  A
+    cut that removes no vertex raises NullCutError, one that removes every
+    vertex InfeasibleError.
     """
     q = P.dim
     if h.normal.size != q:
@@ -210,36 +212,25 @@ def cut(P: Polytope, h: Halfspace) -> Polytope:
     on_boundary = np.abs(s) <= scale
 
     if not np.any(outside):
-        return Polytope(P.halfspaces, P.vertices_array, P.incidence, null_cut=True)
+        raise NullCutError("cut removes no vertex")
     if np.all(outside):
         raise InfeasibleError("cut removes every vertex")
 
-    new_index = len(P.halfspaces)
-    kept_pts: list[np.ndarray] = []
-    kept_inc: list[frozenset[int]] = []
-    for i in np.nonzero(~outside)[0]:
-        inc = P.incidence[i] | {new_index} if on_boundary[i] else P.incidence[i]
-        kept_pts.append(verts[i])
-        kept_inc.append(frozenset(inc))
+    # the new halfspace (last column) is active on its boundary and at new
+    # vertices; edges are (inside, outside) pairs sharing >= q-1 halfspaces
+    inc = np.column_stack([P.incidence, on_boundary])
+    inside = np.flatnonzero(~outside & ~on_boundary)
+    shared = inc[inside, None] & inc[None, outside]
+    a, b = np.nonzero(np.count_nonzero(shared, axis=2) >= q - 1)
+    i, j = inside[a], np.flatnonzero(outside)[b]
+    t = -s[i] / (s[j] - s[i])
+    new_pts = verts[i] + t[:, None] * (verts[j] - verts[i])
+    new_inc = shared[a, b]
+    new_inc[:, -1] = True
 
-    # edges join vertices sharing >= q-1 active halfspaces
-    inside_idx = np.nonzero(~outside & ~on_boundary)[0]
-    outside_idx = np.nonzero(outside)[0]
-    new_pts: list[np.ndarray] = []
-    new_inc: list[frozenset[int]] = []
-    for i in inside_idx:
-        for j in outside_idx:
-            shared = P.incidence[i] & P.incidence[j]
-            if len(shared) < q - 1:
-                continue
-            t = -s[i] / (s[j] - s[i])
-            pt = verts[i] + t * (verts[j] - verts[i])
-            new_pts.append(pt)
-            new_inc.append(frozenset(shared | {new_index}))
-
-    all_pts = kept_pts + new_pts
-    all_inc = kept_inc + new_inc
-    out, merged_inc = _merge_close(np.array(all_pts), all_inc, MERGE_TOL)
+    kept = ~outside
+    out, merged_inc = _merge_close(np.vstack([verts[kept], new_pts]),
+                                   np.vstack([inc[kept], new_inc]), MERGE_TOL,
+                                   start=np.count_nonzero(kept))
     order = _lex_order(out)
-    return Polytope(P.halfspaces + (h,), out[order],
-                    tuple(merged_inc[i] for i in order))
+    return Polytope(P.halfspaces + (h,), out[order], merged_inc[order])

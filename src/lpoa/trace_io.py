@@ -76,7 +76,8 @@ def trace_to_dict(trace: RunTrace, metadata: dict | None = None) -> dict:
             "halfspaces": [{"normal": h.normal.tolist(), "offset": h.offset}
                            for h in P.halfspaces],
             "vertices": P.vertices_array.tolist(),
-            "incidence": [sorted(s) for s in P.incidence],
+            "incidence": [np.flatnonzero(row).tolist()
+                          for row in P.incidence],
         },
         "metadata": metadata if metadata is not None else {},
     }
@@ -131,7 +132,7 @@ def _iteration_from_dict(d: dict, q: int, position: int) -> IterationRecord:
 
 def _polytope_from_dict(poly: dict, q: int) -> pt.Polytope:
     """Normals and vertices in R^q, finite offsets, and for each vertex one
-    list of indices into the halfspaces."""
+    strictly increasing list of indices into the halfspaces."""
     hs, inc = poly["halfspaces"], poly["incidence"]
     for b in (h["offset"] for h in hs):
         if type(b) not in (int, float) or not math.isfinite(b):
@@ -139,15 +140,18 @@ def _polytope_from_dict(poly: dict, q: int) -> pt.Polytope:
                              f"got {b!r}")
     vertices = [_vector(y, "vertex", q) for y in poly["vertices"]]
     if len(inc) != len(vertices) or not all(
-            isinstance(s, list)
-            and all(type(i) is int and 0 <= i < len(hs) for i in s)
+            isinstance(s, list) and all(type(i) is int for i in s)
+            and all(0 <= i < j for i, j in zip(s, s[1:] + [len(hs)]))
             for s in inc):
-        raise ValueError(f"incidence must be {len(vertices)} lists of "
-                         f"halfspace indices in [0, {len(hs)})")
+        raise ValueError(f"incidence must be {len(vertices)} strictly "
+                         f"increasing lists of indices in [0, {len(hs)})")
+    incidence = np.zeros((len(vertices), len(hs)), dtype=bool)
+    for row, s in zip(incidence, inc):
+        row[s] = True
     return pt.Polytope(
         tuple(pt.Halfspace(_vector(h["normal"], "halfspace normal", q),
                            h["offset"]) for h in hs),
-        np.array(vertices), tuple(frozenset(s) for s in inc))
+        np.array(vertices), incidence)
 
 
 def trace_from_dict(doc: dict) -> RunTrace:

@@ -50,7 +50,8 @@ def malformed_documents(trace):
     normal with a zero residual, a vertex count or cache hit count that is
     not a non-negative integer, or more cache hits than vertices; or whose
     final polytope has a halfspace offset that is not a finite number, or
-    an incidence that is not one list of halfspace indices per vertex."""
+    an incidence that is not one strictly increasing list of halfspace
+    indices per vertex."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -107,7 +108,8 @@ def malformed_documents(trace):
         d = doc()
         d["final_polytope"]["halfspaces"][0]["offset"] = offset
         docs.append(d)
-    for incidence in (["0", "1"], [0, m], [-1, 0], [0.0, 1], 3, None):
+    for incidence in (["0", "1"], [0, m], [-1, 0], [0.0, 1], [1, 0], [0, 0],
+                      3, None):
         d = doc()
         d["final_polytope"]["incidence"][0] = incidence
         docs.append(d)
@@ -228,15 +230,24 @@ class TestRunCommand:
                                    "--eps", "1e-6", "--max-iters", "3"])
         assert res.exit_code == 2
 
-    def test_infeasible_cut_exit_three(self, runner, monkeypatch):
-        def infeasible(P, h):
-            raise pt.InfeasibleError("cut removes every vertex")
+    @staticmethod
+    def _run_with_failing_cut(runner, monkeypatch, error):
+        def failing(P, h):
+            raise error
 
-        monkeypatch.setattr(driver.pt, "cut", infeasible)
+        monkeypatch.setattr(driver.pt, "cut", failing)
         res = runner.invoke(main, ["run", "--problem", "example1-q2",
                                    "--p", "2", "--eps", "1e-3"])
         assert res.exit_code == 3, res.output
         assert "solver_failure" in res.output
+
+    def test_infeasible_cut_exit_three(self, runner, monkeypatch):
+        self._run_with_failing_cut(runner, monkeypatch, pt.InfeasibleError(
+            "cut removes every vertex"))
+
+    def test_null_cut_exit_three(self, runner, monkeypatch):
+        self._run_with_failing_cut(
+            runner, monkeypatch, pt.NullCutError("cut removes no vertex"))
 
     def test_oracle_error_exit_three(self, runner, monkeypatch):
         # a ValueError from gamma_eval inside a subproblem solve is a

@@ -202,13 +202,14 @@ class TestRunBehaviour:
         assert trace.iterations == ()
         assert len(trace.final_polytope.halfspaces) == len(P0.halfspaces)
 
-    def test_infeasible_cut_is_solver_failure(self, monkeypatch):
-        # a cut that removes every vertex ends the run with a recorded
-        # termination instead of escaping as a traceback
-        def infeasible(P, h):
-            raise pt.InfeasibleError("cut removes every vertex")
+    @staticmethod
+    def _run_with_failing_cut(monkeypatch, error):
+        # the failing cut ends the run with a recorded termination instead
+        # of escaping as a traceback, and the initial polytope is kept
+        def failing(P, h):
+            raise error
 
-        monkeypatch.setattr(driver.pt, "cut", infeasible)
+        monkeypatch.setattr(driver.pt, "cut", failing)
         cfg = RunConfig(problem_key="example1-q2", p=2.0, epsilon=1e-3)
         trace = run(cfg)
         assert trace.termination == "solver_failure"
@@ -217,6 +218,17 @@ class TestRunBehaviour:
         assert len(trace.final_polytope.halfspaces) == len(P0.halfspaces)
         assert np.array_equal(trace.final_polytope.vertices_array,
                               P0.vertices_array)
+
+    def test_infeasible_cut_is_solver_failure(self, monkeypatch):
+        # a cut that removes every vertex
+        self._run_with_failing_cut(
+            monkeypatch, pt.InfeasibleError("cut removes every vertex"))
+
+    def test_null_cut_is_solver_failure(self, monkeypatch):
+        # a cut that removes no vertex: the solver's supporting halfspace
+        # and the polytope's tolerance disagree
+        self._run_with_failing_cut(
+            monkeypatch, pt.NullCutError("cut removes no vertex"))
 
     def test_hausdorff_series(self, trace_q2):
         s = hausdorff_series(trace_q2)

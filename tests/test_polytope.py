@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import cut_reference
+from lpoa import polytope
 from lpoa.driver import RunConfig, RunTrace
 from lpoa.polytope import (FEAS_TOL, MERGE_TOL, Halfspace, InfeasibleError,
-                           Polytope, UnboundedError, _merge_close, cut,
+                           NullCutError, UnboundedError, _merge_close, cut,
                            from_halfspaces)
 from lpoa.trace_io import trace_from_dict, trace_to_dict
 
@@ -77,7 +79,8 @@ class TestHalfspace:
             assert np.array_equal(h.normal, h2.normal)
             assert h.offset == h2.offset
         assert np.array_equal(P.vertices_array, P2.vertices_array)
-        assert P.incidence == P2.incidence
+        assert P2.incidence.dtype == bool
+        assert np.array_equal(P.incidence, P2.incidence)
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
@@ -108,12 +111,13 @@ class TestFromHalfspaces:
         P = from_halfspaces(box(2))
         expected = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
         assert_vertex_sets_equal(P.vertices(), expected)
-        assert all(len(inc) >= 2 for inc in P.incidence)
+        assert P.incidence.shape == (4, 4)
+        assert np.all(P.incidence.sum(axis=1) == 2)
 
     def test_unit_cube(self):
         P = from_halfspaces(box(3))
         assert len(P.vertices()) == 8
-        assert all(len(inc) >= 3 for inc in P.incidence)
+        assert np.all(P.incidence.sum(axis=1) == 3)
 
     def test_triangle(self):
         hs = [Halfspace(np.array([-1.0, 0.0]), 0.0),
@@ -157,14 +161,24 @@ class TestCut:
         P2 = cut(P, Halfspace(np.array([1.0, 1.0]), 1.5))
         expected = np.array([[0, 0], [0, 1], [0.5, 1], [1, 0], [1, 0.5]])
         assert_vertex_sets_equal(P2.vertices(), expected)
-        assert not P2.null_cut
         assert len(P2.halfspaces) == len(P.halfspaces) + 1
+        # the new halfspace is active at the two new vertices only
+        assert P2.incidence.shape == (5, 5)
+        assert np.array_equal(P2.vertices_array[P2.incidence[:, 4]],
+                              [[0.5, 1.0], [1.0, 0.5]])
 
     def test_null_cut_flagged(self):
+        # a halfspace containing P, strictly or through a facet or a vertex,
+        # removes no vertex: NullCutError, and P is left as it was
         P = from_halfspaces(box(2))
-        P2 = cut(P, Halfspace(np.array([1.0, 1.0]), 5.0))
-        assert P2.null_cut
-        assert np.array_equal(P2.vertices(), P.vertices())
+        verts = P.vertices()
+        for h in (Halfspace(np.array([1.0, 1.0]), 5.0),
+                  Halfspace(np.array([1.0, 0.0]), 1.0),
+                  Halfspace(np.array([1.0, 1.0]), 2.0)):
+            with pytest.raises(NullCutError):
+                cut(P, h)
+        assert np.array_equal(P.vertices(), verts)
+        assert len(P.halfspaces) == 4
 
     def test_cut_removing_all_raises(self):
         P = from_halfspaces(box(2))
@@ -187,10 +201,10 @@ class TestCut:
                 continue
             n /= np.linalg.norm(n)
             h = Halfspace(n, rng.uniform(0.3, 1.2))
-            P2 = cut(P, h)
-            if P2.null_cut:
+            try:
+                P = cut(P, h)
+            except NullCutError:
                 continue
-            P = P2
             hs.append(h)
             oracle = brute_force_vertices(hs)
             assert_vertex_sets_equal(P.vertices(), oracle)
@@ -219,6 +233,77 @@ def test_fuzz_against_brute_force(q):
         oracle = brute_force_vertices(hs)
         assert_vertex_sets_equal(P.vertices(), oracle)
     assert built == 250
+
+
+def incidence_lists(incidence):
+    return [np.flatnonzero(row).tolist() for row in incidence]
+
+
+def fuzz_cut(rng, verts, kind):
+    """A cut of the given kind for a polytope with vertex rows verts: a
+    random halfspace, one through a vertex, or one 3e-9 from a vertex (on
+    either side), so that on-boundary vertices and merges occur."""
+    n = rng.normal(size=verts.shape[1])
+    n /= np.linalg.norm(n)
+    proj = verts @ n
+    if kind == "random":
+        lo, hi = proj.min(), proj.max()
+        return Halfspace(n, lo + (hi - lo) * rng.uniform(0.6, 1.1))
+    v = proj[int(rng.integers(len(verts)))]
+    if kind == "near":
+        v += rng.choice([-3e-9, 3e-9])
+    return Halfspace(n, v)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cut_matches_reference(q, monkeypatch):
+    """Chains of seeded cuts give byte-equal vertices, equal incidence and
+    the same null or emptying outcome as the frozenset reference; chains of
+    random cuts also match the q-subset enumeration oracle."""
+    events = {"on_boundary": 0, "merged": 0}
+    merge = polytope._merge_close
+
+    def counted_merge(points, incidence, tol, start=0):
+        out = merge(points, incidence, tol, start)
+        events["on_boundary"] += int(incidence[:start, -1].sum())
+        events["merged"] += len(points) - len(out[0])
+        return out
+
+    monkeypatch.setattr(polytope, "_merge_close", counted_merge)
+    outcomes = {"cut": 0, "null": 0, "empty": 0}
+    for seed in range(30):
+        rng = np.random.default_rng([q, seed])
+        kind = ("random", "vertex", "near")[seed % 3]
+        P = from_halfspaces(box(q, lo=-rng.uniform(1.0, 4.0),
+                                hi=rng.uniform(1.0, 4.0)))
+        ref = (P.vertices_array,
+               tuple(frozenset(row) for row in incidence_lists(P.incidence)))
+        for _ in range(25):
+            h = fuzz_cut(rng, P.vertices_array, kind)
+            try:
+                expected = cut_reference.cut(*ref, len(P.halfspaces), h)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    cut(P, h)
+                outcomes["empty"] += 1
+                continue
+            if expected is None:
+                with pytest.raises(NullCutError):
+                    cut(P, h)
+                outcomes["null"] += 1
+                continue
+            P = cut(P, h)
+            assert P.vertices_array.tobytes() == expected[0].tobytes()
+            assert P.incidence.shape == (len(expected[0]), len(P.halfspaces))
+            assert incidence_lists(P.incidence) == [sorted(s)
+                                                    for s in expected[1]]
+            ref = expected
+            outcomes["cut"] += 1
+        if kind == "random":
+            assert_vertex_sets_equal(P.vertices(),
+                                     brute_force_vertices(P.halfspaces))
+    assert min(outcomes.values()) > 0, outcomes
+    assert min(events.values()) > 0, events
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +401,20 @@ class TestChecksAgainstLP:
 # vertex merging
 
 
-def merge_close_reference(points, incidences, tol):
+def merge_close_reference(points, incidence, tol):
     """The original pairwise loop: greedy in input order, each point joins
-    the first kept point within tol in l_inf."""
+    the first kept point within tol in l_inf, or-ing its incidence row."""
     kept_pts = []
     kept_inc = []
-    for pt, inc in zip(points, incidences):
+    for pt, inc in zip(points, incidence):
         for j, other in enumerate(kept_pts):
             if np.max(np.abs(other - pt)) <= tol:
-                kept_inc[j] |= set(inc)
+                kept_inc[j] = kept_inc[j] | inc
                 break
         else:
             kept_pts.append(pt)
-            kept_inc.append(set(inc))
-    return kept_pts, [frozenset(s) for s in kept_inc]
+            kept_inc.append(inc)
+    return kept_pts, kept_inc
 
 
 PLANT_FACTORS = (0.5, 0.999, 1.001)
@@ -338,7 +423,8 @@ PLANT_FACTORS = (0.5, 0.999, 1.001)
 def planted_cloud(seed, q, n_base, n_plant):
     """Random points plus near-duplicates of earlier points (planted ones
     included, so chains occur) at PLANT_FACTORS * MERGE_TOL in l_inf;
-    returns the shuffled points and random incidence sets."""
+    returns the shuffled points and random boolean incidence rows over 12
+    halfspaces."""
     rng = np.random.default_rng(seed)
     pts = list(rng.uniform(-5.0, 5.0, size=(n_base, q)))
     for _ in range(n_plant):
@@ -349,10 +435,8 @@ def planted_cloud(seed, q, n_base, n_plant):
         pts.append(src + off)
     order = rng.permutation(len(pts))
     points = np.array(pts)[order]
-    incidences = [frozenset(rng.choice(12, size=int(rng.integers(1, 4)),
-                                       replace=False).tolist())
-                  for _ in range(len(points))]
-    return points, incidences
+    incidence = rng.random((len(points), 12)) < 0.2
+    return points, incidence
 
 
 class TestMergeClose:
@@ -360,18 +444,18 @@ class TestMergeClose:
     @given(seed=st.integers(0, 2**32 - 1), q=st.sampled_from([2, 3]),
            n_base=st.integers(1, 40), n_plant=st.integers(0, 40))
     def test_matches_reference(self, seed, q, n_base, n_plant):
-        points, incidences = planted_cloud(seed, q, n_base, n_plant)
-        got_pts, got_inc = _merge_close(points, incidences, MERGE_TOL)
-        ref_pts, ref_inc = merge_close_reference(points, incidences, MERGE_TOL)
+        points, incidence = planted_cloud(seed, q, n_base, n_plant)
+        got_pts, got_inc = _merge_close(points, incidence, MERGE_TOL)
+        ref_pts, ref_inc = merge_close_reference(points, incidence, MERGE_TOL)
         assert got_pts.tobytes() == np.array(ref_pts).tobytes()
-        assert got_inc == ref_inc
+        assert np.array_equal(got_inc, np.array(ref_inc))
 
     def test_planted_clouds_merge_some_and_keep_some(self):
         # the clouds exercise both branches: some plants merge (0.5x,
         # 0.999x) and some stay apart from their source (1.001x)
         for seed in range(20):
-            points, incidences = planted_cloud(seed, 3, 30, 30)
-            got_pts, _ = _merge_close(points, incidences, MERGE_TOL)
+            points, incidence = planted_cloud(seed, 3, 30, 30)
+            got_pts, _ = _merge_close(points, incidence, MERGE_TOL)
             assert 30 < len(got_pts) < len(points)
 
     def test_greedy_not_transitive(self):
@@ -380,17 +464,43 @@ class TestMergeClose:
         a = np.array([0.0, 0.0])
         b = a + [0.6 * MERGE_TOL, 0.0]
         c = a + [1.2 * MERGE_TOL, 0.0]
-        pts, inc = _merge_close(np.array([a, b, c]),
-                                [frozenset({0}), frozenset({1}),
-                                 frozenset({2})], MERGE_TOL)
+        pts, inc = _merge_close(np.array([a, b, c]), np.eye(3, dtype=bool),
+                                MERGE_TOL)
         assert np.array_equal(pts, [a, c])
-        assert inc == [frozenset({0, 1}), frozenset({2})]
+        assert np.array_equal(inc, [[True, True, False], [False, False, True]])
+
+    def test_merge_after_separated_prefix(self):
+        # a prefix pairwise farther apart than tol, as every merge output
+        # is, need not be re-merged: merging only the points after it gives
+        # the full greedy merge
+        merged = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            points, incidence = planted_cloud(seed, 3, 30, 30)
+            prefix, prefix_inc = _merge_close(points, incidence, MERGE_TOL)
+            # new points with near-duplicates among themselves, half of
+            # them moved to within 2 * tol of a prefix point
+            new, new_inc = planted_cloud(seed + 100, 3, 10, 10)
+            near = rng.uniform(-2.0, 2.0, (10, 3)) * MERGE_TOL
+            new[::2] = prefix[:10] + near
+            pts = np.vstack([prefix, new])
+            inc = np.vstack([prefix_inc, new_inc])
+            got = _merge_close(pts, inc, MERGE_TOL, start=len(prefix))
+            full = _merge_close(pts, inc, MERGE_TOL)
+            assert got[0].tobytes() == full[0].tobytes()
+            assert np.array_equal(got[1], full[1])
+            merged += len(pts) - len(got[0])
+        assert merged > 0
 
 
 def test_incremental_matches_rebuild_example2(trace_example2_eps03):
     """After a real run, the incrementally cut polytope has the vertex set
-    of the polytope rebuilt from its halfspaces (within 1e-10)."""
+    (within 1e-10) and the incidence of the polytope rebuilt from its
+    halfspaces."""
     assert len(trace_example2_eps03.iterations) == 27
     final = trace_example2_eps03.final_polytope
     rebuilt = from_halfspaces(final.halfspaces)
     assert_vertex_sets_equal(final.vertices(), rebuilt.vertices(), tol=1e-10)
+    for v, row in zip(final.vertices_array, final.incidence):
+        match = np.abs(rebuilt.vertices_array - v).max(axis=1) <= 1e-10
+        assert np.array_equal(row, rebuilt.incidence[np.argmax(match)])
