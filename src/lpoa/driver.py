@@ -9,12 +9,12 @@ history is kept in a RunTrace for the analysis layer.
 Selection is lazy.  Each vertex carries an upper bound on its distance to
 A, kept by its exact coordinates (polytope.cut keeps surviving rows bit for
 bit): +inf until a search over the frontier of the upper image U lowers it.
-The loop takes the open vertex with the largest bound and searches for its
-bound (once, when it is +inf and some vertex is solved) or solves it (also
-when the search finds no bound), until every open bound falls below the
-largest residual.  A residual is at most the distance, which is at most the
-bound, so the first maximum over the solved vertices in lexicographic order
-is the vertex that solving every vertex would select.
+Each iteration solves the first open vertex if no vertex is solved yet,
+then searches every vertex without a bound in one batch, then solves the
+open vertices in decreasing bound order until every remaining bound falls
+below the largest residual.  A residual is at most the distance, which is
+at most the bound, so the first maximum over the solved vertices in
+lexicographic order is the vertex that solving every vertex would select.
 """
 
 from __future__ import annotations
@@ -101,92 +101,88 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
     return P0, len(halfspaces)
 
 
-_REFINE_EVALS = 40  # weighted sums per refined bound
 # relative rounding margin: a vertex tied with the largest residual to within
 # rounding is still solved, so ties resolve as if every vertex were solved
 _ROUNDING = 1e-12
+_ROUNDS = 12  # stencil evaluations per bound search
+
+# q -> (steps, shrink): the trial steps of the frontier search around a row's
+# point, (scale, direction, q - 1) in units of its radius, and the factor on
+# the radius after a round whose best trial is not a full step.  In q = 2 the
+# steps and the point form a line of 13 with spacing 1/6.
+_STENCIL = {
+    2: (np.array([[[k / 6], [-k / 6]] for k in range(6, 0, -1)]), 1.0 / 6.0),
+    3: (np.array([[[s * math.cos(k * math.pi / 6.0),
+                    s * math.sin(k * math.pi / 6.0)] for k in range(12)]
+                  for s in (1.0, 1.0 / 3.0, 1.0 / 9.0)]), 0.5)}
 
 
-def _point_bound(v: list, y: list, w: list, g: float, p: float) -> float:
-    """Upper bound on dist_p(v, A) from a point y of the upper image U, with
-    w = w_bar and g = gamma_slice: the distance from v to the point
-    y + t (v - y)_+ of A, with t the largest value in [0, 1] that keeps it
-    in the slice (t = 1 gives max(v, y)).  A point outside the slice is not
-    in A and gives +inf.
+def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
+                  p: float) -> np.ndarray:
+    """Upper bounds on dist_p(v, A) from points y of the upper image U, one
+    per row of V - Y, with w = w_bar and g = gamma_slice: the distance from
+    v to the point y + t (v - y)_+ of A, with t the largest value in [0, 1]
+    that keeps it in the slice (t = 1 gives max(v, y)).  A point outside the
+    slice is not in A and gives +inf.
     """
-    room = g - sum(wi * yi for wi, yi in zip(w, y))
-    if room < 0.0:
-        return math.inf
-    need = sum(wi * (vi - yi) for wi, vi, yi in zip(w, v, y) if vi > yi)
-    s = 1.0 - room / need if need > room else 0.0
-    return sum((s * (vi - yi)) ** p if vi > yi else (yi - vi) ** p
-               for vi, yi in zip(v, y)) ** (1.0 / p)
+    room = np.maximum(g - Y @ w, 0.0)
+    d = V - Y
+    need = np.maximum(d, 0.0) @ w
+    t = np.divide(room, need, out=np.ones_like(need), where=need > room)
+    z = np.where(d > 0.0, (1.0 - t)[..., None] * d, -d)
+    dist = np.sum(z ** p, axis=-1) ** (1.0 / p)
+    return np.where(Y @ w <= g, dist, math.inf)
 
 
-def _refined_bound(prob: ProblemInstance, p: float, v: list,
-                   normals) -> float:
-    """Bound at vertex v from the exact frontier points
-    y(omega) = gamma(x*(omega)) of U: a Nelder-Mead search over simplex
-    weights omega in scalar arithmetic, capped at _REFINE_EVALS weighted sums.
+def _frontier_bounds(prob: ProblemInstance, p: float, V: np.ndarray,
+                     incident: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Bounds at the vertices V (rows) from the exact frontier points
+    y(omega) = gamma(x*(omega)) of U: a stencil search over simplex weights
+    omega, all rows at once, one weighted sum per row and trial point.
 
-    A frontier point outside the slice gives no bound, and a search that
-    meets only such points returns +inf.  The search starts at the mean of
-    the nonnegative vectors among `normals` (the normals of the halfspaces
-    active at v, outward from U), scaled to the simplex, with their spread
-    as the initial size.
+    Row i starts at the mean of the nonnegative rows of `normals` (outward
+    from U) that `incident[i]` marks, scaled to the simplex, with their
+    spread as its radius.  Each round moves a row to its best trial point
+    and shrinks its radius unless that point lies a full step away.  Trial
+    weights are clipped back onto the simplex.  A frontier point outside the
+    slice gives no bound, and a row that meets only such points returns
+    +inf.  No row reads another row's state.
     """
     q = prob.q
-    w = prob.w_bar.tolist()
-    g = prob.gamma_slice
+    w, g = prob.w_bar, prob.gamma_slice
+    stencil, shrink = _STENCIL[q]
+    steps = stencil.reshape(-1, q - 1)
 
-    def f(u):
+    def frontier(u):
         # u holds the first q - 1 weights; the last one makes the sum 1
-        last = 1.0 - sum(u)
-        if last < 0.0 or min(u) < 0.0:
-            return math.inf
-        y = prob.gamma_eval(prob.ws_closed_form(np.array(u + [last]))).tolist()
-        return _point_bound(v, y, w, g, p)
+        omega = np.maximum(
+            np.concatenate([u, 1.0 - u.sum(axis=-1, keepdims=True)], -1), 0.0)
+        omega /= omega.sum(axis=-1, keepdims=True)
+        y = prob.gamma_eval(prob.ws_closed_form(omega.reshape(-1, q)))
+        return omega[..., :-1], _point_bounds(V[:, None, :],
+                                              y.reshape(omega.shape), w, g, p)
 
-    starts = [[c / sum(n) for c in n] for n in map(list, normals)
-              if min(n) >= 0.0 and max(n) > 0.0] or [[1.0 / q] * q]
-    om = [sum(c) / len(starts) for c in zip(*starts)]
-    size = max(max(abs(a - b) for a, b in zip(s, om)) for s in starts)
-    size = size if size > 1e-9 else 0.05
-    n = q - 1
-    simplex = [om[:n]] + [[c + size * (k == j) for k, c in enumerate(om[:n])]
-                          for j in range(n)]
-    vals = [f(u) for u in simplex]
-    evals = len(vals)
-    while evals < _REFINE_EVALS:
-        order = sorted(range(n + 1), key=vals.__getitem__)
-        simplex = [simplex[k] for k in order]
-        vals = [vals[k] for k in order]
-        mid = [sum(u[k] for u in simplex[:n]) / n for k in range(n)]
-        worst = simplex[n]
-        ur = [2.0 * m - x for m, x in zip(mid, worst)]
-        fr = f(ur)
-        evals += 1
-        if fr < vals[0]:
-            ue = [3.0 * m - 2.0 * x for m, x in zip(mid, worst)]
-            fe = f(ue)
-            evals += 1
-            simplex[n], vals[n] = (ue, fe) if fe < fr else (ur, fr)
-        elif fr < vals[n - 1]:
-            simplex[n], vals[n] = ur, fr
-        else:
-            uc = [0.5 * (m + x) for m, x in zip(mid, worst)]
-            fc = f(uc)
-            evals += 1
-            if fc < vals[n]:
-                simplex[n], vals[n] = uc, fc
-            else:
-                # shrink toward the best point
-                for k in range(1, n + 1):
-                    simplex[k] = [0.5 * (a + b)
-                                  for a, b in zip(simplex[0], simplex[k])]
-                    vals[k] = f(simplex[k])
-                    evals += 1
-    return min(vals)
+    pos = (normals.min(axis=1) >= 0.0) & (normals.max(axis=1) > 0.0)
+    starts = normals[pos] / normals[pos].sum(axis=1, keepdims=True)
+    inc = incident[:, pos]
+    count = inc.sum(axis=1, keepdims=True)
+    om = np.where(count > 0, (inc @ starts) / np.maximum(count, 1), 1.0 / q)
+    spread = np.abs(starts - om[:, None, :]).max(axis=-1)
+    size = np.where(inc, spread, 0.0).max(axis=1, initial=0.0)
+    radius = np.where(size > 1e-9, size, 0.05)
+
+    u = om[:, :q - 1]
+    best = frontier(u[:, None, :])[1][:, 0]
+    rows = np.arange(len(V))
+    for _ in range(_ROUNDS):
+        trial, vals = frontier(u[:, None, :] + radius[:, None, None] * steps)
+        j = vals.argmin(axis=1)
+        better = vals[rows, j] < best
+        u = np.where(better[:, None], trial[rows, j], u)
+        best = np.minimum(best, vals[rows, j])
+        radius = np.where(better & (j < stencil.shape[1]), radius,
+                          shrink * radius)
+    return best
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -222,22 +218,23 @@ def run(config: RunConfig) -> RunTrace:
         best = max((exact[key].residual_norm for key in keys if key in exact),
                    default=-math.inf)
         try:
-            # solve the vertex with the largest bound until no bound can
-            # reach the largest exact residual
-            while open_rows:
-                i = max(open_rows, key=lambda j: bounds[keys[j]])
-                key = keys[i]
-                if bounds[key] < best * (1.0 - _ROUNDING):
-                    break
-                if bounds[key] == math.inf and best > -math.inf:
-                    normals = [-P.halfspaces[h].normal
-                               for h in np.flatnonzero(P.incidence[i])]
-                    bounds[key] = _refined_bound(prob, ne.p, verts[i].tolist(),
-                                                 normals)
-                    if bounds[key] < math.inf:
-                        continue
+            if best == -math.inf:
+                # nothing to compare a bound with: solve the first vertex
+                i = open_rows.pop(0)
                 res, = solve_batch(prob, verts[i:i + 1], ne, exact)
-                open_rows.remove(i)
+                best = res.residual_norm
+            new = [i for i in open_rows if bounds[keys[i]] == math.inf]
+            if new:
+                normals = -np.array([h.normal for h in P.halfspaces])
+                found = _frontier_bounds(prob, ne.p, verts[new],
+                                         P.incidence[new], normals)
+                bounds.update(zip((keys[i] for i in new), found.tolist()))
+            # solve in decreasing bound order until no bound can reach the
+            # largest exact residual
+            for i in sorted(open_rows, key=lambda j: -bounds[keys[j]]):
+                if bounds[keys[i]] < best * (1.0 - _ROUNDING):
+                    break
+                res, = solve_batch(prob, verts[i:i + 1], ne, exact)
                 best = max(best, res.residual_norm)
         except (SubproblemError, ValueError):
             # solver non-convergence, or an exception from a problem oracle

@@ -2,12 +2,13 @@
 
 Each instance bundles the objective map, a closed-form weighted-sum
 minimizer and the slice parameters bounding the region to approximate:
-what the dual distance solver reads, and nothing else.
+what the dual distance solver reads, and nothing else.  Both oracles map
+rows: an (m, .) array gives one row per input row, bit for bit the 1-D
+result of that row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -87,7 +88,9 @@ def example1(q: int) -> ProblemInstance:
     e = np.ones(q)
 
     def ws_closed_form(omega):
-        return e - omega / np.linalg.norm(omega)
+        # not np.linalg.norm: its axis=-1 form differs from the 1-D one in
+        # the last bit
+        return e - omega / np.sqrt(np.vecdot(omega, omega))[..., None]
 
     def build(gamma_slice):
         return ProblemInstance(
@@ -114,9 +117,9 @@ def rotated_ellipse() -> ProblemInstance:
     """Identity objective over the 45-degree-rotated ellipse centered at (2,2)."""
 
     def ws_closed_form(omega):
-        c = _ELLIPSE_M.T @ omega
-        scale = math.sqrt(float(np.sum(_ELLIPSE_AXES_SQ * c * c)))
-        return _ELLIPSE_M @ (-_ELLIPSE_AXES_SQ * c / scale) + _ELLIPSE_X0
+        c = omega @ _ELLIPSE_M
+        scale = np.sqrt((_ELLIPSE_AXES_SQ * c * c).sum(-1, keepdims=True))
+        return (-_ELLIPSE_AXES_SQ * c / scale) @ _ELLIPSE_M.T + _ELLIPSE_X0
 
     def build(gamma_slice):
         return ProblemInstance(
@@ -145,11 +148,11 @@ def example2() -> ProblemInstance:
     def ws_closed_form(omega):
         # unconstrained minimizer of sum omega_i ||x - a_i||^2 is the weighted
         # centroid, which lies in the anchor hull and hence in the polygon
-        return (omega @ _ANCHORS) / float(np.sum(omega))
+        return (omega @ _ANCHORS) / np.sum(omega, axis=-1, keepdims=True)
 
     def gamma(x):
-        d = _ANCHORS - np.asarray(x, dtype=float)
-        return np.add.reduce(d * d, axis=1)
+        d = _ANCHORS - np.asarray(x, dtype=float)[..., None, :]
+        return np.add.reduce(d * d, axis=-1)
 
     def build(gamma_slice):
         return ProblemInstance(

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (_ROUNDING, RunConfig, RunTrace, _point_bound,
-                         _refined_bound, hausdorff_series, initialize, run)
+from lpoa.driver import (_ROUNDING, RunConfig, RunTrace, _frontier_bounds,
+                         _point_bounds, hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError, solve_batch
@@ -275,9 +275,9 @@ class TestEllipseRecorded:
 
 @lru_cache(maxsize=None)
 def _bound_setup(key, p):
-    """Initial polytope and known points of U: the coordinate minimizers and
-    the support points solved at the vertices and edge midpoints of the
-    polytope (points of A)."""
+    """Initial polytope, the residuals of its vertices and known points of
+    U: the coordinate minimizers and the support points solved at the
+    vertices and edge midpoints of the polytope (points of A)."""
     prob = by_key(key)
     ne = NormExponent(p)
     P0, _ = initialize(prob)
@@ -285,9 +285,15 @@ def _bound_setup(key, p):
     known = [prob.gamma_eval(prob.ws_closed_form(e)) for e in np.eye(prob.q)]
     points = list(V) + [0.5 * (a + b)
                         for i, a in enumerate(V) for b in V[i + 1:]]
-    known += [scalarization.solve_subproblem(prob, v, ne).y_support
-              for v in points]
-    return P0, np.array(known)
+    solved = [scalarization.solve_subproblem(prob, v, ne) for v in points]
+    residuals = [res.residual_norm for res in solved[:len(V)]]
+    known += [res.y_support for res in solved]
+    return P0, np.array(residuals), np.array(known)
+
+
+def _outward_normals(P):
+    """Halfspace normals of P, outward from the upper image."""
+    return -np.array([h.normal for h in P.halfspaces])
 
 
 _UNIT = st.floats(0.0, 1.0)
@@ -304,10 +310,11 @@ class TestLazySelection:
                                    on_face, active):
         # v is a point of the initial polytope: a convex combination of its
         # vertices, moved toward a known point of U and, if on_face, along
-        # w_bar onto the slice face; the refined bound lies at or above the
-        # residual the subproblem solver returns at v, up to rounding
+        # w_bar onto the slice face, searched in one batch with the
+        # vertices; every row's bound lies at or above the residual the
+        # subproblem solver returns there, up to rounding
         prob = by_key(key)
-        P0, known = _bound_setup(key, p)
+        P0, vertex_residuals, known = _bound_setup(key, p)
         V = P0.vertices()
         lam = np.array(weights[:len(V)]) + 1e-12
         v = (1.0 - toward) * (lam @ V) / lam.sum() + toward * known[
@@ -315,11 +322,13 @@ class TestLazySelection:
         if on_face:
             w = prob.w_bar
             v = v + (prob.gamma_slice - w @ v) / (w @ w) * w
-        normals = [-h.normal for h, on in zip(P0.halfspaces, active) if on]
+        incident = np.vstack([active[:len(P0.halfspaces)], P0.incidence])
         residual = scalarization.solve_subproblem(
             prob, v, NormExponent(p)).residual_norm
-        refined = _refined_bound(prob, p, v.tolist(), normals)
-        assert residual * (1.0 - _ROUNDING) <= refined
+        residuals = np.append(residual, vertex_residuals)
+        found = _frontier_bounds(prob, p, np.vstack([v, V]), incident,
+                                 _outward_normals(P0))
+        assert np.all(residuals * (1.0 - _ROUNDING) <= found)
 
     def test_point_outside_slice_gives_no_bound(self):
         # a point of U beyond the slice is not in A: it bounds nothing,
@@ -330,11 +339,10 @@ class TestLazySelection:
         g = prob.gamma_slice
         y = np.array([3.0, 3.0])
         assert w @ y > g
-        assert _point_bound(v.tolist(), y.tolist(), w.tolist(), g,
-                            2.0) == math.inf
         y_face = y - (w @ y - g) / (w @ w) * w
-        assert _point_bound(v.tolist(), y_face.tolist(), w.tolist(), g,
-                            2.0) == pytest.approx(np.linalg.norm(y_face))
+        found = _point_bounds(v, np.array([y, y_face]), w, g, 2.0)
+        assert found[0] == math.inf
+        assert found[1] == pytest.approx(np.linalg.norm(y_face))
 
     def test_search_without_bound_solves(self, monkeypatch):
         # a frontier search that finds no point of A leaves the bound at
@@ -342,11 +350,29 @@ class TestLazySelection:
         # its trace is the one the real search gives
         config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
         expected = dumps_trace(run(config))
-        monkeypatch.setattr(driver, "_refined_bound",
-                            lambda *args: math.inf)
+        monkeypatch.setattr(driver, "_frontier_bounds",
+                            lambda prob, p, V, *args:
+                            np.full(len(V), math.inf))
         trace = run(config)
         assert trace.termination == "converged"
         assert dumps_trace(trace) == expected
+
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    def test_bounds_independent_of_batch(self, key):
+        # a vertex's bound is the same searched alone or in a mixed batch:
+        # no row reads another row's radius or state
+        prob = by_key(key)
+        P = run(RunConfig(problem_key=key, p=2.0, epsilon=1e-6,
+                          max_iterations=6)).final_polytope
+        V, normals = P.vertices(), _outward_normals(P)
+        order = np.random.default_rng(7).permutation(len(V))
+        mixed = _frontier_bounds(prob, 2.0, V[order], P.incidence[order],
+                                 normals)
+        alone = np.array([_frontier_bounds(prob, 2.0, V[i:i + 1],
+                                           P.incidence[i:i + 1], normals)[0]
+                          for i in order])
+        assert np.all(np.isfinite(alone))
+        np.testing.assert_allclose(mixed, alone, rtol=1e-12, atol=0.0)
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in
@@ -429,7 +455,7 @@ def _fault_call(key, config, site):
 class TestOracleFailure:
     @pytest.mark.parametrize("key, site", [
         ("example2", "solve_subproblem"),  # inside a subproblem solve
-        ("ellipse", "f"),                 # inside a refined bound
+        ("ellipse", "frontier"),          # inside a bound search
     ])
     def test_oracle_error_is_solver_failure(self, monkeypatch, key, site):
         # a ValueError from a problem oracle ends the run with a recorded

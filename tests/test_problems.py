@@ -133,6 +133,22 @@ class TestWeightedSum:
             _, offset = weighted_sum(prob, np.eye(3)[i])
             assert offset == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_oracles_map_rows(self, key, data):
+        # a stack of weight rows gives, row for row, the bits of the 1-D
+        # calls the dual solver makes
+        prob = by_key(key)
+        weight = st.one_of(st.just(0.0), st.floats(1e-6, 1e3))
+        row = st.lists(weight, min_size=prob.q, max_size=prob.q).filter(any)
+        W = np.array(data.draw(st.lists(row, min_size=1, max_size=40)))
+        rows = prob.gamma_eval(prob.ws_closed_form(W))
+        assert rows.shape == W.shape
+        for w, got in zip(W, rows):
+            one = prob.gamma_eval(prob.ws_closed_form(w))
+            assert got.tobytes() == one.tobytes(), (w, got, one)
+
 
 class TestMembership:
     def test_ideal_point_not_in_upper_image(self, prob):
