@@ -7,14 +7,18 @@ its support point with the lp-gradient normal.  The full per-iteration
 history is kept in a RunTrace for the analysis layer.
 
 Selection is lazy.  Each vertex carries an upper bound on its distance to
-A, kept by its exact coordinates (polytope.cut keeps surviving rows bit for
-bit): +inf until a search over the frontier of the upper image U lowers it.
-Each iteration solves the first open vertex if no vertex is solved yet,
-then searches every vertex without a bound in one batch, then solves the
-open vertices in decreasing bound order until every remaining bound falls
-below the largest residual.  A residual is at most the distance, which is
-at most the bound, so the first maximum over the solved vertices in
-lexicographic order is the vertex that solving every vertex would select.
+A and the state of a search over the frontier of the upper image U that
+lowers it, kept by its exact coordinates (polytope.cut keeps surviving rows
+bit for bit).  Each iteration solves the first open vertex if no vertex is
+solved yet, then starts the search at every new vertex and advances the
+open ones in one batch: at most twelve rounds per vertex, run only while
+its bound reaches the largest residual.  Then it solves the open vertices
+in decreasing bound order until every remaining bound falls below the
+largest residual.  A residual is at most the distance, which is at most the
+bound, so the first maximum over the solved vertices in lexicographic order
+is the vertex that solving every vertex would select.  A bound is never
+below the one that all twelve rounds give, so stopping a search early never
+changes which vertices are solved.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
 # relative rounding margin: a vertex tied with the largest residual to within
 # rounding is still solved, so ties resolve as if every vertex were solved
 _ROUNDING = 1e-12
-_ROUNDS = 12  # stencil evaluations per bound search
+_ROUNDS = 12  # most stencil rounds of the bound search at one vertex
 
 # q -> (steps, shrink): the trial steps of the frontier search around a row's
 # point, (scale, direction, q - 1) in units of its radius, and the factor on
@@ -134,34 +138,28 @@ def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
     return np.where(Y @ w <= g, dist, math.inf)
 
 
-def _frontier_bounds(prob: ProblemInstance, p: float, V: np.ndarray,
-                     incident: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _frontier(prob: ProblemInstance, p: float, V: np.ndarray,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds at the vertices V (rows) from the exact frontier points
-    y(omega) = gamma(x*(omega)) of U: a stencil search over simplex weights
-    omega, all rows at once, one weighted sum per row and trial point.
+    y(omega) = gamma(x*(omega)) of U, one weighted sum per row and trial
+    point: u holds the first q - 1 simplex weights of each row's trial
+    points, the last one makes the sum 1, and weights are clipped back onto
+    the simplex.  Returns the clipped u and the bounds."""
+    omega = np.maximum(
+        np.concatenate([u, 1.0 - u.sum(axis=-1, keepdims=True)], -1), 0.0)
+    omega /= omega.sum(axis=-1, keepdims=True)
+    y = prob.gamma_eval(prob.ws_closed_form(omega.reshape(-1, prob.q)))
+    return omega[..., :-1], _point_bounds(
+        V[:, None, :], y.reshape(omega.shape), prob.w_bar, prob.gamma_slice, p)
 
-    Row i starts at the mean of the nonnegative rows of `normals` (outward
-    from U) that `incident[i]` marks, scaled to the simplex, with their
-    spread as its radius.  Each round moves a row to its best trial point
-    and shrinks its radius unless that point lies a full step away.  Trial
-    weights are clipped back onto the simplex.  A frontier point outside the
-    slice gives no bound, and a row that meets only such points returns
-    +inf.  No row reads another row's state.
-    """
+
+def _search_start(prob: ProblemInstance, p: float, V: np.ndarray,
+                  incident: np.ndarray, normals: np.ndarray) -> list:
+    """State (bound, u, radius, rounds) of a frontier search at the vertices
+    V (rows), before its first round: row i starts at the mean of the
+    nonnegative rows of `normals` (outward from U) that `incident[i]` marks,
+    scaled to the simplex, with their spread as its radius."""
     q = prob.q
-    w, g = prob.w_bar, prob.gamma_slice
-    stencil, shrink = _STENCIL[q]
-    steps = stencil.reshape(-1, q - 1)
-
-    def frontier(u):
-        # u holds the first q - 1 weights; the last one makes the sum 1
-        omega = np.maximum(
-            np.concatenate([u, 1.0 - u.sum(axis=-1, keepdims=True)], -1), 0.0)
-        omega /= omega.sum(axis=-1, keepdims=True)
-        y = prob.gamma_eval(prob.ws_closed_form(omega.reshape(-1, q)))
-        return omega[..., :-1], _point_bounds(V[:, None, :],
-                                              y.reshape(omega.shape), w, g, p)
-
     pos = (normals.min(axis=1) >= 0.0) & (normals.max(axis=1) > 0.0)
     starts = normals[pos] / normals[pos].sum(axis=1, keepdims=True)
     inc = incident[:, pos]
@@ -169,20 +167,36 @@ def _frontier_bounds(prob: ProblemInstance, p: float, V: np.ndarray,
     om = np.where(count > 0, (inc @ starts) / np.maximum(count, 1), 1.0 / q)
     spread = np.abs(starts - om[:, None, :]).max(axis=-1)
     size = np.where(inc, spread, 0.0).max(axis=1, initial=0.0)
-    radius = np.where(size > 1e-9, size, 0.05)
-
     u = om[:, :q - 1]
-    best = frontier(u[:, None, :])[1][:, 0]
-    rows = np.arange(len(V))
-    for _ in range(_ROUNDS):
-        trial, vals = frontier(u[:, None, :] + radius[:, None, None] * steps)
-        j = vals.argmin(axis=1)
-        better = vals[rows, j] < best
-        u = np.where(better[:, None], trial[rows, j], u)
-        best = np.minimum(best, vals[rows, j])
-        radius = np.where(better & (j < stencil.shape[1]), radius,
-                          shrink * radius)
-    return best
+    return [_frontier(prob, p, V, u[:, None, :])[1][:, 0], u,
+            np.where(size > 1e-9, size, 0.05), np.zeros(len(V), dtype=int)]
+
+
+def _search_advance(prob: ProblemInstance, p: float, V: np.ndarray,
+                    state: list, threshold: float) -> None:
+    """Advance the frontier search at the vertices V (rows) in place, all
+    rows at once, while a row's bound is at least `threshold` and it has had
+    fewer than _ROUNDS rounds.  Each round moves a row to its best trial
+    point and shrinks its radius unless that point lies a full step away.  A
+    frontier point outside the slice gives no bound, and a row that meets
+    only such points keeps +inf.  No row reads another row's state, so a
+    search resumed later ends where one uninterrupted search would."""
+    bound, u, radius, rounds = state
+    stencil, shrink = _STENCIL[prob.q]
+    steps = stencil.reshape(-1, prob.q - 1)
+    while True:
+        a = np.flatnonzero((bound >= threshold) & (rounds < _ROUNDS))
+        if not len(a):
+            return
+        trial, vals = _frontier(prob, p, V[a], u[a, None, :]
+                                + radius[a, None, None] * steps)
+        r, j = np.arange(len(a)), vals.argmin(axis=1)
+        better = vals[r, j] < bound[a]
+        u[a] = np.where(better[:, None], trial[r, j], u[a])
+        bound[a] = np.minimum(bound[a], vals[r, j])
+        radius[a] = np.where(better & (j < stencil.shape[1]), radius[a],
+                             shrink * radius[a])
+        rounds[a] += 1
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -203,7 +217,7 @@ def run(config: RunConfig) -> RunTrace:
                         iterations=(), final_polytope=None,
                         termination="solver_failure")
     exact: dict = {}   # vertex key -> ScalarizationResult
-    bounds: dict = {}  # vertex key -> upper bound on its residual
+    search: dict = {}  # vertex key -> (residual bound, u, radius, rounds)
     records: list[IterationRecord] = []
     termination = "max_iterations"
 
@@ -211,9 +225,8 @@ def run(config: RunConfig) -> RunTrace:
         t0 = time.perf_counter()
         verts = P.vertices()
         keys = [tuple(row) for row in verts.tolist()]
-        hits = sum(key in bounds for key in keys)
-        for key in keys:
-            bounds.setdefault(key, math.inf)
+        # every vertex of an earlier polytope was solved or searched there
+        hits = sum(key in exact or key in search for key in keys)
         open_rows = [i for i, key in enumerate(keys) if key not in exact]
         best = max((exact[key].residual_norm for key in keys if key in exact),
                    default=-math.inf)
@@ -223,16 +236,24 @@ def run(config: RunConfig) -> RunTrace:
                 i = open_rows.pop(0)
                 res, = solve_batch(prob, verts[i:i + 1], ne, exact)
                 best = res.residual_norm
-            new = [i for i in open_rows if bounds[keys[i]] == math.inf]
+            new = [i for i in open_rows if keys[i] not in search]
             if new:
                 normals = -np.array([h.normal for h in P.halfspaces])
-                found = _frontier_bounds(prob, ne.p, verts[new],
-                                         P.incidence[new], normals)
-                bounds.update(zip((keys[i] for i in new), found.tolist()))
+                state = _search_start(prob, ne.p, verts[new], P.incidence[new],
+                                      normals)
+                search.update(zip((keys[i] for i in new), zip(*state)))
+            if open_rows:
+                # advance the rows whose bound still reaches best; the solves
+                # below only raise best, so none needs more rounds after them
+                state = [np.array(s) for s in
+                         zip(*(search[keys[i]] for i in open_rows))]
+                _search_advance(prob, ne.p, verts[open_rows], state,
+                                best * (1.0 - _ROUNDING))
+                search.update(zip((keys[i] for i in open_rows), zip(*state)))
             # solve in decreasing bound order until no bound can reach the
             # largest exact residual
-            for i in sorted(open_rows, key=lambda j: -bounds[keys[j]]):
-                if bounds[keys[i]] < best * (1.0 - _ROUNDING):
+            for i in sorted(open_rows, key=lambda j: -search[keys[j]][0]):
+                if search[keys[i]][0] < best * (1.0 - _ROUNDING):
                     break
                 res, = solve_batch(prob, verts[i:i + 1], ne, exact)
                 best = max(best, res.residual_norm)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (_ROUNDING, RunConfig, RunTrace, _frontier_bounds,
-                         _point_bounds, hausdorff_series, initialize, run)
+from lpoa.driver import (_ROUNDING, _ROUNDS, RunConfig, RunTrace,
+                         _point_bounds, _search_advance, _search_start,
+                         hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError, solve_batch
@@ -296,6 +297,27 @@ def _outward_normals(P):
     return -np.array([h.normal for h in P.halfspaces])
 
 
+def _full_bounds(prob, p, V, incident, normals):
+    """The bounds of a frontier search at V advanced to _ROUNDS rounds."""
+    state = _search_start(prob, p, V, incident, normals)
+    _search_advance(prob, p, V, state, -math.inf)
+    return state[0]
+
+
+def _solved_vertices(monkeypatch, config):
+    """The run of config and the vertices it solves, in order."""
+    solved = []
+    real_solve = scalarization.solve_subproblem
+
+    def solve(prob, v, *args, **kwargs):
+        solved.append(tuple(np.asarray(v, dtype=float).tolist()))
+        return real_solve(prob, v, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scalarization, "solve_subproblem", solve)
+        return run(config), solved
+
+
 _UNIT = st.floats(0.0, 1.0)
 
 
@@ -326,8 +348,8 @@ class TestLazySelection:
         residual = scalarization.solve_subproblem(
             prob, v, NormExponent(p)).residual_norm
         residuals = np.append(residual, vertex_residuals)
-        found = _frontier_bounds(prob, p, np.vstack([v, V]), incident,
-                                 _outward_normals(P0))
+        found = _full_bounds(prob, p, np.vstack([v, V]), incident,
+                             _outward_normals(P0))
         assert np.all(residuals * (1.0 - _ROUNDING) <= found)
 
     def test_point_outside_slice_gives_no_bound(self):
@@ -350,9 +372,9 @@ class TestLazySelection:
         # its trace is the one the real search gives
         config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
         expected = dumps_trace(run(config))
-        monkeypatch.setattr(driver, "_frontier_bounds",
-                            lambda prob, p, V, *args:
-                            np.full(len(V), math.inf))
+        monkeypatch.setattr(driver, "_frontier",
+                            lambda prob, p, V, u:
+                            (u, np.full(u.shape[:-1], math.inf)))
         trace = run(config)
         assert trace.termination == "converged"
         assert dumps_trace(trace) == expected
@@ -366,13 +388,55 @@ class TestLazySelection:
                           max_iterations=6)).final_polytope
         V, normals = P.vertices(), _outward_normals(P)
         order = np.random.default_rng(7).permutation(len(V))
-        mixed = _frontier_bounds(prob, 2.0, V[order], P.incidence[order],
-                                 normals)
-        alone = np.array([_frontier_bounds(prob, 2.0, V[i:i + 1],
-                                           P.incidence[i:i + 1], normals)[0]
+        mixed = _full_bounds(prob, 2.0, V[order], P.incidence[order],
+                             normals)
+        alone = np.array([_full_bounds(prob, 2.0, V[i:i + 1],
+                                       P.incidence[i:i + 1], normals)[0]
                           for i in order])
         assert np.all(np.isfinite(alone))
         np.testing.assert_allclose(mixed, alone, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    def test_search_resumes(self, key):
+        # a search advanced against a threshold and later against -inf ends
+        # with the bounds of one advance against -inf, and no row runs past
+        # _ROUNDS rounds
+        prob = by_key(key)
+        P = run(RunConfig(problem_key=key, p=2.0, epsilon=1e-6,
+                          max_iterations=6)).final_polytope
+        V, normals = P.vertices(), _outward_normals(P)
+        state = _search_start(prob, 2.0, V, P.incidence, normals)
+        _search_advance(prob, 2.0, V, state, float(np.median(state[0])))
+        assert np.any(state[3] < _ROUNDS) and np.any(state[3] > 0)
+        _search_advance(prob, 2.0, V, state, -math.inf)
+        assert np.all(state[3] == _ROUNDS)
+        np.testing.assert_allclose(
+            state[0], _full_bounds(prob, 2.0, V, P.incidence, normals),
+            rtol=1e-12, atol=0.0)
+
+    def test_need_driven_search_solves_same_vertices(self, monkeypatch):
+        # example2 at eps = 0.3 solves the same vertices in the same order
+        # as a run whose search advances every row to _ROUNDS rounds
+        config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
+        trace, solved = _solved_vertices(monkeypatch, config)
+        real_advance = driver._search_advance
+        monkeypatch.setattr(driver, "_search_advance",
+                            lambda *args: real_advance(*args[:-1], -math.inf))
+        full_trace, full_solved = _solved_vertices(monkeypatch, config)
+        assert trace.termination == "converged"
+        assert solved == full_solved
+        assert dumps_trace(trace) == dumps_trace(full_trace)
+
+    def test_search_work_bounded(self, monkeypatch):
+        # the search advances only the rows that can reach the largest
+        # residual: ellipse at p = 2 makes at most half the oracle calls of
+        # one start and _ROUNDS rounds per iteration
+        inst, callers = _oracle_with_fault(by_key("ellipse"))
+        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+        trace = run(RunConfig(problem_key="ellipse", p=2.0, epsilon=1e-3))
+        assert trace.termination == "converged"
+        search_calls = callers.count("_frontier")
+        assert 0 < search_calls <= (1 + _ROUNDS) * len(trace.iterations) / 2
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in
@@ -404,12 +468,17 @@ class TestLazySelection:
         solved: set = set()
         pending = iter(events)
         skipped = 0
+        seen: set = set()
         for rec in trace.iterations:
             for key in pending:
                 if key is None:
                     break
                 solved.add(key)
             verts = P.vertices()
+            # cache_hits counts the vertices of earlier polytopes
+            keys = {tuple(v) for v in verts.tolist()}
+            assert rec.cache_hits == len(keys & seen)
+            seen |= keys
             results = solve_batch(prob, verts, ne, eager)
             residuals = [res.residual_norm for res in results]
             idx = int(np.argmax(residuals))
@@ -455,7 +524,7 @@ def _fault_call(key, config, site):
 class TestOracleFailure:
     @pytest.mark.parametrize("key, site", [
         ("example2", "solve_subproblem"),  # inside a subproblem solve
-        ("ellipse", "frontier"),          # inside a bound search
+        ("ellipse", "_frontier"),         # inside a bound search
     ])
     def test_oracle_error_is_solver_failure(self, monkeypatch, key, site):
         # a ValueError from a problem oracle ends the run with a recorded
