@@ -9,9 +9,10 @@ Commands
 Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
 sweep -> 1 if any run failed; run and sweep -> 64 for an unknown problem key
 or an invalid argument; verify -> 1 on violations, 64 for an --eta that is not
-positive and finite, 65 on a malformed or unreadable trace; all three -> 73
-when an output file or directory cannot be written (run and sweep check that
-the directory of --out and --svg exists before the first run).
+positive and finite, 65 on a malformed or unreadable trace; all three -> 64
+for a command line that click cannot parse, and 73 when an output file or
+directory cannot be written (run and sweep check that the directory of --out
+and --svg exists before the first run).
 """
 
 from __future__ import annotations
@@ -87,7 +88,28 @@ def _trace_curve(trace: RunTrace) -> dict:
             "fit": fit, "q": trace.q}
 
 
-@click.group()
+def _usage_exit(call, *args, **kwargs):
+    """call(*args, **kwargs), with a click usage error exiting 64, not 2 (the
+    code of max_iterations); the code holds under standalone_mode=False too,
+    where the error reaches the caller."""
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_USAGE
+        raise
+
+
+class _Group(click.Group):
+    """Parses the group's arguments, and each command's, via _usage_exit."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exit(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exit(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Outer approximation of convex vector optimization problems by lp
     norm-minimization cuts."""

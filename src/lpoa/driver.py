@@ -80,7 +80,6 @@ class IterationRecord:
 @dataclass(frozen=True)
 class RunTrace:
     config: RunConfig
-    initial_halfspace_count: int
     iterations: tuple[IterationRecord, ...]
     final_polytope: Optional[pt.Polytope]
     termination: str  # converged | max_iterations | solver_failure
@@ -89,8 +88,13 @@ class RunTrace:
     def q(self) -> int:
         return by_key(self.config.problem_key).q
 
+    @property
+    def initial_halfspace_count(self) -> int:
+        """J + 1 = q + 1: the halfspaces of the initial polytope."""
+        return self.q + 1
 
-def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
+
+def initialize(prob: ProblemInstance) -> pt.Polytope:
     """Initial bounded polytope from the q coordinate-direction supporting
     halfspaces plus the slice halfspace (J + 1 = q + 1 in total)."""
     halfspaces = []
@@ -101,8 +105,7 @@ def initialize(prob: ProblemInstance) -> tuple[pt.Polytope, int]:
         # supporting halfspace {y : y_i >= offset} in <= form
         halfspaces.append(pt.Halfspace(-e_i, -offset))
     halfspaces.append(pt.Halfspace(prob.w_bar.copy(), prob.gamma_slice))
-    P0 = pt.from_halfspaces(halfspaces)
-    return P0, len(halfspaces)
+    return pt.from_halfspaces(halfspaces)
 
 
 # relative rounding margin: a vertex tied with the largest residual to within
@@ -210,11 +213,10 @@ def run(config: RunConfig) -> RunTrace:
     prob = by_key(config.problem_key)
     ne = NormExponent(config.p)
     try:
-        P, j_plus_1 = initialize(prob)
+        P = initialize(prob)
     except ValueError:
         # an exception from a problem oracle before the first iteration
-        return RunTrace(config=config, initial_halfspace_count=prob.q + 1,
-                        iterations=(), final_polytope=None,
+        return RunTrace(config=config, iterations=(), final_polytope=None,
                         termination="solver_failure")
     exact: dict = {}   # vertex key -> ScalarizationResult
     search: dict = {}  # vertex key -> (residual bound, u, radius, rounds)
@@ -289,9 +291,8 @@ def run(config: RunConfig) -> RunTrace:
             termination = "converged"
             break
 
-    return RunTrace(config=config, initial_halfspace_count=j_plus_1,
-                    iterations=tuple(records), final_polytope=P,
-                    termination=termination)
+    return RunTrace(config=config, iterations=tuple(records),
+                    final_polytope=P, termination=termination)
 
 
 def hausdorff_series(trace: RunTrace) -> list[float]:

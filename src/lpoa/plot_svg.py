@@ -34,8 +34,7 @@ def _fmt_decade(v: float) -> str:
     return f"1e{e:d}"
 
 
-def render_svg(curves, title: str = "", xlabel: str = "iteration k",
-               ylabel: str = "Hausdorff error") -> str:
+def render_svg(curves, title: str = "") -> str:
     """Render curves to an SVG string.
 
     Each curve is a dict with keys: "label", "series" (positive values,
@@ -98,11 +97,11 @@ def render_svg(curves, title: str = "", xlabel: str = "iteration k",
 
     parts.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 15}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="14">{xlabel}</text>')
+                 f'font-size="14">iteration k</text>')
     parts.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.1f}" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'font-size="14" transform="rotate(-90 18 '
-                 f'{MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>')
+                 f'{MARGIN_T + plot_h / 2:.1f})">Hausdorff error</text>')
 
     for ci, c in enumerate(curves):
         color = PALETTE[ci % len(PALETTE)]

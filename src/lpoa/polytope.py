@@ -113,7 +113,7 @@ class Polytope:
 def _feas_tolerances(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Per-(halfspace, point) absolute tolerance, relative to magnitudes."""
     row_scale = np.maximum(1.0, np.abs(b))
-    pt_scale = np.maximum(1.0, np.abs(pts).max(axis=1)) if len(pts) else np.array([])
+    pt_scale = np.maximum(1.0, np.abs(pts).max(axis=1))
     return FEAS_TOL * np.outer(row_scale, pt_scale)
 
 
@@ -152,7 +152,7 @@ def from_halfspaces(halfspaces) -> Polytope:
     raised when no vertex is feasible or the vertex centroid lies on some
     halfspace's boundary, i.e. when the intersection has empty interior.
     """
-    hs = tuple(h if isinstance(h, Halfspace) else Halfspace(*h) for h in halfspaces)
+    hs = tuple(halfspaces)
     if not hs:
         raise ValueError("need at least one halfspace")
     q = hs[0].normal.size

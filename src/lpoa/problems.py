@@ -15,15 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "ProblemInstance",
-    "example1",
-    "rotated_ellipse",
-    "example2",
-    "by_key",
-    "PROBLEM_KEYS",
-    "weighted_sum",
-]
+__all__ = ["ProblemInstance", "by_key", "PROBLEM_KEYS", "weighted_sum"]
 
 
 @dataclass(frozen=True)
@@ -61,128 +53,79 @@ def weighted_sum(prob: ProblemInstance, omega):
 
 
 # ---------------------------------------------------------------------------
-# slice construction
+# the built-in problems
 
 
-def _attach_slice(build):
-    """Finalize an instance: compute slice offset from coordinate supports."""
-    inst = build(gamma_slice=np.inf)
-    offsets = []
-    for i in range(inst.q):
-        e_i = np.zeros(inst.q)
-        e_i[i] = 1.0
-        x_star, _ = weighted_sum(inst, e_i)
-        offsets.append(float(inst.w_bar @ inst.gamma_eval(x_star)))
+def _instance(key: str, gamma_eval, w_bar: np.ndarray,
+              ws_closed_form) -> ProblemInstance:
+    """The instance with gamma_slice = max_i w_bar . gamma(x*(e_i)) plus a
+    quarter of the spread of these q offsets, from the minimizers x*(e_i) of
+    the coordinate directions."""
+    offsets = [float(w_bar @ gamma_eval(ws_closed_form(e_i)))
+               for e_i in np.eye(len(w_bar))]
     spread = max(offsets) - min(offsets)
-    return build(gamma_slice=max(offsets) + 0.25 * spread)
+    return ProblemInstance(key=key, q=len(w_bar), gamma_eval=gamma_eval,
+                           w_bar=w_bar,
+                           gamma_slice=max(offsets) + 0.25 * spread,
+                           ws_closed_form=ws_closed_form)
 
 
-# ---------------------------------------------------------------------------
-# Example 1: identity objective over a unit ball
+def _identity(x):
+    return np.asarray(x, dtype=float)
 
 
-def example1(q: int) -> ProblemInstance:
-    """Identity objective on the unit Euclidean ball centered at (1, ..., 1)."""
-    if q not in (2, 3):
-        raise ValueError("example1 supports q in {2, 3}")
-    e = np.ones(q)
-
-    def ws_closed_form(omega):
-        # not np.linalg.norm: its axis=-1 form differs from the 1-D one in
-        # the last bit
-        return e - omega / np.sqrt(np.vecdot(omega, omega))[..., None]
-
-    def build(gamma_slice):
-        return ProblemInstance(
-            key=f"example1-q{q}",
-            q=q,
-            gamma_eval=lambda x: np.asarray(x, dtype=float),
-            w_bar=e / q,
-            gamma_slice=gamma_slice,
-            ws_closed_form=ws_closed_form,
-        )
-
-    return _attach_slice(build)
+def _ball_minimizer(omega):
+    """Example 1: the identity over the unit Euclidean ball centered at
+    (1, ..., 1), in any q."""
+    # not np.linalg.norm: its axis=-1 form differs from the 1-D one in the
+    # last bit
+    return 1.0 - omega / np.sqrt(np.vecdot(omega, omega))[..., None]
 
 
-# ---------------------------------------------------------------------------
-# Rotated ellipse: identity objective over a rotated ellipse in R^2
-
+# the identity over the 45-degree-rotated ellipse x = M t + (2, 2) with
+# squared semi-axes (10, 6)
 _ELLIPSE_AXES_SQ = np.array([10.0, 6.0])
-_ELLIPSE_M = np.array([[-0.5, 0.5], [0.5, 0.5]])       # x = M t + (2, 2)
+_ELLIPSE_M = np.array([[-0.5, 0.5], [0.5, 0.5]])
 _ELLIPSE_X0 = np.array([2.0, 2.0])
 
 
-def rotated_ellipse() -> ProblemInstance:
-    """Identity objective over the 45-degree-rotated ellipse centered at (2,2)."""
-
-    def ws_closed_form(omega):
-        c = omega @ _ELLIPSE_M
-        scale = np.sqrt((_ELLIPSE_AXES_SQ * c * c).sum(-1, keepdims=True))
-        return (-_ELLIPSE_AXES_SQ * c / scale) @ _ELLIPSE_M.T + _ELLIPSE_X0
-
-    def build(gamma_slice):
-        return ProblemInstance(
-            key="ellipse",
-            q=2,
-            gamma_eval=lambda x: np.asarray(x, dtype=float),
-            w_bar=np.array([0.5, 0.5]),
-            gamma_slice=gamma_slice,
-            ws_closed_form=ws_closed_form,
-        )
-
-    return _attach_slice(build)
+def _ellipse_minimizer(omega):
+    c = omega @ _ELLIPSE_M
+    scale = np.sqrt((_ELLIPSE_AXES_SQ * c * c).sum(-1, keepdims=True))
+    return (-_ELLIPSE_AXES_SQ * c / scale) @ _ELLIPSE_M.T + _ELLIPSE_X0
 
 
-# ---------------------------------------------------------------------------
-# Example 2: squared distances to three anchors over a polygon
-
-# the anchors a_i; X = {x : x1 + 2 x2 <= 10, 0 <= x1 <= 10, 0 <= x2 <= 4}
-# contains their convex hull
+# Example 2: squared distances to the anchors a_i over the polygon
+# X = {x : x1 + 2 x2 <= 10, 0 <= x1 <= 10, 0 <= x2 <= 4}, which contains
+# their convex hull
 _ANCHORS = np.array([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]])
 
 
-def example2() -> ProblemInstance:
-    """Three squared-distance objectives over a polygonal feasible set."""
-
-    def ws_closed_form(omega):
-        # unconstrained minimizer of sum omega_i ||x - a_i||^2 is the weighted
-        # centroid, which lies in the anchor hull and hence in the polygon
-        return (omega @ _ANCHORS) / np.sum(omega, axis=-1, keepdims=True)
-
-    def gamma(x):
-        d = _ANCHORS - np.asarray(x, dtype=float)[..., None, :]
-        return np.add.reduce(d * d, axis=-1)
-
-    def build(gamma_slice):
-        return ProblemInstance(
-            key="example2",
-            q=3,
-            gamma_eval=gamma,
-            w_bar=np.ones(3) / 3.0,
-            gamma_slice=gamma_slice,
-            ws_closed_form=ws_closed_form,
-        )
-
-    return _attach_slice(build)
+def _anchor_distances(x):
+    d = _ANCHORS - np.asarray(x, dtype=float)[..., None, :]
+    return np.add.reduce(d * d, axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# registry
+def _centroid(omega):
+    # unconstrained minimizer of sum omega_i ||x - a_i||^2 is the weighted
+    # centroid, which lies in the anchor hull and hence in the polygon
+    return (omega @ _ANCHORS) / np.sum(omega, axis=-1, keepdims=True)
 
-PROBLEM_KEYS = ("example1-q2", "example1-q3", "ellipse", "example2")
+
+# key -> (gamma_eval, w_bar, ws_closed_form)
+_BUILTINS = {
+    "example1-q2": (_identity, np.ones(2) / 2, _ball_minimizer),
+    "example1-q3": (_identity, np.ones(3) / 3, _ball_minimizer),
+    "ellipse": (_identity, np.array([0.5, 0.5]), _ellipse_minimizer),
+    "example2": (_anchor_distances, np.ones(3) / 3.0, _centroid),
+}
+PROBLEM_KEYS = tuple(_BUILTINS)
 
 
 @lru_cache(maxsize=None)
 def by_key(key: str) -> ProblemInstance:
     """Problem instances are cached: repeated lookups return one instance."""
-    if key == "example1-q2":
-        return example1(2)
-    if key == "example1-q3":
-        return example1(3)
-    if key == "ellipse":
-        return rotated_ellipse()
-    if key == "example2":
-        return example2()
-    raise KeyError(f"unknown problem key {key!r}; expected one of {PROBLEM_KEYS}")
-
+    if key not in _BUILTINS:
+        raise KeyError(f"unknown problem key {key!r}; "
+                       f"expected one of {PROBLEM_KEYS}")
+    return _instance(key, *_BUILTINS[key])

@@ -207,8 +207,9 @@ def solve_batch(prob: ProblemInstance, vertices, ne: NormExponent,
                 cache: Optional[dict] = None) -> list[ScalarizationResult]:
     """Solve the subproblem for each vertex, reusing the results in cache.
 
-    The cache maps a vertex's exact coordinates to its result; polytope.cut
-    keeps surviving vertices bit for bit, so they hit it in later batches.
+    The cache maps a vertex's exact coordinates to its result.  driver.run
+    passes its store of results, which it reads itself in later iterations,
+    and never passes a vertex that is already in it.
     """
     if cache is None:
         cache = {}

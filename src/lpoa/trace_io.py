@@ -179,10 +179,8 @@ def trace_from_dict(doc: dict) -> RunTrace:
             raise ValueError("metadata must be a JSON object")
         poly = doc["final_polytope"]
         final = None if poly is None else _polytope_from_dict(poly, q)
-        return RunTrace(config=config,
-                        initial_halfspace_count=h0,
-                        iterations=iterations, final_polytope=final,
-                        termination=doc["termination"])
+        return RunTrace(config=config, iterations=iterations,
+                        final_polytope=final, termination=doc["termination"])
     except KeyError as exc:
         raise TraceFormatError(f"trace is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

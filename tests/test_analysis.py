@@ -30,8 +30,8 @@ def cut_trace(points, normals, residuals, p=2.0) -> RunTrace:
         for k, (y, w, r) in enumerate(zip(points, normals, residuals)))
     return RunTrace(config=RunConfig(problem_key="example1-q2", p=p,
                                      epsilon=1e-6),
-                    initial_halfspace_count=3, iterations=records,
-                    final_polytope=None, termination="converged")
+                    iterations=records, final_polytope=None,
+                    termination="converged")
 
 
 def arc_trace(n: int) -> RunTrace:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -514,13 +515,39 @@ class TestVerifyCommand:
 
     def test_usage_error_without_args(self, runner):
         res = runner.invoke(main, ["verify"])
-        assert res.exit_code == 2
+        assert res.exit_code == 64
         assert "--trace" in res.output
 
     def test_self_test_is_unknown_option(self, runner):
         res = runner.invoke(main, ["verify", "--self-test"])
-        assert res.exit_code == 2
+        assert res.exit_code == 64
         assert "No such option '--self-test'" in res.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--problem", "ellipse", "--p", "abc", "--eps", "0.1"],
+     "Invalid value for '--p'"),
+    (["run", "--problem", "ellipse", "--eps", "0.1"], "Missing option '--p'"),
+    (["run", "--bogus"], "No such option '--bogus'"),
+    (["run", "--problem", "ellipse", "--p", "2", "--eps", "0.1", "--out",
+      "."], "is a directory"),
+    (["verify", "--trace", "."], "is a directory"),
+    (["nosuch"], "No such command 'nosuch'"),
+    (["--bogus"], "No such option '--bogus'"),
+], ids=["run-p-abc", "run-no-p", "run-unknown-option", "run-out-directory",
+        "verify-trace-directory", "unknown-command", "unknown-group-option"])
+def test_usage_error_exits_64(runner, args, message):
+    # click's own code, 2, would read as run's max_iterations
+    res = runner.invoke(main, args)
+    assert res.exit_code == 64, res.output
+    assert message in res.output
+
+
+def test_usage_error_code_without_standalone_mode():
+    with pytest.raises(click.UsageError) as err:
+        main.main(args=["run", "--p", "abc"], prog_name="lpoa",
+                  standalone_mode=False)
+    assert err.value.exit_code == 64
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -48,8 +48,7 @@ class TestConfig:
     def test_roundtrip(self):
         cfg = RunConfig(problem_key="ellipse", p=1.25, epsilon=1e-3,
                         max_iterations=77)
-        trace = RunTrace(config=cfg, initial_halfspace_count=3,
-                         iterations=(), final_polytope=None,
+        trace = RunTrace(config=cfg, iterations=(), final_polytope=None,
                          termination="max_iterations")
         assert trace_from_dict(trace_to_dict(trace)).config == cfg
 
@@ -73,8 +72,7 @@ class TestInitialize:
                                      "ellipse", "example2"])
     def test_shape(self, key):
         prob = by_key(key)
-        P0, j_plus_1 = initialize(prob)
-        assert j_plus_1 == prob.q + 1
+        P0 = initialize(prob)
         assert len(P0.halfspaces) == prob.q + 1
         assert len(P0.vertices()) >= prob.q + 1
         # the slice halfspace is active: some vertex attains it
@@ -83,7 +81,7 @@ class TestInitialize:
 
     def test_simplex_q2(self):
         # q coordinate supports + slice give a triangle for q = 2
-        P0, _ = initialize(by_key("example1-q2"))
+        P0 = initialize(by_key("example1-q2"))
         assert len(P0.vertices()) == 3
 
 
@@ -193,7 +191,7 @@ class TestRunBehaviour:
         # SubproblemError and the run ends with a recorded termination
         monkeypatch.setattr(scalarization, "MAX_STEPS", 1)
         prob = by_key("example2")
-        P0, _ = initialize(prob)
+        P0 = initialize(prob)
         with pytest.raises(SubproblemError) as err:
             scalarization.solve_subproblem(prob, P0.vertices()[0],
                                            NormExponent(2.0))
@@ -215,7 +213,7 @@ class TestRunBehaviour:
         trace = run(cfg)
         assert trace.termination == "solver_failure"
         assert trace.iterations == ()
-        P0, _ = initialize(by_key("example1-q2"))
+        P0 = initialize(by_key("example1-q2"))
         assert len(trace.final_polytope.halfspaces) == len(P0.halfspaces)
         assert np.array_equal(trace.final_polytope.vertices_array,
                               P0.vertices_array)
@@ -281,7 +279,7 @@ def _bound_setup(key, p):
     vertices and edge midpoints of the polytope (points of A)."""
     prob = by_key(key)
     ne = NormExponent(p)
-    P0, _ = initialize(prob)
+    P0 = initialize(prob)
     V = P0.vertices()
     known = [prob.gamma_eval(prob.ws_closed_form(e)) for e in np.eye(prob.q)]
     points = list(V) + [0.5 * (a + b)
@@ -463,7 +461,7 @@ class TestLazySelection:
 
         prob = by_key("example2")
         ne = NormExponent(config.p)
-        P, _ = initialize(prob)
+        P = initialize(prob)
         eager: dict = {}
         solved: set = set()
         pending = iter(events)
@@ -550,3 +548,24 @@ class TestOracleFailure:
         assert callers == ["weighted_sum"]
         assert trace.termination == "solver_failure"
         assert trace.iterations == () and trace.final_polytope is None
+
+    def test_failure_without_polytope_counts_q_plus_1(self, monkeypatch):
+        # with no polytope to count, J + 1 = q + 1 still holds, and the
+        # written trace loads back
+        inst, _ = _oracle_with_fault(by_key("example2"), 1)
+        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+        trace = run(RunConfig(problem_key="example2", p=2.0, epsilon=0.05))
+        monkeypatch.undo()
+        assert trace.final_polytope is None
+        assert trace.initial_halfspace_count == 4 == trace.q + 1
+        doc = trace_to_dict(trace)
+        assert doc["initial_halfspace_count"] == 4
+        assert trace_from_dict(doc).initial_halfspace_count == 4
+
+
+def test_version_1_trace_counts_q_plus_1():
+    doc = json.loads((Path(__file__).parent / "data"
+                      / "trace_v1_example1-q2.json").read_text())
+    assert doc["initial_halfspace_count"] == 3
+    trace = trace_from_dict(doc)
+    assert trace.initial_halfspace_count == 3 == trace.q + 1

@@ -33,6 +33,20 @@ class TestRegistry:
         with pytest.raises(KeyError):
             by_key("nope")
 
+    def test_one_instance_per_key(self, monkeypatch):
+        # each built-in is built once, and repeated lookups return it
+        built = []
+
+        def counted(**fields):
+            built.append(fields["key"])
+            return ProblemInstance(**fields)
+
+        monkeypatch.setattr(problems, "ProblemInstance", counted)
+        by_key.cache_clear()
+        first = [by_key(key) for key in PROBLEM_KEYS]
+        assert all(by_key(key) is inst for key, inst in zip(PROBLEM_KEYS, first))
+        assert built == list(PROBLEM_KEYS)
+
     def test_dimensions(self):
         assert by_key("example1-q2").q == 2
         assert by_key("example1-q3").q == 3
@@ -72,12 +86,11 @@ class TestInstanceFields:
 
 class TestSliceParameters:
     def test_gamma_values(self):
-        # gamma = max_i w_bar . Gamma(x*_i) + 0.25 * spread of the ideal points
-        assert by_key("example1-q2").gamma_slice == pytest.approx(0.5)
-        assert by_key("example1-q3").gamma_slice == pytest.approx(2.0 / 3.0)
-        assert by_key("ellipse").gamma_slice == pytest.approx(1.25)
-        assert by_key("example2").gamma_slice == pytest.approx(5.41666667,
-                                                               rel=1e-6)
+        # gamma = max_i w_bar . Gamma(x*_i) + 0.25 * spread of the ideal
+        # points; every trace byte depends on these bits
+        assert {key: repr(by_key(key).gamma_slice) for key in PROBLEM_KEYS} == {
+            "example1-q2": "0.5", "example1-q3": "0.6666666666666666",
+            "ellipse": "1.25", "example2": "5.416666666666667"}
 
     def test_w_bar_uniform(self, prob):
         assert np.allclose(prob.w_bar, np.ones(prob.q) / prob.q)
