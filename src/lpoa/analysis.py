@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import RunTrace, hausdorff_series
-from .lp_geometry import LemmaConstants, NormExponent, lp_norm
+from .lp_geometry import LemmaConstants, NormExponent
 
 __all__ = [
     "RateFit",
@@ -100,13 +100,12 @@ def fit_rate(series, q: int, epsilon: float) -> RateFit:
 # lemma verification over every pair of recorded cuts
 
 
-def _lp_distances(alpha: np.ndarray, others: np.ndarray,
-                  ne: NormExponent) -> list[float]:
-    """||alpha - others[j]||_p for every row j, equal to lp_norm's value to
-    the bit.  It uses lp_norm's max-scaled form and takes the root in Python
-    floats, as the caller takes the square: numpy's vectorised pow can
-    differ from the scalar pow in the last place."""
-    a = np.abs(alpha - others)
+def _lp_distances(rows: np.ndarray, ne: NormExponent) -> list[float]:
+    """||row||_p for every row, equal to lp_norm's value to the bit.  It
+    uses lp_norm's max-scaled form and takes the root in Python floats, as
+    the caller takes the square: numpy's vectorised pow can differ from the
+    scalar pow in the last place."""
+    a = np.abs(rows)
     m = a.max(axis=1)
     s = np.sum((a / np.where(m > 0.0, m, 1.0)[:, None]) ** ne.p, axis=1)
     inv_p = 1.0 / ne.p
@@ -137,59 +136,48 @@ def verify_trace(trace: RunTrace, eta: float = 0.1) -> dict:
     A = Y - eta * W
     # D[i, j] = d_ij = <w_j, y_i - y_j>
     D = Y @ W.T - np.sum(Y * W, axis=1)[None, :]
-    G = W @ W.T
+    I, J = np.triu_indices(n, 1)  # every pair i < j, in pair order
+
+    dist = _lp_distances(A[I] - A[J], ne)
+    bound = [lc.C_pq * d ** 2 / lc.eta for d in dist]
+    dist_a, bound_a = np.array(dist), np.array(bound)
+    d_ij, d_ji = D[I, J], D[J, I]
+    d_max = np.maximum(d_ij, d_ji)
+    pos = bound_a > 0.0
+    max_ratio = float(np.max(d_max[pos] / bound_a[pos], initial=0.0))
+    # error level of the later cut
+    h = series[np.maximum(np.maximum(ks[I], ks[J]) - 1, 0)]
+    bound_i = lc.C3 * np.sqrt(lc.eta * h)
+    bound_ii = lc.C2 * lc.eta
+    reached = d_max >= h
+    non_acute = (W @ W.T)[I, J] <= 0.0
+    flagged = ((np.minimum(d_ij, d_ji) < -tol) | (d_max > bound_a + tol)
+               | (reached & (dist_a < bound_i - tol))
+               | (non_acute & (dist_a < bound_ii - tol)))
 
     hyper: list[dict] = []
     sep: list[dict] = []
-    max_ratio = 0.0
-    checked_i = checked_ii = 0
-    bound_ii = lc.C2 * lc.eta
-    for i in range(n - 1):
-        rest = slice(i + 1, n)
-        dist = _lp_distances(A[i], A[rest], ne)
-        bound = [lc.C_pq * d ** 2 / lc.eta for d in dist]
-        dist_a, bound_a = np.array(dist), np.array(bound)
-        d_ij, d_ji = D[i, rest], D[rest, i]
-        d_max = np.maximum(d_ij, d_ji)
-        pos = bound_a > 0.0
-        if pos.any():
-            max_ratio = max(max_ratio,
-                            float(np.max(d_max[pos] / bound_a[pos])))
-        # error level of the later cut
-        h = series[np.maximum(np.maximum(ks[i], ks[rest]) - 1, 0)]
-        bound_i = lc.C3 * np.sqrt(lc.eta * h)
-        reached = d_max >= h
-        non_acute = G[i, rest] <= 0.0
-        checked_i += int(np.count_nonzero(reached))
-        checked_ii += int(np.count_nonzero(non_acute))
-        flagged = ((np.minimum(d_ij, d_ji) < -tol) | (d_max > bound_a + tol)
-                   | (reached & (dist_a < bound_i - tol))
-                   | (non_acute & (dist_a < bound_ii - tol)))
-        # the few flagged pairs are re-checked one by one so that their
-        # entries come out in pair order, each pair's entries in a fixed order
-        for t in np.flatnonzero(flagged).tolist():
-            pair = [int(ks[i]), int(ks[i + 1 + t])]
-            for label, d in (("d_ij", float(d_ij[t])),
-                             ("d_ji", float(d_ji[t]))):
-                if d < -tol:
-                    hyper.append({"pair": pair, "kind": "support",
-                                  "which": label, "d": d})
-                if d > bound[t] + tol:
-                    hyper.append({"pair": pair, "kind": "hyperplane",
-                                  "which": label, "d": d, "bound": bound[t]})
-            if reached[t] and dist[t] < bound_i[t] - tol:
-                sep.append({"pair": pair, "kind": "part_i", "dist": dist[t],
-                            "bound": float(bound_i[t])})
-            if non_acute[t] and dist[t] < bound_ii - tol:
-                sep.append({"pair": pair, "kind": "part_ii", "dist": dist[t],
-                            "bound": bound_ii})
+    # every pair is screened above in one array pass; the few flagged ones
+    # are re-checked here in pair order, each pair's entries in a fixed order
+    for t in np.flatnonzero(flagged).tolist():
+        pair = [int(ks[I[t]]), int(ks[J[t]])]
+        for label, d in (("d_ij", float(d_ij[t])), ("d_ji", float(d_ji[t]))):
+            if d < -tol:
+                hyper.append({"pair": pair, "kind": "support",
+                              "which": label, "d": d})
+            if d > bound[t] + tol:
+                hyper.append({"pair": pair, "kind": "hyperplane",
+                              "which": label, "d": d, "bound": bound[t]})
+        if reached[t] and dist[t] < bound_i[t] - tol:
+            sep.append({"pair": pair, "kind": "part_i", "dist": dist[t],
+                        "bound": float(bound_i[t])})
+        if non_acute[t] and dist[t] < bound_ii - tol:
+            sep.append({"pair": pair, "kind": "part_ii", "dist": dist[t],
+                        "bound": bound_ii})
 
-    ne_dual = NormExponent(ne.p_star)
-    dual_violations = []
-    for rec in recs:
-        dn = lp_norm(rec.cut_normal, ne_dual)
-        if abs(dn - 1.0) > tol:
-            dual_violations.append({"k": rec.k, "dual_norm": dn})
+    dual = _lp_distances(W, NormExponent(ne.p_star))
+    dual_violations = [{"k": rec.k, "dual_norm": dn}
+                       for rec, dn in zip(recs, dual) if abs(dn - 1.0) > tol]
 
     pairs = n * (n - 1) // 2
     return {
@@ -199,8 +187,9 @@ def verify_trace(trace: RunTrace, eta: float = 0.1) -> dict:
         "pairs": pairs,
         "hyperplane": {"checked": 2 * pairs, "violations": hyper,
                        "max_slack_ratio": max_ratio},
-        "separation": {"checked_part_i": checked_i,
-                       "checked_part_ii": checked_ii, "violations": sep},
+        "separation": {"checked_part_i": int(np.count_nonzero(reached)),
+                       "checked_part_ii": int(np.count_nonzero(non_acute)),
+                       "violations": sep},
         "dual_norm_violations": dual_violations,
         "total_violations": len(hyper) + len(sep) + len(dual_violations),
     }

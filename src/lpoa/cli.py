@@ -210,6 +210,8 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
             any_failed = True
             rows.append((p, p / (p - 1.0), float("nan"), float("nan"),
                          len(trace.iterations), status))
+            click.echo(f"p={p:g}: {status} after {len(trace.iterations)} "
+                       f"iterations ({wall:.2f}s)")
             continue
         curve = _trace_curve(trace)
         fit = curve["fit"]

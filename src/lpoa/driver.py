@@ -55,6 +55,10 @@ class RunConfig:
                    for x in (self.p, self.epsilon)):
             raise ValueError("p and epsilon must be real numbers, got "
                              f"{self.p!r} and {self.epsilon!r}")
+        try:
+            float(self.p), float(self.epsilon)
+        except OverflowError:
+            raise ValueError("p and epsilon must fit a float") from None
         NormExponent(self.p)  # raises ValueError unless 1 < p < inf
         if not (math.isfinite(self.epsilon) and self.epsilon > ZERO_TOL):
             raise ValueError("epsilon must be finite and exceed the "
@@ -236,8 +240,8 @@ def run(config: RunConfig) -> RunTrace:
             if best == -math.inf:
                 # nothing to compare a bound with: solve the first vertex
                 i = open_rows.pop(0)
-                res, = solve_batch(prob, verts[i:i + 1], ne, exact)
-                best = res.residual_norm
+                exact[keys[i]], = solve_batch(prob, verts[i:i + 1], ne)
+                best = exact[keys[i]].residual_norm
             new = [i for i in open_rows if keys[i] not in search]
             if new:
                 normals = -np.array([h.normal for h in P.halfspaces])
@@ -257,8 +261,8 @@ def run(config: RunConfig) -> RunTrace:
             for i in sorted(open_rows, key=lambda j: -search[keys[j]][0]):
                 if search[keys[i]][0] < best * (1.0 - _ROUNDING):
                     break
-                res, = solve_batch(prob, verts[i:i + 1], ne, exact)
-                best = max(best, res.residual_norm)
+                exact[keys[i]], = solve_batch(prob, verts[i:i + 1], ne)
+                best = max(best, exact[keys[i]].residual_norm)
         except (SubproblemError, ValueError):
             # solver non-convergence, or an exception from a problem oracle
             termination = "solver_failure"

@@ -199,24 +199,7 @@ def solve_subproblem(prob: ProblemInstance, v,
                                cut_normal=normal, iterations=steps)
 
 
-# ---------------------------------------------------------------------------
-# batching with a cache
-
-
-def solve_batch(prob: ProblemInstance, vertices, ne: NormExponent,
-                cache: Optional[dict] = None) -> list[ScalarizationResult]:
-    """Solve the subproblem for each vertex, reusing the results in cache.
-
-    The cache maps a vertex's exact coordinates to its result.  driver.run
-    passes its store of results, which it reads itself in later iterations,
-    and never passes a vertex that is already in it.
-    """
-    if cache is None:
-        cache = {}
-    results = []
-    for v in vertices:
-        key = tuple(np.asarray(v, dtype=float).tolist())
-        if key not in cache:
-            cache[key] = solve_subproblem(prob, v, ne)
-        results.append(cache[key])
-    return results
+def solve_batch(prob: ProblemInstance, vertices,
+                ne: NormExponent) -> list[ScalarizationResult]:
+    """The subproblem's result at each vertex, in order."""
+    return [solve_subproblem(prob, v, ne) for v in vertices]

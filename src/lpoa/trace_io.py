@@ -123,7 +123,7 @@ def _iteration_from_dict(d: dict, q: int, position: int) -> IterationRecord:
                          f"{vertices} vertices")
     return IterationRecord(
         k=k, farthest_vertex=_point(d, "farthest_vertex", q),
-        residual_norm=res, support_point=_point(d, "support_point", q),
+        residual_norm=float(res), support_point=_point(d, "support_point", q),
         cut_normal=(None if d["cut_normal"] is None
                     else _point(d, "cut_normal", q)),
         vertex_count=vertices, cache_hits=hits,
@@ -183,7 +183,7 @@ def trace_from_dict(doc: dict) -> RunTrace:
                         final_polytope=final, termination=doc["termination"])
     except KeyError as exc:
         raise TraceFormatError(f"trace is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TraceFormatError(f"malformed trace: {exc}") from exc
 
 

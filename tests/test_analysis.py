@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -49,6 +50,14 @@ def parallel_trace(n: int, p: float) -> RunTrace:
                               rng.uniform(-1.0, 0.0, n)])
     return cut_trace(points, np.tile([1.0, 0.0], (n, 1)),
                      np.exp(rng.uniform(-12.0, -4.0, n)), p=p)
+
+
+def scale_every_third_normal(trace: RunTrace, factor: float) -> RunTrace:
+    """The trace with the cut normal of every iteration k = 0 mod 3 scaled
+    by factor, off the dual unit sphere."""
+    its = tuple(dataclasses.replace(r, cut_normal=factor * r.cut_normal)
+                if r.k % 3 == 0 else r for r in trace.iterations)
+    return dataclasses.replace(trace, iterations=its)
 
 
 def assert_matches_reference(trace: RunTrace, eta: float) -> None:
@@ -217,10 +226,17 @@ class TestVerifiers:
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
     def test_synthetic_traces_match_reference(self, eta):
         # the parallel cuts put enough distances and bounds in the report
-        # that a last-place difference from lp_norm would show
+        # that a last-place difference from lp_norm would show; the scaled
+        # normals add dual-norm entries
         for trace in (arc_trace(120), negate_every_third_normal(
                 arc_trace(120)), parallel_trace(200, 1.5),
                 parallel_trace(200, 3.0)):
+            assert_matches_reference(trace, eta=eta)
+        for trace, entries in (
+                (scale_every_third_normal(arc_trace(120), 1.5), 40),
+                (scale_every_third_normal(parallel_trace(200, 3.0), 0.7), 67)):
+            report = verify_trace(trace, eta=eta)
+            assert len(report["dual_norm_violations"]) == entries
             assert_matches_reference(trace, eta=eta)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -40,6 +41,10 @@ def small_trace():
     return run(RunConfig(problem_key="ellipse", p=2.0, epsilon=0.05))
 
 
+# a JSON integer too large for a float
+HUGE = 10 ** 400
+
+
 def malformed_documents(trace):
     """Trace documents whose config or an iteration entry is not a JSON
     object, whose problem key is unknown, whose p or epsilon is not a real
@@ -52,7 +57,8 @@ def malformed_documents(trace):
     not a non-negative integer, or more cache hits than vertices; or whose
     final polytope has a halfspace offset that is not a finite number, or
     an incidence that is not one strictly increasing list of halfspace
-    indices per vertex."""
+    indices per vertex.  An integer too large for a float stands in for p,
+    epsilon, a residual norm, a point coordinate and an offset."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -62,7 +68,8 @@ def malformed_documents(trace):
     bad_key["config"]["problem_key"] = "nope"
     docs = [bad_config, bad_entry, bad_entries, bad_key]
     for field, value in (("p", "2"), ("p", None), ("p", True),
-                         ("epsilon", "0.05"), ("epsilon", [0.05]),
+                         ("p", HUGE), ("epsilon", "0.05"),
+                         ("epsilon", [0.05]), ("epsilon", HUGE),
                          ("max_iterations", 500.0),
                          ("max_iterations", "500")):
         d = doc()
@@ -82,14 +89,15 @@ def malformed_documents(trace):
              ("k", len(trace.iterations)), ("k", mid - 1), ("k", mid + 1),
              ("residual_norm", "0.1"), ("residual_norm", None),
              ("residual_norm", float("nan")), ("residual_norm", float("inf")),
-             ("residual_norm", -0.1)]
+             ("residual_norm", -0.1), ("residual_norm", HUGE)]
     for field in ("vertex_count", "cache_hits"):
         edits += [(field, "x"), (field, None), (field, -1), (field, 2.0),
                   (field, True)]
     for field in ("farthest_vertex", "support_point", "cut_normal"):
         edits += [(field, [0.5] * (q + 1)), (field, [0.5] * (q - 1)),
                   (field, [0.5] + [float("nan")] * (q - 1)),
-                  (field, [float("inf")] * q), (field, ["a"] * q)]
+                  (field, [float("inf")] * q), (field, ["a"] * q),
+                  (field, [HUGE] + [0.5] * (q - 1))]
     for field, value in edits:
         d = doc()
         d["iterations"][mid][field] = value
@@ -105,7 +113,7 @@ def malformed_documents(trace):
     both["iterations"][mid]["support_point"] = [0.5] * (q + 1)
     docs.append(both)
     m = len(trace.final_polytope.halfspaces)
-    for offset in (float("nan"), float("inf"), True, "1.0", None):
+    for offset in (float("nan"), float("inf"), True, "1.0", None, HUGE):
         d = doc()
         d["final_polytope"]["halfspaces"][0]["offset"] = offset
         docs.append(d)
@@ -348,6 +356,9 @@ class TestSweepCommand:
         lines = (tmp_path / "ellipse-summary.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER + ",status"
         assert lines[1].endswith(",max_iterations")
+        # the failed run gets run's summary line
+        assert re.search(r"^p=2: max_iterations after 3 iterations "
+                         r"\(\d+\.\d\ds\)$", res.output, re.M), res.output
 
     def test_sweep_parallel_matches_serial(self, runner, tmp_path):
         d1, d2 = tmp_path / "serial", tmp_path / "par"

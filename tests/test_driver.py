@@ -17,7 +17,7 @@ from lpoa.driver import (_ROUNDING, _ROUNDS, RunConfig, RunTrace,
                          hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
-from lpoa.scalarization import SubproblemError, solve_batch
+from lpoa.scalarization import SubproblemError
 from lpoa.trace_io import dumps_trace, trace_from_dict, trace_to_dict
 
 from oracles import boundary_samples, in_A, reference_distance, support_value
@@ -477,8 +477,11 @@ class TestLazySelection:
             keys = {tuple(v) for v in verts.tolist()}
             assert rec.cache_hits == len(keys & seen)
             seen |= keys
-            results = solve_batch(prob, verts, ne, eager)
-            residuals = [res.residual_norm for res in results]
+            for v in verts:
+                if tuple(v) not in eager:
+                    eager[tuple(v)] = scalarization.solve_subproblem(
+                        prob, v, ne)
+            residuals = [eager[tuple(v)].residual_norm for v in verts]
             idx = int(np.argmax(residuals))
             assert np.array_equal(verts[idx], rec.farthest_vertex)
             assert residuals[idx] == rec.residual_norm

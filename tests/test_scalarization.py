@@ -87,25 +87,23 @@ class TestSubproblem:
             tested += 1
 
 
-class TestCacheAndBatch:
-    def test_cache_hit(self, monkeypatch):
-        # a second batch over the same vertices solves nothing again
+class TestBatch:
+    def test_one_solve_per_vertex(self, monkeypatch):
+        # no cache: a repeated vertex is solved again, results in order
         prob = by_key("example1-q2")
         ne = NormExponent(2)
-        cache = {}
-        verts = np.array([[0.0, 0.0], [-0.2, 0.1]])
-        r1 = solve_batch(prob, verts, ne, cache=cache)
+        verts = np.array([[0.0, 0.0], [-0.2, 0.1], [0.0, 0.0]])
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return solve_subproblem(*args, **kwargs)
+        def counting(prob, v, ne):
+            calls.append(tuple(v))
+            return solve_subproblem(prob, v, ne)
 
         monkeypatch.setattr(scalarization, "solve_subproblem", counting)
-        r2 = solve_batch(prob, verts, ne, cache=cache)
-        assert calls == []
-        assert len(cache) == 2
-        assert all(a is b for a, b in zip(r1, r2))
+        results = solve_batch(prob, verts, ne)
+        assert calls == [tuple(v) for v in verts]
+        assert [r.residual_norm for r in results] == [
+            solve_subproblem(prob, v, ne).residual_norm for v in verts]
 
     def test_rejects_non_finite_vertex(self):
         prob = by_key("example1-q2")
