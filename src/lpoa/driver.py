@@ -99,8 +99,10 @@ class RunTrace:
 
 
 def initialize(prob: ProblemInstance) -> pt.Polytope:
-    """Initial bounded polytope from the q coordinate-direction supporting
-    halfspaces plus the slice halfspace (J + 1 = q + 1 in total)."""
+    """Initial polytope: the simplex bounded by the q coordinate-direction
+    supporting halfspaces plus the slice halfspace (J + 1 = q + 1 in total).
+    Each problem's slice lies strictly above its ideal point, so the simplex
+    is never degenerate."""
     halfspaces = []
     for i in range(prob.q):
         e_i = np.zeros(prob.q)
@@ -109,12 +111,9 @@ def initialize(prob: ProblemInstance) -> pt.Polytope:
         # supporting halfspace {y : y_i >= offset} in <= form
         halfspaces.append(pt.Halfspace(-e_i, -offset))
     halfspaces.append(pt.Halfspace(prob.w_bar.copy(), prob.gamma_slice))
-    return pt.from_halfspaces(halfspaces)
+    return pt.simplex(halfspaces)
 
 
-# relative rounding margin: a vertex tied with the largest residual to within
-# rounding is still solved, so ties resolve as if every vertex were solved
-_ROUNDING = 1e-12
 _ROUNDS = 12  # most stencil rounds of the bound search at one vertex
 
 # q -> (steps, shrink): the trial steps of the frontier search around a row's
@@ -126,6 +125,15 @@ _STENCIL = {
     3: (np.array([[[s * math.cos(k * math.pi / 6.0),
                     s * math.sin(k * math.pi / 6.0)] for k in range(12)]
                   for s in (1.0, 1.0 / 3.0, 1.0 / 9.0)]), 0.5)}
+
+
+def _reach(best, verts: np.ndarray):
+    """The least bound that can still reach the largest residual `best` at
+    the vertices `verts` (rows), to within rounding, so that a vertex tied
+    with `best` is still solved and ties resolve as if every vertex were
+    solved: a relative margin, and an absolute one for a residual near zero,
+    whose rounding is that of terms of the size of the coordinates."""
+    return best * (1.0 - 1e-12) - 1e-15 * np.abs(verts).max()
 
 
 def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
@@ -254,12 +262,12 @@ def run(config: RunConfig) -> RunTrace:
                 state = [np.array(s) for s in
                          zip(*(search[keys[i]] for i in open_rows))]
                 _search_advance(prob, ne.p, verts[open_rows], state,
-                                best * (1.0 - _ROUNDING))
+                                _reach(best, verts))
                 search.update(zip((keys[i] for i in open_rows), zip(*state)))
             # solve in decreasing bound order until no bound can reach the
             # largest exact residual
             for i in sorted(open_rows, key=lambda j: -search[keys[j]][0]):
-                if search[keys[i]][0] < best * (1.0 - _ROUNDING):
+                if search[keys[i]][0] < _reach(best, verts):
                     break
                 exact[keys[i]], = solve_batch(prob, verts[i:i + 1], ne)
                 best = max(best, exact[keys[i]].residual_norm)

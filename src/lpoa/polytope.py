@@ -1,12 +1,10 @@
 """Bounded polytopes in H- and V-representation with incremental cuts.
 
 A Polytope keeps the full halfspace list, the exact vertex set and a boolean
-incidence array (which halfspaces are active at each vertex).  Construction
-from scratch enumerates q-subsets of halfspaces, after checking the recession
-cone through the null vectors of (q - 1)-subsets, and rejects an empty
-interior from the enumerated vertices; no linear program is solved.  Adding a
-single halfspace clips the vertex/edge structure in array operations, which
-is the only access pattern the outer-approximation driver needs.
+incidence array (which halfspaces are active at each vertex).  The initial
+polytope is a simplex, one q x q solve per vertex; after that a polytope only
+changes by adding a single halfspace, which clips the vertex/edge structure
+in array operations.  No linear program is solved.
 
 Arithmetic is floating point with relative tolerances; q = 2 and 3 are the
 supported dimensions (higher q is attempted on a best-effort basis).
@@ -25,8 +23,7 @@ __all__ = [
     "PolytopeError",
     "InfeasibleError",
     "NullCutError",
-    "UnboundedError",
-    "from_halfspaces",
+    "simplex",
     "cut",
 ]
 
@@ -44,12 +41,6 @@ class InfeasibleError(PolytopeError):
 
 class NullCutError(PolytopeError):
     pass
-
-
-class UnboundedError(PolytopeError):
-    def __init__(self, msg, direction=None):
-        super().__init__(msg)
-        self.direction = direction
 
 
 @dataclass(frozen=True, eq=False)  # == and hash by identity: fields are arrays
@@ -110,85 +101,19 @@ class Polytope:
         return self.vertices_array.copy()
 
 
-def _feas_tolerances(A: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Per-(halfspace, point) absolute tolerance, relative to magnitudes."""
-    row_scale = np.maximum(1.0, np.abs(b))
-    pt_scale = np.maximum(1.0, np.abs(pts).max(axis=1))
-    return FEAS_TOL * np.outer(row_scale, pt_scale)
+def simplex(halfspaces) -> Polytope:
+    """The simplex bounded by q + 1 halfspaces in general position.
 
-
-def _check_bounded(A: np.ndarray) -> None:
-    """Raise UnboundedError with a direction if {d : A d <= 0} != {0}.
-
-    The candidates are the last right singular vectors of all (q - 1)-row
-    subsets of A, each a unit vector of the subset's null space, with both
-    signs.  A nonzero cone is either pointed, and then spanned by extreme
-    rays, each the null vector of q - 1 independent rows; or it contains
-    the null space of A (rank A < q), which is the whole null space of any
-    subset holding a basis of A's rows.  Either way some candidate lies in
-    the cone.
-    """
-    q = A.shape[1]
-    unit = A / np.linalg.norm(A, axis=1, keepdims=True)
-    subsets = unit[np.array(list(combinations(range(len(A)), q - 1)))]
-    cand = np.linalg.svd(subsets)[2][:, -1, :]  # (n_subset, q), unit rows
-    cand = np.vstack([cand, -cand])
-    in_cone = np.all(unit @ cand.T <= FEAS_TOL, axis=0)
-    if np.any(in_cone):
-        d = cand[np.argmax(in_cone)]
-        raise UnboundedError(
-            "halfspace intersection has a recession direction",
-            direction=d / np.max(np.abs(d)),
-        )
-
-
-def from_halfspaces(halfspaces) -> Polytope:
-    """Build a bounded polytope as the intersection of the given halfspaces.
-
-    Raises UnboundedError (with a recession direction) when the intersection
-    has a recession direction, decided from the cone {d : A d <= 0} alone.
-    Otherwise the vertices are found by enumerating all q-subsets, solving
-    the q x q systems and filtering by feasibility; InfeasibleError is
-    raised when no vertex is feasible or the vertex centroid lies on some
-    halfspace's boundary, i.e. when the intersection has empty interior.
+    Each vertex solves the q x q system of every halfspace but one and is
+    active on exactly those; a singular system raises LinAlgError.
     """
     hs = tuple(halfspaces)
-    if not hs:
-        raise ValueError("need at least one halfspace")
-    q = hs[0].normal.size
-    if any(h.normal.size != q for h in hs):
-        raise ValueError("halfspaces have inconsistent dimensions")
     A = np.vstack([h.normal for h in hs])
     b = np.array([h.offset for h in hs])
-    m = len(hs)
-    if m < q + 1:
-        raise UnboundedError("fewer than q+1 halfspaces cannot bound a polytope")
-
-    _check_bounded(A)
-
-    combos = np.array(list(combinations(range(m), q)))
-    mats = A[combos]                      # (n_combo, q, q)
-    rhs = b[combos]                       # (n_combo, q)
-    dets = np.linalg.det(mats)
-    row_norms = np.linalg.norm(mats, axis=2)
-    nondeg = np.abs(dets) > 1e-12 * np.prod(np.maximum(row_norms, 1e-30), axis=1)
-    pts = np.linalg.solve(mats[nondeg], rhs[nondeg][..., None])[..., 0]
-
-    tol = _feas_tolerances(A, b, pts)
-    feas = np.all(A @ pts.T - b[:, None] <= tol, axis=0)
-    pts = pts[feas]
-    if len(pts) == 0:
-        raise InfeasibleError("halfspace intersection has no vertices")
-
-    act_tol = _feas_tolerances(A, b, pts)
-    active = np.abs(A @ pts.T - b[:, None]) <= act_tol
-
-    verts, incidence = _merge_close(pts, active.T, MERGE_TOL)
-    # the centroid of a bounded polytope's vertices is interior unless the
-    # polytope is flat, when some halfspace holds with equality there
-    slack = (b - A @ verts.mean(axis=0)) / np.linalg.norm(A, axis=1)
-    if slack.min() <= 1e-12:
-        raise InfeasibleError("halfspace intersection has empty interior")
+    combos = np.array(list(combinations(range(len(hs)), len(hs) - 1)))
+    verts = np.linalg.solve(A[combos], b[combos][..., None])[..., 0]
+    incidence = np.zeros((len(hs), len(hs)), dtype=bool)
+    np.put_along_axis(incidence, combos, True, axis=1)
     order = _lex_order(verts)
     return Polytope(hs, verts[order], incidence[order])
 

@@ -156,9 +156,9 @@ def _polytope_from_dict(poly: dict, q: int) -> pt.Polytope:
 
 def trace_from_dict(doc: dict) -> RunTrace:
     try:
-        if doc["schema_version"] not in (1, 2):
-            raise ValueError(
-                f"unsupported schema version {doc['schema_version']!r}")
+        version = doc["schema_version"]
+        if type(version) is not int or version not in (1, 2):
+            raise ValueError(f"unsupported schema version {version!r}")
         if doc["termination"] not in _TERMINATIONS:
             raise ValueError(f"unknown termination {doc['termination']!r}")
         entries = doc["iterations"]

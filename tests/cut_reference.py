@@ -1,17 +1,74 @@
-"""Reference cut: one frozenset of active halfspaces per vertex, the edges
-found in a Python loop over (inside, outside) vertex pairs, and every vertex
-re-merged.
+"""Reference polytope constructions for the tests.
 
-This is the implementation that lpoa.polytope.cut replaced with array
-operations on a boolean incidence array, kept verbatim apart from its
+from_halfspaces builds a polytope from any bounded halfspace system by
+enumerating q-subsets.  It is the general constructor that lpoa.polytope
+replaced with a simplex builder, because the driver only ever builds one
+simplex and then cuts it; tests use it to build boxes and to rebuild a cut
+polytope from its halfspaces.
+
+cut keeps one frozenset of active halfspaces per vertex, finds the edges in
+a Python loop over (inside, outside) vertex pairs, and re-merges every
+vertex.  This is the implementation that lpoa.polytope.cut replaced with
+array operations on a boolean incidence array, kept verbatim apart from its
 signature: it takes and returns plain vertex rows and incidence sets, and
 returns None for a cut that removes no vertex.  Tests compare the two
 bit for bit.
 """
 
+from itertools import combinations
+
 import numpy as np
 
-from lpoa.polytope import FEAS_TOL, MERGE_TOL, InfeasibleError, _lex_order
+from lpoa.polytope import (FEAS_TOL, MERGE_TOL, InfeasibleError, Polytope,
+                           _lex_order, _merge_close)
+
+
+def _feas_tolerances(A, b, pts):
+    """Per-(halfspace, point) absolute tolerance, relative to magnitudes."""
+    row_scale = np.maximum(1.0, np.abs(b))
+    pt_scale = np.maximum(1.0, np.abs(pts).max(axis=1))
+    return FEAS_TOL * np.outer(row_scale, pt_scale)
+
+
+def from_halfspaces(halfspaces):
+    """The polytope bounded by the given halfspaces, which must bound it.
+
+    The vertices are found by enumerating all q-subsets, solving the q x q
+    systems and filtering by feasibility; InfeasibleError is raised when no
+    vertex is feasible or the vertex centroid lies on some halfspace's
+    boundary, i.e. when the intersection has empty interior.  An unbounded
+    system is not detected.
+    """
+    hs = tuple(halfspaces)
+    A = np.vstack([h.normal for h in hs])
+    b = np.array([h.offset for h in hs])
+    q = A.shape[1]
+
+    combos = np.array(list(combinations(range(len(hs)), q)))
+    mats = A[combos]                      # (n_combo, q, q)
+    rhs = b[combos]                       # (n_combo, q)
+    dets = np.linalg.det(mats)
+    row_norms = np.linalg.norm(mats, axis=2)
+    nondeg = np.abs(dets) > 1e-12 * np.prod(np.maximum(row_norms, 1e-30), axis=1)
+    pts = np.linalg.solve(mats[nondeg], rhs[nondeg][..., None])[..., 0]
+
+    tol = _feas_tolerances(A, b, pts)
+    feas = np.all(A @ pts.T - b[:, None] <= tol, axis=0)
+    pts = pts[feas]
+    if len(pts) == 0:
+        raise InfeasibleError("halfspace intersection has no vertices")
+
+    act_tol = _feas_tolerances(A, b, pts)
+    active = np.abs(A @ pts.T - b[:, None]) <= act_tol
+
+    verts, incidence = _merge_close(pts, active.T, MERGE_TOL)
+    # the centroid of a bounded polytope's vertices is interior unless the
+    # polytope is flat, when some halfspace holds with equality there
+    slack = (b - A @ verts.mean(axis=0)) / np.linalg.norm(A, axis=1)
+    if slack.min() <= 1e-12:
+        raise InfeasibleError("halfspace intersection has empty interior")
+    order = _lex_order(verts)
+    return Polytope(hs, verts[order], incidence[order])
 
 
 def merge_close(points, incidences, tol):

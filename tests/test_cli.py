@@ -46,10 +46,11 @@ HUGE = 10 ** 400
 
 
 def malformed_documents(trace):
-    """Trace documents whose config or an iteration entry is not a JSON
-    object, whose problem key is unknown, whose p or epsilon is not a real
-    number or max_iterations not an integer, whose initial halfspace count
-    is not the integer q + 1, whose iterations are out of order, or whose
+    """Trace documents whose schema version is not the integer 1 or 2,
+    whose config or an iteration entry is not a JSON object, whose problem
+    key is unknown, whose p or epsilon is not a real number or
+    max_iterations not an integer, whose initial halfspace count is not the
+    integer q + 1, whose iterations are out of order, or whose
     iteration entry has a k other than its position, a residual norm that
     is not a finite non-negative number, a point or cut normal that is not
     q finite numbers, a null cut normal with a positive residual or a cut
@@ -67,6 +68,10 @@ def malformed_documents(trace):
     bad_entries["iterations"] = {"0": bad_entries["iterations"][0]}
     bad_key["config"]["problem_key"] = "nope"
     docs = [bad_config, bad_entry, bad_entries, bad_key]
+    for value in (True, 1.0, 2.0):
+        d = doc()
+        d["schema_version"] = value
+        docs.append(d)
     for field, value in (("p", "2"), ("p", None), ("p", True),
                          ("p", HUGE), ("epsilon", "0.05"),
                          ("epsilon", [0.05]), ("epsilon", HUGE),

@@ -7,19 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (_ROUNDING, _ROUNDS, RunConfig, RunTrace,
-                         _point_bounds, _search_advance, _search_start,
+from lpoa.driver import (_ROUNDS, RunConfig, RunTrace, _point_bounds,
+                         _reach, _search_advance, _search_start,
                          hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError
 from lpoa.trace_io import dumps_trace, trace_from_dict, trace_to_dict
 
+from cut_reference import from_halfspaces
 from oracles import boundary_samples, in_A, reference_distance, support_value
 from test_polytope import contains
 
@@ -83,6 +84,15 @@ class TestInitialize:
         # q coordinate supports + slice give a triangle for q = 2
         P0 = initialize(by_key("example1-q2"))
         assert len(P0.vertices()) == 3
+
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    def test_matches_reference_constructor(self, key):
+        # the simplex has the vertex bytes and the incidence of the general
+        # q-subset construction from the same halfspaces
+        P0 = initialize(by_key(key))
+        ref = from_halfspaces(P0.halfspaces)
+        assert P0.vertices_array.tobytes() == ref.vertices_array.tobytes()
+        assert np.array_equal(P0.incidence, ref.incidence)
 
 
 class TestTraceInvariants:
@@ -326,6 +336,10 @@ class TestLazySelection:
            weights=st.lists(_UNIT, min_size=4, max_size=4),
            toward=_UNIT, support=st.integers(0, 100), on_face=st.booleans(),
            active=st.lists(st.booleans(), min_size=4, max_size=4))
+    # v = (1.83e-13, 2.46) on ellipse: the residual overshoots the distance
+    # by about 1e-16, beyond the relative margin alone
+    @example(p=2.0, weights=[0.212890625, 0.0, 0.0, 0.0], toward=0.984375,
+             support=0, on_face=False, active=[True, False, False, False])
     def test_bounds_cover_residual(self, key, p, weights, toward, support,
                                    on_face, active):
         # v is a point of the initial polytope: a convex combination of its
@@ -346,9 +360,9 @@ class TestLazySelection:
         residual = scalarization.solve_subproblem(
             prob, v, NormExponent(p)).residual_norm
         residuals = np.append(residual, vertex_residuals)
-        found = _full_bounds(prob, p, np.vstack([v, V]), incident,
-                             _outward_normals(P0))
-        assert np.all(residuals * (1.0 - _ROUNDING) <= found)
+        rows = np.vstack([v, V])
+        found = _full_bounds(prob, p, rows, incident, _outward_normals(P0))
+        assert np.all(_reach(residuals, rows) <= found)
 
     def test_point_outside_slice_gives_no_bound(self):
         # a point of U beyond the slice is not in A: it bounds nothing,

@@ -2,16 +2,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import cut_reference
+from cut_reference import from_halfspaces
 from lpoa import polytope
 from lpoa.driver import RunConfig, RunTrace
 from lpoa.polytope import (FEAS_TOL, MERGE_TOL, Halfspace, InfeasibleError,
-                           NullCutError, UnboundedError, _merge_close, cut,
-                           from_halfspaces)
+                           NullCutError, _merge_close, cut, simplex)
 from lpoa.trace_io import trace_from_dict, trace_to_dict
 
 
@@ -23,6 +22,17 @@ def box(q, lo=0.0, hi=1.0):
         hs.append(Halfspace(e, hi))
         hs.append(Halfspace(-e, -lo))
     return hs
+
+
+def cut_in_turn(P, halfspaces):
+    """P cut by each halfspace in turn; a cut that removes no vertex leaves
+    P as it is, and one that removes every vertex raises InfeasibleError."""
+    for h in halfspaces:
+        try:
+            P = cut(P, h)
+        except NullCutError:
+            pass
+    return P
 
 
 def contains(P, y, tol=1e-7):
@@ -120,28 +130,21 @@ class TestFromHalfspaces:
         assert np.all(P.incidence.sum(axis=1) == 3)
 
     def test_triangle(self):
+        # the simplex builder: each vertex is active on every halfspace but
+        # one, and a singular system is an error
         hs = [Halfspace(np.array([-1.0, 0.0]), 0.0),
               Halfspace(np.array([0.0, -1.0]), 0.0),
               Halfspace(np.array([1.0, 1.0]), 1.0)]
-        P = from_halfspaces(hs)
-        expected = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
-        assert_vertex_sets_equal(P.vertices(), expected)
-
-    def test_unbounded_detected(self):
-        hs = [Halfspace(np.array([1.0, 0.0]), 1.0),
-              Halfspace(np.array([-1.0, 0.0]), 1.0),
-              Halfspace(np.array([0.0, 1.0]), 1.0)]
-        with pytest.raises(UnboundedError) as exc:
-            from_halfspaces(hs)
-        d = exc.value.direction
-        assert d is not None
-        A = np.vstack([h.normal for h in hs])
-        assert np.all(A @ d <= 1e-6)
-
-    def test_infeasible_detected(self):
-        hs = box(2) + [Halfspace(np.array([1.0, 0.0]), -1.0)]
-        with pytest.raises(InfeasibleError):
-            from_halfspaces(hs)
+        P = simplex(hs)
+        assert np.array_equal(P.vertices_array, [[0, 0], [0, 1], [1, 0]])
+        assert np.array_equal(P.incidence, [[True, True, False],
+                                            [True, False, True],
+                                            [False, True, True]])
+        assert P.halfspaces == tuple(hs)
+        with pytest.raises(np.linalg.LinAlgError):
+            simplex([Halfspace(np.array([1.0, 0.0]), 1.0),
+                     Halfspace(np.array([-1.0, 0.0]), 1.0),
+                     Halfspace(np.array([0.0, 1.0]), 1.0)])
 
     def test_vertices_lex_sorted(self):
         P = from_halfspaces(box(2))
@@ -212,7 +215,8 @@ class TestCut:
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_fuzz_against_brute_force(q):
-    """500 random bounded systems match the q-subset enumeration oracle."""
+    """500 random bounded systems, each built by cutting a box in turn,
+    match the q-subset enumeration oracle."""
     rng = np.random.default_rng(100 + q)
     built = 0
     trials = 0
@@ -226,7 +230,7 @@ def test_fuzz_against_brute_force(q):
         # enclose in a box to guarantee boundedness
         hs += box(q, lo=-3.0, hi=3.0)
         try:
-            P = from_halfspaces(hs)
+            P = cut_in_turn(from_halfspaces(hs[m:]), hs[:m])
         except InfeasibleError:
             continue
         built += 1
@@ -304,97 +308,6 @@ def test_cut_matches_reference(q, monkeypatch):
                                      brute_force_vertices(P.halfspaces))
     assert min(outcomes.values()) > 0, outcomes
     assert min(events.values()) > 0, events
-
-
-# ---------------------------------------------------------------------------
-# boundedness and interior against linear programs
-
-
-def lp_recession_direction(A):
-    """Reference: some d != 0 in the box with A d <= 0 maximizing a signed
-    coordinate, or None if every such LP optimum is below 1e-7."""
-    q = A.shape[1]
-    for i in range(q):
-        for sgn in (1.0, -1.0):
-            c = np.zeros(q)
-            c[i] = -sgn
-            res = linprog(c, A_ub=A, b_ub=np.zeros(len(A)),
-                          bounds=[(-1.0, 1.0)] * q, method="highs")
-            if res.status == 0 and -res.fun > 1e-7:
-                return res.x
-    return None
-
-
-def lp_chebyshev_radius(A, b):
-    """Reference: radius of the largest Euclidean ball inside {A y <= b}."""
-    q = A.shape[1]
-    c = np.zeros(q + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]),
-                  b_ub=b, bounds=[(None, None)] * (q + 1), method="highs")
-    return res.x[-1] if res.status == 0 else -np.inf
-
-
-@st.composite
-def integer_systems(draw):
-    """Small-integer halfspace systems, so that every decision is far from
-    the tolerances: a recession direction or an interior ball is either
-    absent or of size well above 1e-7."""
-    q = draw(st.sampled_from([2, 3]))
-    m = draw(st.integers(q + 1, q + 4))
-    A = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=q,
-                                        max_size=q),
-                               min_size=m, max_size=m)), dtype=float)
-    assume(np.all(np.any(A != 0.0, axis=1)))
-    b = np.array(draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)),
-                 dtype=float)
-    return A, b
-
-
-class TestChecksAgainstLP:
-    @settings(max_examples=300, deadline=None)
-    @given(system=integer_systems())
-    def test_matches_linprog(self, system):
-        A, b = system
-        hs = [Halfspace(a, o) for a, o in zip(A, b)]
-        lp_direction = lp_recession_direction(A)
-        try:
-            P = from_halfspaces(hs)
-        except UnboundedError as exc:
-            assert lp_direction is not None
-            assert np.all(A @ exc.direction <= 1e-6)
-            return
-        except InfeasibleError:
-            assert lp_direction is None
-            assert lp_chebyshev_radius(A, b) <= 1e-12
-            return
-        assert lp_direction is None
-        assert lp_chebyshev_radius(A, b) > 1e-12
-        assert_vertex_sets_equal(P.vertices(), brute_force_vertices(hs))
-
-    def test_line_in_recession_cone(self):
-        # rank A = 2 < q = 3: the z axis is a line of the cone
-        hs = box(2, lo=-1.0, hi=1.0) + [Halfspace(np.array([1.0, 1.0]), 1.5)]
-        hs = [Halfspace(np.append(h.normal, 0.0), h.offset) for h in hs]
-        A = np.vstack([h.normal for h in hs])
-        assert lp_recession_direction(A) is not None
-        with pytest.raises(UnboundedError) as exc:
-            from_halfspaces(hs)
-        d = exc.value.direction
-        assert np.all(A @ d <= 1e-6)
-        assert np.allclose(np.abs(d), [0.0, 0.0, 1.0])
-
-    def test_flat_nonempty_intersection(self):
-        # x <= 0 and -x <= 0 leave the segment x = 0 of the box: nonempty,
-        # with vertices, but no interior
-        hs = box(2, lo=-1.0, hi=1.0) + [Halfspace(np.array([1.0, 0.0]), 0.0),
-                                        Halfspace(np.array([-1.0, 0.0]), 0.0)]
-        A = np.vstack([h.normal for h in hs])
-        b = np.array([h.offset for h in hs])
-        assert len(brute_force_vertices(hs)) == 2
-        assert lp_chebyshev_radius(A, b) <= 1e-12
-        with pytest.raises(InfeasibleError):
-            from_halfspaces(hs)
 
 
 # ---------------------------------------------------------------------------
