@@ -46,8 +46,10 @@ def weighted_sum(prob: ProblemInstance, omega):
     the upper image.
     """
     omega = np.asarray(omega, dtype=float)
-    if omega.shape != (prob.q,) or np.any(omega < 0) or np.all(omega == 0.0):
-        raise ValueError("omega must be a nonzero nonnegative q-vector")
+    if (omega.shape != (prob.q,) or not np.all(np.isfinite(omega))
+            or np.any(omega < 0) or np.all(omega == 0.0)):
+        raise ValueError("omega must be a finite nonzero nonnegative "
+                         "q-vector")
     x = prob.ws_closed_form(omega)
     return x, float(omega @ prob.gamma_eval(x))
 

@@ -146,6 +146,13 @@ class TestWeightedSum:
             _, offset = weighted_sum(prob, np.eye(3)[i])
             assert offset == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("omega", [
+        [np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-1.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0], [1.0, 1.0]])
+    def test_rejects_invalid_weights(self, omega):
+        with pytest.raises(ValueError, match="finite nonzero nonnegative"):
+            weighted_sum(by_key("example2"), omega)
+
     @pytest.mark.parametrize("key", PROBLEM_KEYS)
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

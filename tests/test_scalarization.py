@@ -5,9 +5,10 @@ import pytest
 
 from lpoa import scalarization
 from lpoa.lp_geometry import NormExponent, lp_norm
-from lpoa.problems import by_key
-from lpoa.scalarization import solve_batch, solve_subproblem
+from lpoa.problems import PROBLEM_KEYS, by_key
+from lpoa.scalarization import SubproblemError, solve_batch, solve_subproblem
 
+import ascent_reference
 from oracles import (boundary_samples, in_A, oracle_distance,
                      reference_distance, support_value)
 
@@ -110,6 +111,12 @@ class TestBatch:
         with pytest.raises(ValueError):
             solve_subproblem(prob, np.array([np.nan, 0.0]), NormExponent(2))
 
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 0.0], [0.0], [[0.0, 0.0]]])
+    def test_rejects_vertex_of_wrong_shape(self, v):
+        prob = by_key("example1-q2")
+        with pytest.raises(ValueError, match="q = 2"):
+            solve_subproblem(prob, np.array(v), NormExponent(2))
+
 
 # ---------------------------------------------------------------------------
 # the dual solver
@@ -154,3 +161,86 @@ class TestDualSolver:
             assert offset - float(u @ v) == pytest.approx(res.residual_norm,
                                                           rel=1e-12)
             assert in_A(prob, res.y_support, tol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the solver against the reference implementation it replaced
+
+REFERENCE_P = [1.25, 2.0, 3.0, 8.0]
+
+# an example1-q3 vertex whose second ascent at p = 8 does not converge
+# within MAX_STEPS Newton steps
+NONCONVERGING_P8_VERTEX = (0.644574175825538, 2.6373626373329603e-12,
+                           1.3554258241691874)
+
+
+def _seeded_vertices(prob, seed, count=12):
+    """Frontier points gamma(x*(omega)) at random weights, lowered by random
+    nonnegative shifts at three scales: most lie outside A, some inside."""
+    rng = np.random.default_rng(seed)
+    vertices = []
+    for i in range(count):
+        omega = rng.dirichlet(np.ones(prob.q))
+        y = prob.gamma_eval(prob.ws_closed_form(omega))
+        shift = rng.uniform(-0.2, 1.0, prob.q) * (0.05, 0.5, 2.0)[i % 3]
+        vertices.append(y - shift)
+    return vertices
+
+
+def _outcome(solve, prob, v, ne):
+    """The result's bytes, or the error it raises."""
+    try:
+        res = solve(prob, v, ne)
+    except SubproblemError as exc:
+        return type(exc), str(exc)
+    normal = None if res.cut_normal is None else res.cut_normal.tobytes()
+    return (res.y_support.tobytes(), np.float64(res.residual_norm).tobytes(),
+            normal, res.iterations)
+
+
+class TestAgainstReference:
+    """solve_subproblem is bit for bit the reference solver it replaced.
+    Reassociating (g - v) - R dD in the e = 1 gradient, for one, changes
+    the last bits of some support points and fails the comparison."""
+
+    @pytest.mark.parametrize("p", REFERENCE_P)
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    def test_byte_identical(self, key, p):
+        prob = by_key(key)
+        ne = NormExponent(p)
+        for v in _seeded_vertices(prob, PROBLEM_KEYS.index(key)):
+            assert (_outcome(solve_subproblem, prob, v, ne)
+                    == _outcome(ascent_reference.solve_subproblem, prob, v,
+                                ne)), v
+
+    def test_seeds_cover_tangent_dimensions_and_ascents(self, monkeypatch):
+        # one, two and three free directions, and the ascent at e = 1 and
+        # the second one at e = 2 / p*
+        directions, exponents = set(), set()
+        qr, objective = np.linalg.qr, scalarization._dual_objective
+
+        def recording_qr(M):
+            directions.add(M.shape[0] - 1)
+            return qr(M)
+
+        def recording_objective(prob, v, ne, e):
+            exponents.add(e == 1.0)
+            return objective(prob, v, ne, e)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(scalarization, "_dual_objective",
+                            recording_objective)
+        for key in PROBLEM_KEYS:
+            prob = by_key(key)
+            for p in REFERENCE_P:
+                for v in _seeded_vertices(prob, PROBLEM_KEYS.index(key)):
+                    _outcome(solve_subproblem, prob, v, NormExponent(p))
+        assert directions == {1, 2, 3}
+        assert exponents == {True, False}
+
+    def test_nonconverging_vertex_raises_on_both_sides(self):
+        prob = by_key("example1-q3")
+        ne = NormExponent(8.0)
+        for solve in (solve_subproblem, ascent_reference.solve_subproblem):
+            with pytest.raises(SubproblemError):
+                solve(prob, np.array(NONCONVERGING_P8_VERTEX), ne)
