@@ -6,14 +6,14 @@ Hausdorff error of the polytope) and adds the supporting halfspace through
 its support point with the lp-gradient normal.  The full per-iteration
 history is kept in a RunTrace for the analysis layer.
 
-Selection is lazy.  Each vertex carries an upper bound on its distance to
-A and the state of a search over the frontier of the upper image U that
-lowers it, kept by its exact coordinates (polytope.cut keeps surviving rows
-bit for bit).  Each iteration solves the first open vertex if no vertex is
-solved yet, then starts the search at every new vertex and advances the
-open ones in one batch: at most twelve rounds per vertex, run only while
-its bound reaches the largest residual.  Then it solves the open vertices
-in decreasing bound order until every remaining bound falls below the
+Selection is lazy.  Each vertex row carries an upper bound on its distance
+to A and the state of a search over the frontier of the upper image U that
+lowers it, in arrays aligned with the polytope's rows and re-indexed by each
+cut's row map.  A new row's search starts at w_bar with no bound.  Each
+iteration solves the first vertex if no vertex is solved yet, then advances
+the search at the open rows in one batch: at most twelve rounds per row, run
+only while its bound reaches the largest residual.  Then it solves the open
+rows in decreasing bound order until every remaining bound falls below the
 largest residual.  A residual is at most the distance, which is at most the
 bound, so the first maximum over the solved vertices in lexicographic order
 is the vertex that solving every vertex would select.  A bound is never
@@ -168,23 +168,15 @@ def _frontier(prob: ProblemInstance, p: float, V: np.ndarray,
         V[:, None, :], y.reshape(omega.shape), prob.w_bar, prob.gamma_slice, p)
 
 
-def _search_start(prob: ProblemInstance, p: float, V: np.ndarray,
-                  incident: np.ndarray, normals: np.ndarray) -> list:
-    """State (bound, u, radius, rounds) of a frontier search at the vertices
-    V (rows), before its first round: row i starts at the mean of the
-    nonnegative rows of `normals` (outward from U) that `incident[i]` marks,
-    scaled to the simplex, with their spread as its radius."""
-    q = prob.q
-    pos = (normals.min(axis=1) >= 0.0) & (normals.max(axis=1) > 0.0)
-    starts = normals[pos] / normals[pos].sum(axis=1, keepdims=True)
-    inc = incident[:, pos]
-    count = inc.sum(axis=1, keepdims=True)
-    om = np.where(count > 0, (inc @ starts) / np.maximum(count, 1), 1.0 / q)
-    spread = np.abs(starts - om[:, None, :]).max(axis=-1)
-    size = np.where(inc, spread, 0.0).max(axis=1, initial=0.0)
-    u = om[:, :q - 1]
-    return [_frontier(prob, p, V, u[:, None, :])[1][:, 0], u,
-            np.where(size > 1e-9, size, 0.05), np.zeros(len(V), dtype=int)]
+def _new_rows(prob: ProblemInstance, m: int) -> list:
+    """State of m vertex rows new to the polytope: (result, residual) of
+    the subproblem, with None and -inf for a row not yet solved, and the
+    frontier search (bound, u, radius, rounds) before its first round, at
+    u = w_bar's first q - 1 weights with radius 1/2 and bound +inf.  A solved
+    row's bound is -inf, so that the search passes over it."""
+    return [np.full(m, None, dtype=object), np.full(m, -math.inf),
+            np.full(m, math.inf), np.tile(prob.w_bar[:-1], (m, 1)),
+            np.full(m, 0.5), np.zeros(m, dtype=int)]
 
 
 def _search_advance(prob: ProblemInstance, p: float, V: np.ndarray,
@@ -230,56 +222,47 @@ def run(config: RunConfig) -> RunTrace:
         # an exception from a problem oracle before the first iteration
         return RunTrace(config=config, iterations=(), final_polytope=None,
                         termination="solver_failure")
-    exact: dict = {}   # vertex key -> ScalarizationResult
-    search: dict = {}  # vertex key -> (residual bound, u, radius, rounds)
+    rows = _new_rows(prob, 0)  # P is a simplex: every row is new
     records: list[IterationRecord] = []
     termination = "max_iterations"
 
     for k in range(config.max_iterations):
         t0 = time.perf_counter()
         verts = P.vertices()
-        keys = [tuple(row) for row in verts.tolist()]
-        # every vertex of an earlier polytope was solved or searched there
-        hits = sum(key in exact or key in search for key in keys)
-        open_rows = [i for i, key in enumerate(keys) if key not in exact]
-        best = max((exact[key].residual_norm for key in keys if key in exact),
-                   default=-math.inf)
+        # re-index the row state by the cut's row map; new rows start afresh
+        carried = P.origin >= 0
+        fresh = _new_rows(prob, len(verts))
+        for new, old in zip(fresh, rows):
+            new[carried] = old[P.origin[carried]]
+        exact, residual, *search = rows = fresh
+        bound = search[0]
+        best = residual.max()
         try:
             if best == -math.inf:
-                # nothing to compare a bound with: solve the first vertex
-                i = open_rows.pop(0)
-                exact[keys[i]], = solve_batch(prob, verts[i:i + 1], ne)
-                best = exact[keys[i]].residual_norm
-            new = [i for i in open_rows if keys[i] not in search]
-            if new:
-                normals = -np.array([h.normal for h in P.halfspaces])
-                state = _search_start(prob, ne.p, verts[new], P.incidence[new],
-                                      normals)
-                search.update(zip((keys[i] for i in new), zip(*state)))
-            if open_rows:
-                # advance the rows whose bound still reaches best; the solves
-                # below only raise best, so none needs more rounds after them
-                state = [np.array(s) for s in
-                         zip(*(search[keys[i]] for i in open_rows))]
-                _search_advance(prob, ne.p, verts[open_rows], state,
-                                _reach(best, verts))
-                search.update(zip((keys[i] for i in open_rows), zip(*state)))
+                # nothing to compare a bound with (at k = 0, or after a cut
+                # removed every solved vertex): solve the first vertex
+                exact[0], = solve_batch(prob, verts[:1], ne)
+                best = residual[0] = exact[0].residual_norm
+                bound[0] = -math.inf
+            # advance the rows whose bound still reaches best; the solves
+            # below only raise best, so none needs more rounds after them
+            _search_advance(prob, ne.p, verts, search, _reach(best, verts))
             # solve in decreasing bound order until no bound can reach the
             # largest exact residual
-            for i in sorted(open_rows, key=lambda j: -search[keys[j]][0]):
-                if search[keys[i]][0] < _reach(best, verts):
+            for i in np.argsort(-bound, kind="stable"):
+                if bound[i] < _reach(best, verts):
                     break
-                exact[keys[i]], = solve_batch(prob, verts[i:i + 1], ne)
-                best = max(best, exact[keys[i]].residual_norm)
+                exact[i], = solve_batch(prob, verts[i:i + 1], ne)
+                residual[i], bound[i] = exact[i].residual_norm, -math.inf
+                best = max(best, residual[i])
         except (SubproblemError, ValueError):
             # solver non-convergence, or an exception from a problem oracle
             termination = "solver_failure"
             break
         # every open vertex is certified strictly below best, so the first
-        # maximum over the solved rows (lex order) is the farthest vertex
-        idx = max((i for i, key in enumerate(keys) if key in exact),
-                  key=lambda i: exact[keys[i]].residual_norm)
-        far = exact[keys[idx]]
+        # maximum over the rows (lex order) is the farthest vertex
+        idx = int(np.argmax(residual))
+        far = exact[idx]
 
         # no cut normal: the farthest vertex is already in A, the polytope
         # equals A numerically, and the zero residual ends the run below
@@ -297,7 +280,7 @@ def run(config: RunConfig) -> RunTrace:
         records.append(IterationRecord(
             k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
             support_point=far.y_support, cut_normal=far.cut_normal,
-            vertex_count=len(verts), cache_hits=hits,
+            vertex_count=len(verts), cache_hits=int(carried.sum()),
             wall_ms=(time.perf_counter() - t0) * 1e3))
         if far.residual_norm <= config.epsilon:
             termination = "converged"

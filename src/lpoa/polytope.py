@@ -91,6 +91,7 @@ class Polytope:
     halfspaces: tuple[Halfspace, ...]
     vertices_array: np.ndarray  # (m, q), rows in lexicographic order
     incidence: np.ndarray       # (m, n_halfspaces) bool, True where active
+    origin: np.ndarray          # (m,) int: row of the polytope cut, or -1
 
     @property
     def dim(self) -> int:
@@ -115,7 +116,7 @@ def simplex(halfspaces) -> Polytope:
     incidence = np.zeros((len(hs), len(hs)), dtype=bool)
     np.put_along_axis(incidence, combos, True, axis=1)
     order = _lex_order(verts)
-    return Polytope(hs, verts[order], incidence[order])
+    return Polytope(hs, verts[order], incidence[order], np.full(len(hs), -1))
 
 
 def cut(P: Polytope, h: Halfspace) -> Polytope:
@@ -123,8 +124,9 @@ def cut(P: Polytope, h: Halfspace) -> Polytope:
 
     Vertices strictly violating h are dropped; each edge crossing the cut
     boundary contributes one new vertex; only new vertices are merged.  A
-    cut that removes no vertex raises NullCutError, one that removes every
-    vertex InfeasibleError.
+    surviving row is copied bit for bit, and the result's origin gives its
+    row in P (-1 for a new vertex).  A cut that removes no vertex raises
+    NullCutError, one that removes every vertex InfeasibleError.
     """
     q = P.dim
     if h.normal.size != q:
@@ -153,9 +155,11 @@ def cut(P: Polytope, h: Halfspace) -> Polytope:
     new_inc = shared[a, b]
     new_inc[:, -1] = True
 
-    kept = ~outside
+    kept = np.flatnonzero(~outside)
     out, merged_inc = _merge_close(np.vstack([verts[kept], new_pts]),
                                    np.vstack([inc[kept], new_inc]), MERGE_TOL,
-                                   start=np.count_nonzero(kept))
+                                   start=len(kept))
+    origin = np.append(kept, np.full(len(out) - len(kept), -1))
     order = _lex_order(out)
-    return Polytope(P.halfspaces + (h,), out[order], merged_inc[order])
+    return Polytope(P.halfspaces + (h,), out[order], merged_inc[order],
+                    origin[order])

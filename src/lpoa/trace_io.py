@@ -6,7 +6,8 @@ A trace (schema version 2) is a JSON object with the keys
     initial_halfspace_count  J + 1 = q + 1
     iterations               a list of k, farthest_vertex, residual_norm,
                              support_point, cut_normal, vertex_count,
-                             cache_hits
+                             cache_hits (the vertices carried over from the
+                             previous iteration's polytope)
     termination              converged, max_iterations or solver_failure
     final_polytope           halfspaces (normal, offset), vertices and
                              incidence, or null
@@ -151,7 +152,7 @@ def _polytope_from_dict(poly: dict, q: int) -> pt.Polytope:
     return pt.Polytope(
         tuple(pt.Halfspace(_vector(h["normal"], "halfspace normal", q),
                            h["offset"]) for h in hs),
-        np.array(vertices), incidence)
+        np.array(vertices), incidence, np.full(len(vertices), -1))
 
 
 def trace_from_dict(doc: dict) -> RunTrace:

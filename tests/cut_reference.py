@@ -68,7 +68,8 @@ def from_halfspaces(halfspaces):
     if slack.min() <= 1e-12:
         raise InfeasibleError("halfspace intersection has empty interior")
     order = _lex_order(verts)
-    return Polytope(hs, verts[order], incidence[order])
+    return Polytope(hs, verts[order], incidence[order],
+                    np.full(len(verts), -1))
 
 
 def merge_close(points, incidences, tol):

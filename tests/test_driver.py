@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from lpoa import driver, scalarization
 from lpoa import polytope as pt
-from lpoa.driver import (_ROUNDS, RunConfig, RunTrace, _point_bounds,
-                         _reach, _search_advance, _search_start,
+from lpoa.analysis import verify_trace
+from lpoa.driver import (_ROUNDS, RunConfig, RunTrace, _new_rows,
+                         _point_bounds, _reach, _search_advance,
                          hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
@@ -239,6 +240,16 @@ class TestRunBehaviour:
         self._run_with_failing_cut(
             monkeypatch, pt.NullCutError("cut removes no vertex"))
 
+    def test_deep_run_converges_clean(self):
+        # the row state carried past the default 500 iterations: example1-q2
+        # at eps = 1e-6 converges after 1,024 iterations with every lemma
+        # check clean
+        trace = run(RunConfig(problem_key="example1-q2", p=1.25, epsilon=1e-6,
+                              max_iterations=2000))
+        assert trace.termination == "converged"
+        assert len(trace.iterations) == 1024
+        assert verify_trace(trace)["total_violations"] == 0
+
     def test_hausdorff_series(self, trace_q2):
         s = hausdorff_series(trace_q2)
         assert len(s) == len(trace_q2.iterations)
@@ -300,14 +311,10 @@ def _bound_setup(key, p):
     return P0, np.array(residuals), np.array(known)
 
 
-def _outward_normals(P):
-    """Halfspace normals of P, outward from the upper image."""
-    return -np.array([h.normal for h in P.halfspaces])
-
-
-def _full_bounds(prob, p, V, incident, normals):
-    """The bounds of a frontier search at V advanced to _ROUNDS rounds."""
-    state = _search_start(prob, p, V, incident, normals)
+def _full_bounds(prob, p, V):
+    """The bounds of a frontier search at new rows V advanced to _ROUNDS
+    rounds."""
+    state = _new_rows(prob, len(V))[2:]
     _search_advance(prob, p, V, state, -math.inf)
     return state[0]
 
@@ -334,14 +341,13 @@ class TestLazySelection:
     @settings(max_examples=25, deadline=None)
     @given(p=st.sampled_from([1.25, 2.0, 8.0]),
            weights=st.lists(_UNIT, min_size=4, max_size=4),
-           toward=_UNIT, support=st.integers(0, 100), on_face=st.booleans(),
-           active=st.lists(st.booleans(), min_size=4, max_size=4))
+           toward=_UNIT, support=st.integers(0, 100), on_face=st.booleans())
     # v = (1.83e-13, 2.46) on ellipse: the residual overshoots the distance
     # by about 1e-16, beyond the relative margin alone
     @example(p=2.0, weights=[0.212890625, 0.0, 0.0, 0.0], toward=0.984375,
-             support=0, on_face=False, active=[True, False, False, False])
+             support=0, on_face=False)
     def test_bounds_cover_residual(self, key, p, weights, toward, support,
-                                   on_face, active):
+                                   on_face):
         # v is a point of the initial polytope: a convex combination of its
         # vertices, moved toward a known point of U and, if on_face, along
         # w_bar onto the slice face, searched in one batch with the
@@ -356,12 +362,11 @@ class TestLazySelection:
         if on_face:
             w = prob.w_bar
             v = v + (prob.gamma_slice - w @ v) / (w @ w) * w
-        incident = np.vstack([active[:len(P0.halfspaces)], P0.incidence])
         residual = scalarization.solve_subproblem(
             prob, v, NormExponent(p)).residual_norm
         residuals = np.append(residual, vertex_residuals)
         rows = np.vstack([v, V])
-        found = _full_bounds(prob, p, rows, incident, _outward_normals(P0))
+        found = _full_bounds(prob, p, rows)
         assert np.all(_reach(residuals, rows) <= found)
 
     def test_point_outside_slice_gives_no_bound(self):
@@ -398,12 +403,10 @@ class TestLazySelection:
         prob = by_key(key)
         P = run(RunConfig(problem_key=key, p=2.0, epsilon=1e-6,
                           max_iterations=6)).final_polytope
-        V, normals = P.vertices(), _outward_normals(P)
+        V = P.vertices()
         order = np.random.default_rng(7).permutation(len(V))
-        mixed = _full_bounds(prob, 2.0, V[order], P.incidence[order],
-                             normals)
-        alone = np.array([_full_bounds(prob, 2.0, V[i:i + 1],
-                                       P.incidence[i:i + 1], normals)[0]
+        mixed = _full_bounds(prob, 2.0, V[order])
+        alone = np.array([_full_bounds(prob, 2.0, V[i:i + 1])[0]
                           for i in order])
         assert np.all(np.isfinite(alone))
         np.testing.assert_allclose(mixed, alone, rtol=1e-12, atol=0.0)
@@ -416,15 +419,14 @@ class TestLazySelection:
         prob = by_key(key)
         P = run(RunConfig(problem_key=key, p=2.0, epsilon=1e-6,
                           max_iterations=6)).final_polytope
-        V, normals = P.vertices(), _outward_normals(P)
-        state = _search_start(prob, 2.0, V, P.incidence, normals)
-        _search_advance(prob, 2.0, V, state, float(np.median(state[0])))
+        V = P.vertices()
+        full = _full_bounds(prob, 2.0, V)
+        state = _new_rows(prob, len(V))[2:]
+        _search_advance(prob, 2.0, V, state, float(np.median(full)))
         assert np.any(state[3] < _ROUNDS) and np.any(state[3] > 0)
         _search_advance(prob, 2.0, V, state, -math.inf)
         assert np.all(state[3] == _ROUNDS)
-        np.testing.assert_allclose(
-            state[0], _full_bounds(prob, 2.0, V, P.incidence, normals),
-            rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(state[0], full, rtol=1e-12, atol=0.0)
 
     def test_need_driven_search_solves_same_vertices(self, monkeypatch):
         # example2 at eps = 0.3 solves the same vertices in the same order
@@ -449,6 +451,23 @@ class TestLazySelection:
         assert trace.termination == "converged"
         search_calls = callers.count("_frontier")
         assert 0 < search_calls <= (1 + _ROUNDS) * len(trace.iterations) / 2
+
+    @pytest.mark.parametrize("key, epsilon, solves, calls", [
+        ("ellipse", 1e-3, 33, 162), ("example2", 0.3, 34, 163)])
+    def test_search_work_recorded(self, monkeypatch, key, epsilon, solves,
+                                  calls):
+        # the lazy loop's work, which the trace bytes cannot show: the
+        # subproblem solves and the batched frontier evaluations at p = 2
+        counts = {"solve_subproblem": 0, "_frontier": 0}
+        for owner, name in ((scalarization, "solve_subproblem"),
+                            (driver, "_frontier")):
+            def counted(*args, _real=getattr(owner, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(owner, name, counted)
+        trace = run(RunConfig(problem_key=key, p=2.0, epsilon=epsilon))
+        assert trace.termination == "converged"
+        assert counts == {"solve_subproblem": solves, "_frontier": calls}
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in

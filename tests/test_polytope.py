@@ -91,6 +91,8 @@ class TestHalfspace:
         assert np.array_equal(P.vertices_array, P2.vertices_array)
         assert P2.incidence.dtype == bool
         assert np.array_equal(P.incidence, P2.incidence)
+        # the trace keeps no row map: every loaded row is new
+        assert np.array_equal(P2.origin, np.full(len(P2.vertices_array), -1))
 
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
@@ -140,6 +142,7 @@ class TestFromHalfspaces:
         assert np.array_equal(P.incidence, [[True, True, False],
                                             [True, False, True],
                                             [False, True, True]])
+        assert np.array_equal(P.origin, [-1, -1, -1])
         assert P.halfspaces == tuple(hs)
         with pytest.raises(np.linalg.LinAlgError):
             simplex([Halfspace(np.array([1.0, 0.0]), 1.0),
@@ -262,8 +265,10 @@ def fuzz_cut(rng, verts, kind):
 @pytest.mark.parametrize("q", [2, 3])
 def test_cut_matches_reference(q, monkeypatch):
     """Chains of seeded cuts give byte-equal vertices, equal incidence and
-    the same null or emptying outcome as the frozenset reference; chains of
-    random cuts also match the q-subset enumeration oracle."""
+    the same null or emptying outcome as the frozenset reference, and a row
+    map that sends each surviving row to its bit-equal row of the cut
+    polytope and marks exactly the created vertices -1; chains of random
+    cuts also match the q-subset enumeration oracle."""
     events = {"on_boundary": 0, "merged": 0}
     merge = polytope._merge_close
 
@@ -296,8 +301,16 @@ def test_cut_matches_reference(q, monkeypatch):
                     cut(P, h)
                 outcomes["null"] += 1
                 continue
-            P = cut(P, h)
+            before, P = P.vertices_array, cut(P, h)
             assert P.vertices_array.tobytes() == expected[0].tobytes()
+            kept = P.origin >= 0
+            assert P.origin.shape == (len(P.vertices_array),)
+            assert len(set(P.origin[kept])) == np.count_nonzero(kept)
+            assert P.vertices_array[kept].tobytes() == before[
+                P.origin[kept]].tobytes()
+            old_rows = {row.tobytes() for row in before}
+            assert [row.tobytes() not in old_rows
+                    for row in P.vertices_array] == (~kept).tolist()
             assert P.incidence.shape == (len(expected[0]), len(P.halfspaces))
             assert incidence_lists(P.incidence) == [sorted(s)
                                                     for s in expected[1]]
