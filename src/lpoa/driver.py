@@ -9,16 +9,17 @@ history is kept in a RunTrace for the analysis layer.
 Selection is lazy.  Each vertex row carries an upper bound on its distance
 to A and the state of a search over the frontier of the upper image U that
 lowers it, in arrays aligned with the polytope's rows and re-indexed by each
-cut's row map.  A new row's search starts at w_bar with no bound.  Each
-iteration solves the first vertex if no vertex is solved yet, then advances
-the search at the open rows in one batch: at most twelve rounds per row, run
-only while its bound reaches the largest residual.  Then it solves the open
-rows in decreasing bound order until every remaining bound falls below the
-largest residual.  A residual is at most the distance, which is at most the
-bound, so the first maximum over the solved vertices in lexicographic order
-is the vertex that solving every vertex would select.  A bound is never
-below the one that all twelve rounds give, so stopping a search early never
-changes which vertices are solved.
+cut's row map.  A new row's search starts at w_bar with no bound.  A row is
+open while it is unsolved and its bound reaches the largest residual.  Each
+iteration repeats one best-first step while some row is open: take the open
+row of largest bound (row 0 while no row is solved) and solve it if no row
+is solved yet or its search has had all twelve rounds; otherwise advance
+every open row that has rounds left by one round, in one batch.  A bound is
+never below the one that all twelve rounds give, so rows are solved in
+decreasing order of that full bound, and a row that closes early would
+never have been solved.  A residual is at most the distance, which is at
+most the bound, so the first maximum over the solved vertices in
+lexicographic order is the vertex that solving every vertex would select.
 """
 
 from __future__ import annotations
@@ -179,31 +180,27 @@ def _new_rows(prob: ProblemInstance, m: int) -> list:
             np.full(m, 0.5), np.zeros(m, dtype=int)]
 
 
-def _search_advance(prob: ProblemInstance, p: float, V: np.ndarray,
-                    state: list, threshold: float) -> None:
-    """Advance the frontier search at the vertices V (rows) in place, all
-    rows at once, while a row's bound is at least `threshold` and it has had
-    fewer than _ROUNDS rounds.  Each round moves a row to its best trial
-    point and shrinks its radius unless that point lies a full step away.  A
-    frontier point outside the slice gives no bound, and a row that meets
-    only such points keeps +inf.  No row reads another row's state, so a
-    search resumed later ends where one uninterrupted search would."""
+def _search_round(prob: ProblemInstance, p: float, V: np.ndarray,
+                  state: list, rows: np.ndarray) -> None:
+    """One round of the frontier search, in one batch and in place, at the
+    rows `rows` of V, each with rounds left: a row moves to its best trial
+    point, and its radius shrinks unless that point lies a full step away.
+    A frontier point outside the slice gives no bound, so a row that meets
+    only such points keeps +inf.  No row reads another row's state, so
+    rounds split over calls on any row subsets end where _ROUNDS rounds in
+    one batch would."""
     bound, u, radius, rounds = state
     stencil, shrink = _STENCIL[prob.q]
-    steps = stencil.reshape(-1, prob.q - 1)
-    while True:
-        a = np.flatnonzero((bound >= threshold) & (rounds < _ROUNDS))
-        if not len(a):
-            return
-        trial, vals = _frontier(prob, p, V[a], u[a, None, :]
-                                + radius[a, None, None] * steps)
-        r, j = np.arange(len(a)), vals.argmin(axis=1)
-        better = vals[r, j] < bound[a]
-        u[a] = np.where(better[:, None], trial[r, j], u[a])
-        bound[a] = np.minimum(bound[a], vals[r, j])
-        radius[a] = np.where(better & (j < stencil.shape[1]), radius[a],
-                             shrink * radius[a])
-        rounds[a] += 1
+    trial, vals = _frontier(prob, p, V[rows], u[rows, None, :]
+                            + radius[rows, None, None]
+                            * stencil.reshape(-1, prob.q - 1))
+    r, j = np.arange(len(rows)), vals.argmin(axis=1)
+    better = vals[r, j] < bound[rows]
+    u[rows] = np.where(better[:, None], trial[r, j], u[rows])
+    bound[rows] = np.minimum(bound[rows], vals[r, j])
+    radius[rows] = np.where(better & (j < stencil.shape[1]), radius[rows],
+                            shrink * radius[rows])
+    rounds[rows] += 1
 
 
 def run(config: RunConfig) -> RunTrace:
@@ -235,26 +232,26 @@ def run(config: RunConfig) -> RunTrace:
         for new, old in zip(fresh, rows):
             new[carried] = old[P.origin[carried]]
         exact, residual, *search = rows = fresh
-        bound = search[0]
+        bound, rounds = search[0], search[3]
         best = residual.max()
         try:
-            if best == -math.inf:
-                # nothing to compare a bound with (at k = 0, or after a cut
-                # removed every solved vertex): solve the first vertex
-                exact[0], = solve_batch(prob, verts[:1], ne)
-                best = residual[0] = exact[0].residual_norm
-                bound[0] = -math.inf
-            # advance the rows whose bound still reaches best; the solves
-            # below only raise best, so none needs more rounds after them
-            _search_advance(prob, ne.p, verts, search, _reach(best, verts))
-            # solve in decreasing bound order until no bound can reach the
-            # largest exact residual
-            for i in np.argsort(-bound, kind="stable"):
-                if bound[i] < _reach(best, verts):
+            reach = _reach(best, verts)
+            while True:
+                # the open row of largest bound, or row 0 while nothing is
+                # solved (at k = 0, or after a cut removed every solved
+                # vertex); no row is open once that row's bound falls short
+                first = best == -math.inf
+                i = 0 if first else int(bound.argmax())
+                if bound[i] < reach:
                     break
-                exact[i], = solve_batch(prob, verts[i:i + 1], ne)
-                residual[i], bound[i] = exact[i].residual_norm, -math.inf
-                best = max(best, residual[i])
+                if first or rounds[i] == _ROUNDS:
+                    exact[i], = solve_batch(prob, verts[i:i + 1], ne)
+                    residual[i], bound[i] = exact[i].residual_norm, -math.inf
+                    best = max(best, residual[i])
+                    reach = _reach(best, verts)
+                else:
+                    _search_round(prob, ne.p, verts, search, np.flatnonzero(
+                        (bound >= reach) & (rounds < _ROUNDS)))
         except (SubproblemError, ValueError):
             # solver non-convergence, or an exception from a problem oracle
             termination = "solver_failure"

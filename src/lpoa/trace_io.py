@@ -132,14 +132,18 @@ def _iteration_from_dict(d: dict, q: int, position: int) -> IterationRecord:
 
 
 def _polytope_from_dict(poly: dict, q: int) -> pt.Polytope:
-    """Normals and vertices in R^q, finite offsets, and for each vertex one
-    strictly increasing list of indices into the halfspaces."""
+    """Normals and at least q + 1 vertices in R^q, finite offsets, and for
+    each vertex one strictly increasing list of indices into the
+    halfspaces."""
     hs, inc = poly["halfspaces"], poly["incidence"]
     for b in (h["offset"] for h in hs):
         if type(b) not in (int, float) or not math.isfinite(b):
             raise ValueError("halfspace offset must be a finite number, "
                              f"got {b!r}")
     vertices = [_vector(y, "vertex", q) for y in poly["vertices"]]
+    if len(vertices) < q + 1:
+        raise ValueError(f"final polytope must have at least q + 1 = {q + 1} "
+                         f"vertices, got {len(vertices)}")
     if len(inc) != len(vertices) or not all(
             isinstance(s, list) and all(type(i) is int for i in s)
             and all(0 <= i < j for i, j in zip(s, s[1:] + [len(hs)]))
@@ -176,6 +180,13 @@ def trace_from_dict(doc: dict) -> RunTrace:
                              f"{q + 1}, got {h0!r}")
         iterations = tuple(_iteration_from_dict(d, q, i)
                            for i, d in enumerate(entries))
+        n, budget = len(iterations), config.max_iterations
+        if n > budget:
+            raise ValueError(f"{n} iterations exceed max_iterations = "
+                             f"{budget}")
+        if doc["termination"] == "max_iterations" and n < budget:
+            raise ValueError(f"termination max_iterations after {n} of "
+                             f"{budget} iterations")
         if not isinstance(doc.get("metadata", {}), dict):
             raise ValueError("metadata must be a JSON object")
         poly = doc["final_polytope"]

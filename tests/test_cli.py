@@ -55,11 +55,13 @@ def malformed_documents(trace):
     is not a finite non-negative number, a point or cut normal that is not
     q finite numbers, a null cut normal with a positive residual or a cut
     normal with a zero residual, a vertex count or cache hit count that is
-    not a non-negative integer, or more cache hits than vertices; or whose
-    final polytope has a halfspace offset that is not a finite number, or
-    an incidence that is not one strictly increasing list of halfspace
-    indices per vertex.  An integer too large for a float stands in for p,
-    epsilon, a residual norm, a point coordinate and an offset."""
+    not a non-negative integer, or more cache hits than vertices; whose
+    iterations exceed max_iterations, or fall short of it with termination
+    max_iterations; or whose final polytope has a halfspace offset that is
+    not a finite number, an incidence that is not one strictly increasing
+    list of halfspace indices per vertex, or fewer than q + 1 vertices.  An
+    integer too large for a float stands in for p, epsilon, a residual
+    norm, a point coordinate and an offset."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -130,6 +132,16 @@ def malformed_documents(trace):
     short = doc()
     short["final_polytope"]["incidence"].pop()
     docs.append(short)
+    for count in (0, q):
+        few = doc()
+        for field in ("vertices", "incidence"):
+            del few["final_polytope"][field][count:]
+        docs.append(few)
+    over, early = doc(), doc()
+    over["config"]["max_iterations"] = len(trace.iterations) - 1
+    early["termination"] = "max_iterations"
+    assert early["config"]["max_iterations"] > len(trace.iterations)
+    docs += [over, early]
     return docs
 
 

@@ -14,7 +14,7 @@ from lpoa import driver, scalarization
 from lpoa import polytope as pt
 from lpoa.analysis import verify_trace
 from lpoa.driver import (_ROUNDS, RunConfig, RunTrace, _new_rows,
-                         _point_bounds, _reach, _search_advance,
+                         _point_bounds, _reach, _search_round,
                          hausdorff_series, initialize, run)
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
@@ -51,7 +51,7 @@ class TestConfig:
         cfg = RunConfig(problem_key="ellipse", p=1.25, epsilon=1e-3,
                         max_iterations=77)
         trace = RunTrace(config=cfg, iterations=(), final_polytope=None,
-                         termination="max_iterations")
+                         termination="solver_failure")
         assert trace_from_dict(trace_to_dict(trace)).config == cfg
 
     def test_validation(self):
@@ -315,7 +315,8 @@ def _full_bounds(prob, p, V):
     """The bounds of a frontier search at new rows V advanced to _ROUNDS
     rounds."""
     state = _new_rows(prob, len(V))[2:]
-    _search_advance(prob, p, V, state, -math.inf)
+    for _ in range(_ROUNDS):
+        _search_round(prob, p, V, state, np.arange(len(V)))
     return state[0]
 
 
@@ -413,29 +414,40 @@ class TestLazySelection:
 
     @pytest.mark.parametrize("key", PROBLEM_KEYS)
     def test_search_resumes(self, key):
-        # a search advanced against a threshold and later against -inf ends
-        # with the bounds of one advance against -inf, and no row runs past
-        # _ROUNDS rounds
+        # rounds split over calls on changing row subsets end with the
+        # bounds of _ROUNDS rounds in one batch
         prob = by_key(key)
         P = run(RunConfig(problem_key=key, p=2.0, epsilon=1e-6,
                           max_iterations=6)).final_polytope
         V = P.vertices()
         full = _full_bounds(prob, 2.0, V)
         state = _new_rows(prob, len(V))[2:]
-        _search_advance(prob, 2.0, V, state, float(np.median(full)))
-        assert np.any(state[3] < _ROUNDS) and np.any(state[3] > 0)
-        _search_advance(prob, 2.0, V, state, -math.inf)
-        assert np.all(state[3] == _ROUNDS)
+        calls = 0
+        while len(left := np.flatnonzero(state[3] < _ROUNDS)):
+            # every first, second or third row with rounds left
+            _search_round(prob, 2.0, V, state, left[::calls % 3 + 1])
+            calls += 1
+        assert calls > _ROUNDS  # some rows sat out some calls
         np.testing.assert_allclose(state[0], full, rtol=1e-12, atol=0.0)
 
-    def test_need_driven_search_solves_same_vertices(self, monkeypatch):
-        # example2 at eps = 0.3 solves the same vertices in the same order
-        # as a run whose search advances every row to _ROUNDS rounds
-        config = RunConfig(problem_key="example2", p=2.0, epsilon=0.3)
+    @pytest.mark.parametrize("key, epsilon", [
+        ("example1-q2", 1e-2), ("example1-q3", 0.05), ("ellipse", 1e-2),
+        ("example2", 0.3)])
+    @pytest.mark.parametrize("p", [2.0, 8.0])
+    def test_need_driven_search_solves_same_vertices(self, monkeypatch, key,
+                                                     epsilon, p):
+        # the best-first loop solves the same vertices in the same order as
+        # a run whose search takes every unsolved row to _ROUNDS rounds
+        config = RunConfig(problem_key=key, p=p, epsilon=epsilon)
         trace, solved = _solved_vertices(monkeypatch, config)
-        real_advance = driver._search_advance
-        monkeypatch.setattr(driver, "_search_advance",
-                            lambda *args: real_advance(*args[:-1], -math.inf))
+        real_round = driver._search_round
+
+        def full_rounds(prob, p, V, state, rows):
+            bound, rounds = state[0], state[3]
+            while np.any(left := (bound > -math.inf) & (rounds < _ROUNDS)):
+                real_round(prob, p, V, state, np.flatnonzero(left))
+
+        monkeypatch.setattr(driver, "_search_round", full_rounds)
         full_trace, full_solved = _solved_vertices(monkeypatch, config)
         assert trace.termination == "converged"
         assert solved == full_solved
@@ -453,7 +465,7 @@ class TestLazySelection:
         assert 0 < search_calls <= (1 + _ROUNDS) * len(trace.iterations) / 2
 
     @pytest.mark.parametrize("key, epsilon, solves, calls", [
-        ("ellipse", 1e-3, 33, 162), ("example2", 0.3, 34, 163)])
+        ("ellipse", 1e-3, 33, 118), ("example2", 0.3, 34, 115)])
     def test_search_work_recorded(self, monkeypatch, key, epsilon, solves,
                                   calls):
         # the lazy loop's work, which the trace bytes cannot show: the

@@ -83,7 +83,7 @@ class TestHalfspace:
         trace = RunTrace(config=RunConfig(problem_key="example1-q2", p=2.0,
                                           epsilon=1e-3),
                          iterations=(), final_polytope=P,
-                         termination="max_iterations")
+                         termination="solver_failure")
         P2 = trace_from_dict(trace_to_dict(trace)).final_polytope
         for h, h2 in zip(P.halfspaces, P2.halfspaces, strict=True):
             assert np.array_equal(h.normal, h2.normal)
