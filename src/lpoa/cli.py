@@ -30,7 +30,7 @@ import click
 
 from .analysis import fit_rate, monotone_envelope, verify_trace
 from .driver import RunConfig, RunTrace, hausdorff_series, run
-from .plot_svg import write_svg
+from .plot_svg import render_svg
 from .trace_io import (TraceFormatError, atomic_write_text, default_metadata,
                        load_trace, save_trace)
 
@@ -140,8 +140,8 @@ def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
     if out_path:
         _write(out_path, save_trace, trace, default_metadata(wall))
     if svg_path and trace.iterations:
-        _write(svg_path, write_svg, [_trace_curve(trace)],
-               title=f"{problem_key}, p = {p_value:g}")
+        _write(svg_path, atomic_write_text, render_svg(
+            [_trace_curve(trace)], title=f"{problem_key}, p = {p_value:g}"))
     click.echo(f"{problem_key} p={p_value:g} eps={eps:g}: "
                f"{trace.termination} after {len(trace.iterations)} iterations "
                f"({wall:.2f}s)")
@@ -235,8 +235,8 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     click.echo(f"wrote {csv_path}")
 
     if svg_path and curves:
-        _write(svg_path, write_svg, curves,
-               title=f"{problem_key}, eps = {epsilon:g}")
+        _write(svg_path, atomic_write_text, render_svg(
+            curves, title=f"{problem_key}, eps = {epsilon:g}"))
         click.echo(f"wrote {svg_path}")
     if any_failed:
         sys.exit(1)

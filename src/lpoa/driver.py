@@ -33,7 +33,7 @@ import numpy as np
 
 from . import polytope as pt
 from .lp_geometry import NormExponent
-from .problems import PROBLEM_KEYS, ProblemInstance, by_key, weighted_sum
+from .problems import PROBLEM_KEYS, ProblemInstance, by_key
 from .scalarization import ZERO_TOL, SubproblemError, solve_batch
 
 __all__ = ["RunConfig", "IterationRecord", "RunTrace", "initialize", "run",
@@ -100,17 +100,13 @@ class RunTrace:
 
 
 def initialize(prob: ProblemInstance) -> pt.Polytope:
-    """Initial polytope: the simplex bounded by the q coordinate-direction
-    supporting halfspaces plus the slice halfspace (J + 1 = q + 1 in total).
-    Each problem's slice lies strictly above its ideal point, so the simplex
-    is never degenerate."""
-    halfspaces = []
-    for i in range(prob.q):
-        e_i = np.zeros(prob.q)
-        e_i[i] = 1.0
-        _, offset = weighted_sum(prob, e_i)
-        # supporting halfspace {y : y_i >= offset} in <= form
-        halfspaces.append(pt.Halfspace(-e_i, -offset))
+    """Initial polytope: the simplex bounded by the q coordinate halfspaces
+    {y : y_i >= ideal_i}, which support the upper image at its ideal point,
+    plus the slice halfspace (J + 1 = q + 1 in total).  It calls no oracle:
+    the instance holds the ideal point.  Each problem's slice lies strictly
+    above its ideal point, so the simplex is never degenerate."""
+    halfspaces = [pt.Halfspace(-e_i, -y_i)
+                  for e_i, y_i in zip(np.eye(prob.q), prob.ideal)]
     halfspaces.append(pt.Halfspace(prob.w_bar.copy(), prob.gamma_slice))
     return pt.simplex(halfspaces)
 
@@ -209,32 +205,30 @@ def run(config: RunConfig) -> RunTrace:
 
     Every recorded iteration applies its cut (including the terminal one, so
     the trace invariants cuts == iterations and |Z_k| = J + 1 + k hold); the
-    stopping test uses the residual of the selected farthest vertex.
+    stopping test uses the residual of the selected farthest vertex.  Every
+    failure, from building the initial simplex on, ends the run in one place
+    with termination solver_failure and the polytope it had (None before the
+    initial simplex is built).
     """
     prob = by_key(config.problem_key)
     ne = NormExponent(config.p)
-    try:
-        P = initialize(prob)
-    except ValueError:
-        # an exception from a problem oracle before the first iteration
-        return RunTrace(config=config, iterations=(), final_polytope=None,
-                        termination="solver_failure")
-    rows = _new_rows(prob, 0)  # P is a simplex: every row is new
+    P = None
     records: list[IterationRecord] = []
     termination = "max_iterations"
-
-    for k in range(config.max_iterations):
-        t0 = time.perf_counter()
-        verts = P.vertices()
-        # re-index the row state by the cut's row map; new rows start afresh
-        carried = P.origin >= 0
-        fresh = _new_rows(prob, len(verts))
-        for new, old in zip(fresh, rows):
-            new[carried] = old[P.origin[carried]]
-        exact, residual, *search = rows = fresh
-        bound, rounds = search[0], search[3]
-        best = residual.max()
-        try:
+    try:
+        P = initialize(prob)
+        rows = _new_rows(prob, 0)  # P is a simplex: every row is new
+        for k in range(config.max_iterations):
+            t0 = time.perf_counter()
+            verts = P.vertices()
+            # re-index the row state by the cut's row map; new rows are fresh
+            carried = P.origin >= 0
+            fresh = _new_rows(prob, len(verts))
+            for new, old in zip(fresh, rows):
+                new[carried] = old[P.origin[carried]]
+            exact, residual, *search = rows = fresh
+            bound, rounds = search[0], search[3]
+            best = residual.max()
             reach = _reach(best, verts)
             while True:
                 # the open row of largest bound, or row 0 while nothing is
@@ -252,36 +246,32 @@ def run(config: RunConfig) -> RunTrace:
                 else:
                     _search_round(prob, ne.p, verts, search, np.flatnonzero(
                         (bound >= reach) & (rounds < _ROUNDS)))
-        except (SubproblemError, ValueError):
-            # solver non-convergence, or an exception from a problem oracle
-            termination = "solver_failure"
-            break
-        # every open vertex is certified strictly below best, so the first
-        # maximum over the rows (lex order) is the farthest vertex
-        idx = int(np.argmax(residual))
-        far = exact[idx]
+            # every open vertex is certified strictly below best, so the
+            # first maximum over the rows (lex order) is the farthest vertex
+            idx = int(np.argmax(residual))
+            far = exact[idx]
 
-        # no cut normal: the farthest vertex is already in A, the polytope
-        # equals A numerically, and the zero residual ends the run below
-        if far.cut_normal is not None:
-            h = pt.Halfspace(-far.cut_normal,
-                             -float(far.cut_normal @ far.y_support))
-            try:
-                P = pt.cut(P, h)
-            except pt.PolytopeError:
-                # the cut removed every vertex (inconsistent with the
-                # polytope) or none (a tolerance mismatch between solver and
-                # polytope layers): surface it instead of masking it
-                termination = "solver_failure"
+            # no cut normal: the farthest vertex is already in A, and the
+            # zero residual ends the run below
+            if far.cut_normal is not None:
+                P = pt.cut(P, pt.Halfspace(
+                    -far.cut_normal, -float(far.cut_normal @ far.y_support)))
+            # a copy, so that the record does not keep all of verts alive
+            records.append(IterationRecord(
+                k=k, farthest_vertex=verts[idx].copy(),
+                residual_norm=far.residual_norm, support_point=far.y_support,
+                cut_normal=far.cut_normal, vertex_count=len(verts),
+                cache_hits=int(carried.sum()),
+                wall_ms=(time.perf_counter() - t0) * 1e3))
+            if far.residual_norm <= config.epsilon:
+                termination = "converged"
                 break
-        records.append(IterationRecord(
-            k=k, farthest_vertex=verts[idx], residual_norm=far.residual_norm,
-            support_point=far.y_support, cut_normal=far.cut_normal,
-            vertex_count=len(verts), cache_hits=int(carried.sum()),
-            wall_ms=(time.perf_counter() - t0) * 1e3))
-        if far.residual_norm <= config.epsilon:
-            termination = "converged"
-            break
+    except (SubproblemError, ValueError, pt.PolytopeError):
+        # solver non-convergence, an exception from a problem oracle, a
+        # singular initial simplex (LinAlgError), or a cut that removed every
+        # vertex (inconsistent with the polytope) or none (a tolerance
+        # mismatch between solver and polytope layers): surface it
+        termination = "solver_failure"
 
     return RunTrace(config=config, iterations=tuple(records),
                     final_polytope=P, termination=termination)

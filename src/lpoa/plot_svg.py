@@ -12,7 +12,7 @@ import math
 
 from .analysis import RateFit
 
-__all__ = ["render_svg", "write_svg"]
+__all__ = ["render_svg"]
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 30, 40, 60
@@ -38,7 +38,8 @@ def render_svg(curves, title: str = "") -> str:
     """Render curves to an SVG string.
 
     Each curve is a dict with keys: "label", "series" (positive values,
-    element i plotted at k = i + 1) and optionally "fit" (a RateFit whose
+    element i plotted at k = i + 1), "q" (the objective dimension, which
+    sets the fitted line's exponent) and optionally "fit" (a RateFit whose
     dashed model line spans the fit window).
     """
     xs_all = []
@@ -113,7 +114,7 @@ def render_svg(curves, title: str = "") -> str:
         if fit is not None and math.isfinite(fit.c_hat):
             k0, k1 = fit.window
             # model: delta = lambda * k^(-c_hat / (q - 1))
-            qm1 = c.get("q", 2) - 1
+            qm1 = c["q"] - 1
             y0 = fit.lambda_hat * k0 ** (-fit.c_hat / qm1)
             y1v = fit.lambda_hat * k1 ** (-fit.c_hat / qm1)
             y0 = min(max(y0, y_lo), y_hi)
@@ -131,8 +132,3 @@ def render_svg(curves, title: str = "") -> str:
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path: str, curves, **kwargs) -> None:
-    from .trace_io import atomic_write_text
-    atomic_write_text(path, render_svg(curves, **kwargs))

@@ -1,10 +1,10 @@
 """Test problems: generic instance container plus the three built-in CVOPs.
 
 Each instance bundles the objective map, a closed-form weighted-sum
-minimizer and the slice parameters bounding the region to approximate:
-what the dual distance solver reads, and nothing else.  Both oracles map
-rows: an (m, .) array gives one row per input row, bit for bit the 1-D
-result of that row.
+minimizer, the slice parameters bounding the region to approximate and the
+ideal point: what the dual distance solver and the initial simplex read,
+and nothing else.  Both oracles map rows: an (m, .) array gives one row per
+input row, bit for bit the 1-D result of that row.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["ProblemInstance", "by_key", "PROBLEM_KEYS", "weighted_sum"]
+__all__ = ["ProblemInstance", "by_key", "PROBLEM_KEYS"]
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,9 @@ class ProblemInstance:
     """A convex vector optimization problem with orthant ordering cone.
 
     The upper image is gamma(X) + R^q_+ and the approximated region A is its
-    intersection with the slice {y : w_bar . y <= gamma_slice}.
+    intersection with the slice {y : w_bar . y <= gamma_slice}.  The ideal
+    point, which the built-ins compute from their oracles, bounds the upper
+    image from below and gives the initial simplex its coordinate faces.
     """
 
     key: str
@@ -33,25 +35,11 @@ class ProblemInstance:
     gamma_slice: float
     # closed-form minimizer of omega . gamma(x) over X
     ws_closed_form: Callable[[np.ndarray], np.ndarray]
+    # y_i = gamma_i(x*(e_i)), the least i-th coordinate over the upper image
+    ideal: np.ndarray
 
     # not fields: names perfbench/spans.py looks up, and skips when None
     gamma_jacobian = feasible_project = upper_project = None
-
-
-def weighted_sum(prob: ProblemInstance, omega):
-    """Minimize omega . gamma(x) over X.
-
-    Returns (x_star, support_offset) with support_offset = omega.gamma(x*),
-    defining the supporting halfspace {y : omega . y >= support_offset} of
-    the upper image.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if (omega.shape != (prob.q,) or not np.all(np.isfinite(omega))
-            or np.any(omega < 0) or np.all(omega == 0.0)):
-        raise ValueError("omega must be a finite nonzero nonnegative "
-                         "q-vector")
-    x = prob.ws_closed_form(omega)
-    return x, float(omega @ prob.gamma_eval(x))
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +48,18 @@ def weighted_sum(prob: ProblemInstance, omega):
 
 def _instance(key: str, gamma_eval, w_bar: np.ndarray,
               ws_closed_form) -> ProblemInstance:
-    """The instance with gamma_slice = max_i w_bar . gamma(x*(e_i)) plus a
-    quarter of the spread of these q offsets, from the minimizers x*(e_i) of
-    the coordinate directions."""
-    offsets = [float(w_bar @ gamma_eval(ws_closed_form(e_i)))
-               for e_i in np.eye(len(w_bar))]
+    """The instance from the frontier points gamma(x*(e_i)) of the coordinate
+    directions: the ideal point is their diagonal, and gamma_slice is the
+    largest of their q offsets w_bar . gamma(x*(e_i)) plus a quarter of the
+    spread of these offsets."""
+    points = [gamma_eval(ws_closed_form(e_i)) for e_i in np.eye(len(w_bar))]
+    offsets = [float(w_bar @ y) for y in points]
     spread = max(offsets) - min(offsets)
     return ProblemInstance(key=key, q=len(w_bar), gamma_eval=gamma_eval,
                            w_bar=w_bar,
                            gamma_slice=max(offsets) + 0.25 * spread,
-                           ws_closed_form=ws_closed_form)
+                           ws_closed_form=ws_closed_form,
+                           ideal=np.array(points).diagonal().copy())
 
 
 def _identity(x):

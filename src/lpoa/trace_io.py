@@ -8,9 +8,11 @@ A trace (schema version 2) is a JSON object with the keys
                              support_point, cut_normal, vertex_count,
                              cache_hits (the vertices carried over from the
                              previous iteration's polytope)
-    termination              converged, max_iterations or solver_failure
+    termination              converged (exactly when the last residual, and
+                             no earlier one, is at most epsilon),
+                             max_iterations or solver_failure
     final_polytope           halfspaces (normal, offset), vertices and
-                             incidence, or null
+                             incidence, or null when there are no iterations
     metadata                 wall-clock information
 Everything except metadata serializes to byte-identical JSON for identical
 runs.  The loader reads versions 1 and 2 and ignores what older writers
@@ -187,9 +189,21 @@ def trace_from_dict(doc: dict) -> RunTrace:
         if doc["termination"] == "max_iterations" and n < budget:
             raise ValueError(f"termination max_iterations after {n} of "
                              f"{budget} iterations")
+        # run stops at the first residual <= epsilon, and only there
+        stops = [rec.residual_norm <= config.epsilon for rec in iterations]
+        if any(stops[:-1]):
+            raise ValueError("a residual_norm at most epsilon before the "
+                             "last iteration")
+        converged = bool(stops) and stops[-1]
+        if (doc["termination"] == "converged") != converged:
+            raise ValueError(f"termination {doc['termination']} does not "
+                             "match whether a last residual_norm is at "
+                             "most epsilon")
         if not isinstance(doc.get("metadata", {}), dict):
             raise ValueError("metadata must be a JSON object")
         poly = doc["final_polytope"]
+        if poly is None and n > 0:
+            raise ValueError(f"final_polytope is null after {n} iterations")
         final = None if poly is None else _polytope_from_dict(poly, q)
         return RunTrace(config=config, iterations=iterations,
                         final_polytope=final, termination=doc["termination"])

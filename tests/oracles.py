@@ -1,7 +1,8 @@
 """Test-only oracles for the built-in problems.
 
-Membership in the upper image gamma(X) + R^q_+ and in the approximated set A,
-boundary samplers of A, and a brute-force lp distance to A built on them.
+Weighted sums, membership in the upper image gamma(X) + R^q_+ and in the
+approximated set A, boundary samplers of A, and a brute-force lp distance to
+A built on them.
 The solver never calls these; tests use them as independent references.
 The decision space X of each problem (its dimension, the Jacobian of gamma
 and the Euclidean projection onto X) lives here too, in DECISION: the
@@ -17,7 +18,7 @@ from scipy.optimize import minimize
 
 from lpoa.lp_geometry import NormExponent
 from lpoa.problems import (_ANCHORS, _ELLIPSE_AXES_SQ, _ELLIPSE_M,
-                           _ELLIPSE_X0, by_key, weighted_sum)
+                           _ELLIPSE_X0, by_key)
 
 # an interior point of X, per problem
 X_INIT = {
@@ -123,6 +124,26 @@ DIAMETER_HINT = {
     "ellipse": 2.0 * math.sqrt(10.0),
     "example2": 25.0,
 }
+
+
+# ---------------------------------------------------------------------------
+# weighted sums
+
+
+def weighted_sum(prob, omega):
+    """Minimize omega . gamma(x) over X.
+
+    Returns (x_star, support_offset) with support_offset = omega.gamma(x*),
+    defining the supporting halfspace {y : omega . y >= support_offset} of
+    the upper image.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if (omega.shape != (prob.q,) or not np.all(np.isfinite(omega))
+            or np.any(omega < 0) or np.all(omega == 0.0)):
+        raise ValueError("omega must be a finite nonzero nonnegative "
+                         "q-vector")
+    x = prob.ws_closed_form(omega)
+    return x, float(omega @ prob.gamma_eval(x))
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,15 @@ def malformed_documents(trace):
     normal with a zero residual, a vertex count or cache hit count that is
     not a non-negative integer, or more cache hits than vertices; whose
     iterations exceed max_iterations, or fall short of it with termination
-    max_iterations; or whose final polytope has a halfspace offset that is
-    not a finite number, an incidence that is not one strictly increasing
-    list of halfspace indices per vertex, or fewer than q + 1 vertices.  An
-    integer too large for a float stands in for p, epsilon, a residual
-    norm, a point coordinate and an offset."""
+    max_iterations; which has a residual norm at most epsilon before the
+    last iteration; whose termination is converged without a last residual
+    norm at most epsilon (after a dropped last iteration or no iteration),
+    or is max_iterations or solver_failure with one; whose final polytope is
+    null after an iteration; or whose final polytope has a halfspace offset
+    that is not a finite number, an incidence that is not one strictly
+    increasing list of halfspace indices per vertex, or fewer than q + 1
+    vertices.  An integer too large for a float stands in for p, epsilon, a
+    residual norm, a point coordinate and an offset."""
     def doc():
         return json.loads(dumps_trace(trace))
     bad_config, bad_entry, bad_entries, bad_key = doc(), doc(), doc(), doc()
@@ -142,6 +146,17 @@ def malformed_documents(trace):
     early["termination"] = "max_iterations"
     assert early["config"]["max_iterations"] > len(trace.iterations)
     docs += [over, early]
+    stopped, dropped, none = doc(), doc(), doc()
+    stopped["iterations"][mid]["residual_norm"] = trace.config.epsilon
+    dropped["iterations"].pop()
+    none["iterations"] = []
+    docs += [stopped, dropped, none]
+    exhausted, failed, no_polytope = doc(), doc(), doc()
+    exhausted["termination"] = "max_iterations"
+    exhausted["config"]["max_iterations"] = len(trace.iterations)
+    failed["termination"] = "solver_failure"
+    no_polytope["final_polytope"] = None
+    docs += [exhausted, failed, no_polytope]
     return docs
 
 

@@ -22,7 +22,8 @@ from lpoa.scalarization import SubproblemError
 from lpoa.trace_io import dumps_trace, trace_from_dict, trace_to_dict
 
 from cut_reference import from_halfspaces
-from oracles import boundary_samples, in_A, reference_distance, support_value
+from oracles import (boundary_samples, in_A, reference_distance,
+                     support_value, weighted_sum)
 from test_polytope import contains
 
 # the acceptance-matrix fingerprint holds the residual series and farthest
@@ -95,6 +96,28 @@ class TestInitialize:
         assert P0.vertices_array.tobytes() == ref.vertices_array.tobytes()
         assert np.array_equal(P0.incidence, ref.incidence)
 
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    def test_ideal_point_without_oracle_calls(self, key):
+        # the ideal point has the bits of the coordinate weighted sums, and
+        # the simplex is built from it without calling an oracle
+        prob = by_key(key)
+        assert prob.ideal.tobytes() == np.array(
+            [weighted_sum(prob, e_i)[1] for e_i in np.eye(prob.q)]).tobytes()
+        calls = []
+
+        def counted(oracle):
+            def call(x):
+                calls.append(x)
+                return oracle(x)
+            return call
+
+        inst = dataclasses.replace(
+            prob, gamma_eval=counted(prob.gamma_eval),
+            ws_closed_form=counted(prob.ws_closed_form))
+        assert (initialize(inst).vertices_array.tobytes()
+                == initialize(prob).vertices_array.tobytes())
+        assert calls == []
+
 
 class TestTraceInvariants:
     def test_converged(self, trace_q2):
@@ -128,6 +151,12 @@ class TestTraceInvariants:
             margin = float(rec.cut_normal
                            @ (rec.farthest_vertex - rec.support_point))
             assert margin < -1e-12
+
+    def test_records_own_their_vertex(self, trace_q2):
+        # a view would keep its iteration's whole vertex array alive for as
+        # long as the trace
+        assert all(rec.farthest_vertex.base is None
+                   for rec in trace_q2.iterations)
 
     def test_iteration_indices(self, trace_q2):
         assert [r.k for r in trace_q2.iterations] == list(
@@ -590,21 +619,32 @@ class TestOracleFailure:
             trace.initial_halfspace_count + len(trace.iterations))
 
     def test_oracle_error_before_first_iteration(self, monkeypatch):
-        inst, callers = _oracle_with_fault(by_key("ellipse"), 1)
+        # initialize calls no oracle, so the first call is the first solve's,
+        # and the trace keeps the initial simplex
+        prob = by_key("ellipse")
+        inst, callers = _oracle_with_fault(prob, 1)
         monkeypatch.setattr(driver, "by_key", lambda _key: inst)
         trace = run(RunConfig(problem_key="ellipse", p=2.0, epsilon=0.05))
-        assert callers == ["weighted_sum"]
+        assert callers == ["solve_subproblem"]
         assert trace.termination == "solver_failure"
-        assert trace.iterations == () and trace.final_polytope is None
+        assert trace.iterations == ()
+        P, P0 = trace.final_polytope, initialize(prob)
+        assert P.vertices_array.tobytes() == P0.vertices_array.tobytes()
+        assert np.array_equal(P.incidence, P0.incidence)
+        assert [(h.normal.tobytes(), h.offset) for h in P.halfspaces] == [
+            (h.normal.tobytes(), h.offset) for h in P0.halfspaces]
 
     def test_failure_without_polytope_counts_q_plus_1(self, monkeypatch):
-        # with no polytope to count, J + 1 = q + 1 still holds, and the
-        # written trace loads back
-        inst, _ = _oracle_with_fault(by_key("example2"), 1)
-        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+        # a singular initial simplex leaves no polytope to count; J + 1 =
+        # q + 1 still holds, and the written trace loads back
+        def singular(prob):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(driver, "initialize", singular)
         trace = run(RunConfig(problem_key="example2", p=2.0, epsilon=0.05))
         monkeypatch.undo()
-        assert trace.final_polytope is None
+        assert trace.termination == "solver_failure"
+        assert trace.iterations == () and trace.final_polytope is None
         assert trace.initial_halfspace_count == 4 == trace.q + 1
         doc = trace_to_dict(trace)
         assert doc["initial_halfspace_count"] == 4

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from lpoa import problems, scalarization
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import (_ELLIPSE_AXES_SQ, _ELLIPSE_M, _ELLIPSE_X0,
-                           PROBLEM_KEYS, ProblemInstance, by_key,
-                           weighted_sum)
+                           PROBLEM_KEYS, ProblemInstance, by_key)
 
 from oracles import (DECISION, X_INIT, boundary_samples, in_A,
-                     oracle_distance, slice_contains, upper_contains)
+                     oracle_distance, slice_contains, upper_contains,
+                     weighted_sum)
 
 
 @pytest.fixture(params=PROBLEM_KEYS)
@@ -55,16 +55,18 @@ class TestRegistry:
 
 
 class TestInstanceFields:
-    """An instance holds what the dual solver reads.  The four names below
-    are bound to None for perfbench/spans.py, which looks them up and skips
-    an oracle that is None; no lpoa code may read or implement them."""
+    """An instance holds what the dual solver and the initial simplex read.
+    The four names below are bound to None for perfbench/spans.py, which
+    looks them up and skips an oracle that is None; no lpoa code may read or
+    implement them."""
 
     NAMES = re.compile(r"\b(prox_lp_norm|gamma_jacobian|feasible_project"
                        r"|upper_project)\b")
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ProblemInstance)] == [
-            "key", "q", "gamma_eval", "w_bar", "gamma_slice", "ws_closed_form"]
+            "key", "q", "gamma_eval", "w_bar", "gamma_slice", "ws_closed_form",
+            "ideal"]
 
     def test_benchmark_names_are_none(self, prob):
         assert scalarization.prox_lp_norm is None
