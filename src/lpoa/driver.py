@@ -116,7 +116,8 @@ _ROUNDS = 12  # most stencil rounds of the bound search at one vertex
 # q -> (steps, shrink): the trial steps of the frontier search around a row's
 # point, (scale, direction, q - 1) in units of its radius, and the factor on
 # the radius after a round whose best trial is not a full step.  In q = 2 the
-# steps and the point form a line of 13 with spacing 1/6.
+# steps and the point form a line of 13 with spacing 1/6.  Its keys, q = 2
+# and 3, are the supported dimensions: those of the four built-in problems.
 _STENCIL = {
     2: (np.array([[[k / 6], [-k / 6]] for k in range(6, 0, -1)]), 1.0 / 6.0),
     3: (np.array([[[s * math.cos(k * math.pi / 6.0),

@@ -6,8 +6,7 @@ polytope is a simplex, one q x q solve per vertex; after that a polytope only
 changes by adding a single halfspace, which clips the vertex/edge structure
 in array operations.  No linear program is solved.
 
-Arithmetic is floating point with relative tolerances; q = 2 and 3 are the
-supported dimensions (higher q is attempted on a best-effort basis).
+Arithmetic is floating point with relative tolerances.
 """
 
 from __future__ import annotations

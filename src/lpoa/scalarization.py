@@ -26,12 +26,13 @@ u = n / ||n||_{p*} and offset (ws(c) - lam gamma_slice) / ||n||_{p*}
 contains A, and the support point y = v + R grad||u||_{p*} lies on it.
 
 Two shortcuts make a Newton step cheaper and leave every floating-point
-value as the general formulas give it.  At e = 1 the objective skips the
-operations whose result is exactly known: x^1 = x, x^0 = 1, and the factors
-e and e D / ||n||_{p*} are 1.  With two free coordinates the tangent space
-is one-dimensional and the step is taken in Python floats: the Hessian is
-1 x 1, its eigendecomposition is exactly (H, [[1]]), and every product with
-the eigenvectors is a single exact product.
+value as the general formulas give it.  The one objective, built for either
+exponent, skips at e = 1 the operations whose result is exactly known:
+x^1 = x, x^0 = 1, and the factors e and e D / ||n||_{p*} are 1.  With two
+free coordinates the tangent space is one-dimensional and the step is taken
+in Python floats: the Hessian is 1 x 1, its eigendecomposition is exactly
+(H, [[1]]), and every product with the eigenvectors is a single exact
+product.
 """
 
 from __future__ import annotations
@@ -94,57 +95,47 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
                     e: float):
     """theta -> (R, gradient of R in theta, (c, lam)) at exponent e.
 
-    At e = 1, lam = mu and D = ||n||_{p*}, and every power and factor that
-    is exactly 1 is left out.
+    D = ||n||_{p*} = nrm^e.  At e = 1 (unit) lam = mu and D = nrm, and the
+    powers x^1 and x^0 and the gradient's factors e and e D / nrm, all
+    exactly 1, are left out.
     """
     w, q, gs = prob.w_bar, prob.q, prob.gamma_slice
     m = e * ne.p_star           # ||n||_{p*} = ||s||_m^e, m = 2 when e > 1
+    om = w ** (1.0 / e)
+    unit = e == 1.0
 
-    def unit(theta):
+    def objective(theta):
         r, mu = theta[:q], theta[q]
-        mw = mu * w
+        mw = mu * om            # lam w_bar at e = 1
         s = r - mw
         a = np.abs(s)
         sgn = np.sign(s)
-        n = sgn * a
-        c = n + mw
-        top = a.max()
-        if top == 0.0 or not (c > 0.0).any():
-            return -math.inf, np.zeros(q + 1), (c, mu)
-        g = prob.gamma_eval(prob.ws_closed_form(c))
-        nrm = top * float(((a / top) ** m).sum()) ** (1.0 / m)
-        R = (float(c @ g - n @ v) - mu * gs) / nrm
-        G = np.empty(q + 1)
-        dR = G[:q]
-        np.subtract(g - v, R * (sgn * (a / nrm) ** (m - 1.0)), out=dR)
-        dR /= nrm
-        G[q] = (float(w @ g) - gs) / nrm - float(w @ dR)
-        return R, G, (c, mu)
-
-    om = w ** (1.0 / e)
-
-    def general(theta):
-        r, mu = theta[:q], theta[q]
-        s = r - mu * om
-        a = np.abs(s)
-        sgn = np.sign(s)
-        lam = mu ** e
-        n = sgn * a ** e
-        c = n + lam * w
+        lam = mu if unit else mu ** e
+        n = sgn * a if unit else sgn * a ** e
+        c = n + (mw if unit else lam * w)
         top = a.max()
         if top == 0.0 or not (c > 0.0).any():
             return -math.inf, np.zeros(q + 1), (c, lam)
         g = prob.gamma_eval(prob.ws_closed_form(c))
         nrm = top * float(((a / top) ** m).sum()) ** (1.0 / m)
-        D = nrm ** e
+        D = nrm if unit else nrm ** e
         R = (float(c @ g - n @ v) - lam * gs) / D
-        dD = e * D / nrm * sgn * (a / nrm) ** (m - 1.0)
-        # floors keep the gradient's sign where |s|^(e-1) vanishes
-        dR = (e * (g - v) * np.maximum(a, 1e-300) ** (e - 1.0) - R * dD) / D
-        dmu = (float(w @ g) - gs) / D * e * max(mu, 1e-300) ** (e - 1.0)
-        return R, np.append(dR, dmu - float(om @ dR)), (c, lam)
+        dD = sgn * (a / nrm) ** (m - 1.0)     # d nrm / ds; D = nrm at e = 1
+        gv = g - v
+        dmu = (float(w @ g) - gs) / D
+        if not unit:
+            dD *= e * D / nrm
+            # floors keep the gradient's sign where |s|^(e-1) vanishes
+            gv = e * gv * np.maximum(a, 1e-300) ** (e - 1.0)
+            dmu = dmu * e * max(mu, 1e-300) ** (e - 1.0)
+        G = np.empty(q + 1)
+        dR = G[:q]
+        np.subtract(gv, R * dD, out=dR)
+        dR /= D
+        G[q] = dmu - float(om @ dR)
+        return R, G, (c, lam)
 
-    return unit if e == 1.0 else general
+    return objective
 
 
 def _ascend(value, theta: np.ndarray, tol: float):
@@ -171,34 +162,29 @@ def _ascend(value, theta: np.ndarray, tol: float):
         B = np.zeros((len(theta), k - 1))
         B[free] = Q[:, 1:]
         g = B.T @ G
+        # the Newton step along directions of negative curvature, at most
+        # _RADIUS long; a step of _RADIUS up the gradient along the others
         if k == 2:
             b = B[:, 0]
             G_b = value(theta + _FD_STEP * b)[1]
             curv = float((B.T @ G_b - g)[0]) / _FD_STEP
             gu = float(g[0])
-            # the Newton step if the curvature is negative, at most _RADIUS
-            # long; a step of _RADIUS up the gradient otherwise
             move = (gu / max(-curv, abs(gu) / _RADIUS) if curv < 0.0
                     else math.copysign(_RADIUS, gu))
             gain = gu * move
-            if not gain > tol * abs(R):
-                return R, point, step
             d = b * move
         else:
             H = np.column_stack([B.T @ value(theta + _FD_STEP * b)[1] - g
                                  for b in B.T]) / _FD_STEP
             curv, U = np.linalg.eigh(0.5 * (H + H.T))
             gu = U.T @ g
-            # the Newton step along directions of negative curvature, at
-            # most _RADIUS long; a step of _RADIUS up the gradient along the
-            # others
             move = np.where(curv < 0.0,
                             gu / np.maximum(-curv, np.abs(gu) / _RADIUS),
                             np.sign(gu) * _RADIUS)
             gain = float(gu @ move)
-            if not gain > tol * abs(R):
-                return R, point, step
             d = B @ (U @ move)
+        if not gain > tol * abs(R):
+            return R, point, step
         alpha = 1.0
         while True:
             trial = np.maximum(theta + alpha * d, 0.0)

@@ -253,6 +253,8 @@ def load_trace(path: str) -> RunTrace:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal over
+        # Python's digit limit; RecursionError, nesting too deep to parse
         raise TraceFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     return trace_from_dict(doc)

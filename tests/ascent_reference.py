@@ -1,10 +1,11 @@
 """Reference dual solver for the tests.
 
-_dual_objective, _ascend and solve_subproblem are the implementation that
-lpoa.scalarization replaced with one that leaves out operations whose
-result is exactly known (the identities at exponent e = 1, and eigh and the
-matrix products of a one-dimensional tangent space), kept verbatim.  Tests
-compare the two results byte for byte.
+_dual_objective, _ascend and solve_subproblem evaluate the general formulas
+at every exponent and take every Newton step with eigh.  lpoa.scalarization
+gives the same values while leaving out operations whose result is exactly
+known (the identities at exponent e = 1, and eigh and the matrix products of
+a one-dimensional tangent space).  Tests compare the two objectives and the
+two solves byte for byte.
 """
 
 import math

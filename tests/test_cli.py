@@ -44,6 +44,12 @@ def small_trace():
 # a JSON integer too large for a float
 HUGE = 10 ** 400
 
+# files json.load cannot parse although each is JSON: nesting too deep for
+# the parser (RecursionError) and an integer literal over Python's
+# 4,300-digit conversion limit (ValueError)
+UNPARSABLE_JSON = (b"[" * 100_000,
+                   b'{"schema_version": ' + b"1" * 5_000 + b"}")
+
 
 def malformed_documents(trace):
     """Trace documents whose schema version is not the integer 1 or 2,
@@ -207,7 +213,7 @@ class TestTraceIO:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
-        for data in (b"{not json", b"\xff\xfe"):
+        for data in (b"{not json", b"\xff\xfe") + UNPARSABLE_JSON:
             path.write_bytes(data)
             with pytest.raises(TraceFormatError):
                 load_trace(str(path))
@@ -525,6 +531,11 @@ class TestVerifyCommand:
         res3 = runner.invoke(main, ["verify", "--trace", str(path)])
         assert res3.exit_code == 65, res3.output
         assert res3.output.startswith("error: cannot read trace")
+        for data in UNPARSABLE_JSON:
+            path.write_bytes(data)
+            res = runner.invoke(main, ["verify", "--trace", str(path)])
+            assert res.exit_code == 65, res.output
+            assert res.output.startswith("error: cannot read trace")
         for doc in malformed_documents(small_trace):
             path.write_text(json.dumps(doc))
             res = runner.invoke(main, ["verify", "--trace", str(path)])

@@ -164,7 +164,7 @@ class TestDualSolver:
 
 
 # ---------------------------------------------------------------------------
-# the solver against the reference implementation it replaced
+# the solver against the reference solver of the general formulas
 
 REFERENCE_P = [1.25, 2.0, 3.0, 8.0]
 
@@ -198,10 +198,40 @@ def _outcome(solve, prob, v, ne):
             normal, res.iterations)
 
 
+def _objective_bytes(objective, theta):
+    """The bytes of R, its gradient, c and lam at theta."""
+    R, G, (c, lam) = objective(theta)
+    return (np.float64(R).tobytes(), G.tobytes(), c.tobytes(),
+            np.float64(lam).tobytes())
+
+
 class TestAgainstReference:
-    """solve_subproblem is bit for bit the reference solver it replaced.
-    Reassociating (g - v) - R dD in the e = 1 gradient, for one, changes
-    the last bits of some support points and fails the comparison."""
+    """solve_subproblem and its objective are bit for bit the reference
+    solver.  Reassociating (g - v) - R dD in the e = 1 gradient, for one,
+    changes the last bits of some support points and fails both
+    comparisons."""
+
+    @pytest.mark.parametrize("p", REFERENCE_P)
+    @pytest.mark.parametrize("key", PROBLEM_KEYS)
+    def test_objective_byte_identical(self, key, p):
+        # random points of the simplex with about 30 % of the coordinates
+        # zero, most of which no ascent visits, at both exponents
+        prob = by_key(key)
+        ne = NormExponent(p)
+        rng = np.random.default_rng(PROBLEM_KEYS.index(key))
+        exponents = (1.0, 2.0 / ne.p_star) if p > 2.0 else (1.0,)
+        vertices = _seeded_vertices(prob, PROBLEM_KEYS.index(key))
+        for e in exponents:
+            for i in range(200):
+                v = vertices[i % len(vertices)]
+                theta = rng.dirichlet(np.ones(prob.q + 1))
+                theta[rng.random(prob.q + 1) < 0.3] = 0.0
+                if theta.any():
+                    theta /= theta.sum()
+                ours = scalarization._dual_objective(prob, v, ne, e)
+                ref = ascent_reference._dual_objective(prob, v, ne, e)
+                assert (_objective_bytes(ours, theta)
+                        == _objective_bytes(ref, theta)), (e, v, theta)
 
     @pytest.mark.parametrize("p", REFERENCE_P)
     @pytest.mark.parametrize("key", PROBLEM_KEYS)
