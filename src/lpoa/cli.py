@@ -3,7 +3,8 @@
 Commands
     run    one (problem, p, epsilon) run; writes the trace JSON
     sweep  all p values for one problem; writes traces, a summary CSV and
-           optionally a combined log-log SVG
+           optionally a combined log-log SVG; prints each run's line in
+           increasing p, once that run and all of smaller p have finished
     verify lemma verification of a saved trace
 
 Exit codes: run -> 0 converged, 2 max_iterations, 3 solver_failure;
@@ -134,9 +135,7 @@ def cmd_run(problem_key, p_value, eps, max_iters, out_path, svg_path):
     for path in (out_path, svg_path):
         if path:
             _check_directory(path)
-    t0 = time.perf_counter()
-    trace = run(config)
-    wall = time.perf_counter() - t0
+    _, trace, wall = _sweep_one(config)
     if out_path:
         _write(out_path, save_trace, trace, default_metadata(wall))
     if svg_path and trace.iterations:
@@ -155,6 +154,19 @@ def _sweep_one(config: RunConfig) -> tuple[float, RunTrace, float]:
     t0 = time.perf_counter()
     trace = run(config)
     return config.p, trace, time.perf_counter() - t0
+
+
+def _sweep_runs(configs, jobs: int):
+    """Yield _sweep_one of each configuration in increasing p, each as soon
+    as its run and every run of smaller p have finished; the runs share a
+    pool of min(jobs, len(configs)) processes when that is more than one."""
+    configs = sorted(configs, key=lambda c: c.p)
+    workers = min(jobs, len(configs))
+    if workers <= 1:
+        yield from map(_sweep_one, configs)
+        return
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
+        yield from ex.map(_sweep_one, configs)
 
 
 @main.command("sweep")
@@ -190,46 +202,28 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
     if svg_path:
         _check_directory(svg_path)
 
-    workers = min(jobs, len(configs))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as ex:
-            results = list(ex.map(_sweep_one, configs))
-    else:
-        results = [_sweep_one(c) for c in configs]
-    results.sort(key=lambda r: r[0])
-
     rows = []
     curves = []
-    any_failed = False
-    for p, trace, wall in results:
+    for p, trace, wall in _sweep_runs(configs, jobs):
         _write(os.path.join(out_dir, _trace_name(problem_key, p)),
                save_trace, trace, default_metadata(wall))
-        status = trace.termination
-        if status != "converged":
-            any_failed = True
-            rows.append((p, p / (p - 1.0), float("nan"), float("nan"),
-                         len(trace.iterations), status))
-            click.echo(f"p={p:g}: {status} after {len(trace.iterations)} "
-                       f"iterations ({wall:.2f}s)")
-            continue
-        curve = _trace_curve(trace)
-        fit = curve["fit"]
-        rows.append((p, p / (p - 1.0), fit.c_hat, fit.r_squared,
-                     len(trace.iterations), status))
-        curves.append(curve)
-        click.echo(f"p={p:g}: {len(trace.iterations)} iterations, "
-                   f"c_hat={fit.c_hat:.3f}, r2={fit.r_squared:.4f} "
-                   f"({wall:.2f}s)")
+        n, status = len(trace.iterations), trace.termination
+        c_hat = r_squared = float("nan")
+        if status == "converged":
+            curve = _trace_curve(trace)
+            curves.append(curve)
+            c_hat, r_squared = curve["fit"].c_hat, curve["fit"].r_squared
+            click.echo(f"p={p:g}: {n} iterations, c_hat={c_hat:.3f}, "
+                       f"r2={r_squared:.4f} ({wall:.2f}s)")
+        else:
+            click.echo(f"p={p:g}: {status} after {n} iterations "
+                       f"({wall:.2f}s)")
+        rows.append((f"{p:g},{p / (p - 1.0)!r},{c_hat!r},{r_squared!r},{n}",
+                     status))
 
-    header = CSV_HEADER + (",status" if any_failed else "")
-    lines = [header]
-    for row in rows:
-        cells = [f"{row[0]:g}", f"{row[1]!r}", f"{row[2]!r}", f"{row[3]!r}",
-                 str(row[4])]
-        if any_failed:
-            cells.append(row[5])
-        lines.append(",".join(cells))
+    failed = any(status != "converged" for _, status in rows)
+    lines = [CSV_HEADER + (",status" if failed else "")]
+    lines += [row + (f",{status}" if failed else "") for row, status in rows]
     csv_path = os.path.join(out_dir, f"{problem_key}-summary.csv")
     _write(csv_path, atomic_write_text, "\n".join(lines) + "\n")
     click.echo(f"wrote {csv_path}")
@@ -238,7 +232,7 @@ def cmd_sweep(problem_key, p_list, eps, out_dir, max_iters, jobs, svg_path):
         _write(svg_path, atomic_write_text, render_svg(
             curves, title=f"{problem_key}, eps = {epsilon:g}"))
         click.echo(f"wrote {svg_path}")
-    if any_failed:
+    if failed:
         sys.exit(1)
 
 

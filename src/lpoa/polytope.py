@@ -69,7 +69,9 @@ def _merge_close(points: np.ndarray, incidence: np.ndarray, tol: float,
 
     Greedy in input order: each point joins the first kept point within tol,
     otherwise it is kept; the first `start` points (pairwise farther apart
-    than tol, as every output is) are kept unchecked.
+    than tol, as every output is) are kept unchecked.  Deep runs rely on
+    it: example2 at p = 1.25, epsilon = 5e-3 merges six times, each time two
+    new vertices of one cut, 1e-15 to 8.5e-9 apart.
     """
     kept, kept_inc = points.copy(), incidence.copy()
     n = start

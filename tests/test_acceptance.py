@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, executed on the full
 (problem, p) experiment matrix.  The matrix fixture runs each problem's six
-p values in parallel worker processes and records the sweep wall time."""
+p values through the sweep's runner, in three worker processes, and records
+the sweep wall time."""
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -14,7 +14,7 @@ import pytest
 
 from lpoa.analysis import (VERIFY_TOL, fit_rate, monotone_envelope,
                            verify_trace)
-from lpoa.cli import _sweep_one
+from lpoa.cli import _sweep_runs
 from lpoa.driver import RunConfig
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import by_key
@@ -65,11 +65,8 @@ def matrix():
         configs = [RunConfig(problem_key=key, p=p, epsilon=eps)
                    for p in P_LIST]
         t0 = time.perf_counter()
-        with concurrent.futures.ProcessPoolExecutor(max_workers=3) as ex:
-            results = list(ex.map(_sweep_one, configs))
-        wall = time.perf_counter() - t0
-        out[key] = {"wall": wall,
-                    "traces": {p: tr for p, tr, _ in results}}
+        traces = {p: tr for p, tr, _ in _sweep_runs(configs, 3)}
+        out[key] = {"wall": time.perf_counter() - t0, "traces": traces}
     return out
 
 

@@ -398,15 +398,60 @@ class TestSweepCommand:
         assert re.search(r"^p=2: max_iterations after 3 iterations "
                          r"\(\d+\.\d\ds\)$", res.output, re.M), res.output
 
-    def test_sweep_parallel_matches_serial(self, runner, tmp_path):
-        d1, d2 = tmp_path / "serial", tmp_path / "par"
-        for d, jobs in ((d1, "1"), (d2, "2")):
-            res = runner.invoke(main, ["sweep", "--problem", "ellipse",
-                                       "--p-list", "2,3", "--eps", "0.02",
-                                       "--out-dir", str(d), "--jobs", jobs])
-            assert res.exit_code == 0, res.output
-        assert ((d1 / "ellipse-summary.csv").read_text()
-                == (d2 / "ellipse-summary.csv").read_text())
+    def test_sweep_parallel_matches_serial(self, runner, tmp_path,
+                                           monkeypatch):
+        # at both job counts the traces, run lines and CSV rows come out in
+        # increasing p, also for an unsorted --p-list
+        written = []
+        save = cli.save_trace
+
+        def recording_save(path, *args):
+            written.append(os.path.basename(path))
+            save(path, *args)
+
+        monkeypatch.setattr(cli, "save_trace", recording_save)
+        for p_list, ps in (("2,3", ("2", "3")), ("4,1.5", ("1.5", "4"))):
+            outputs = []
+            for jobs in ("1", "2"):
+                d = tmp_path / f"{p_list}-{jobs}"
+                written.clear()
+                res = runner.invoke(main, ["sweep", "--problem", "ellipse",
+                                           "--p-list", p_list, "--eps", "0.02",
+                                           "--out-dir", str(d), "--jobs", jobs])
+                assert res.exit_code == 0, res.output
+                csv = (d / "ellipse-summary.csv").read_text()
+                lines = [re.sub(r" \(\d+\.\d\ds\)$", "", line)
+                         for line in res.output.splitlines()
+                         if line.startswith("p=")]
+                assert written == [f"ellipse-p{p}.json" for p in ps]
+                assert [line.split(":")[0] for line in lines] == [
+                    f"p={p}" for p in ps]
+                assert [row.split(",")[0]
+                        for row in csv.splitlines()[1:]] == list(ps)
+                outputs.append((csv, lines))
+            assert outputs[0] == outputs[1]
+
+    def test_each_run_reported_before_the_next_starts(self, runner, tmp_path,
+                                                      monkeypatch):
+        events = []
+        real_run, real_echo = cli.run, click.echo
+
+        def recording_run(config):
+            events.append(f"run p={config.p:g}")
+            return real_run(config)
+
+        def recording_echo(message=None, *args, **kwargs):
+            events.append(message)
+            real_echo(message, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        monkeypatch.setattr(click, "echo", recording_echo)
+        res = runner.invoke(main, ["sweep", "--problem", "ellipse",
+                                   "--p-list", "2,1.5", "--eps", "0.05",
+                                   "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert [e.split(":")[0] for e in events[:4]] == [
+            "run p=1.5", "p=1.5", "run p=2", "p=2"]
 
     def test_jobs_capped_at_run_count(self, runner, tmp_path, monkeypatch):
         # a serial stand-in records the pool size it is asked for; no

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import cut_reference
 from cut_reference import from_halfspaces
 from lpoa import polytope
-from lpoa.driver import RunConfig, RunTrace
+from lpoa.analysis import verify_trace
+from lpoa.driver import RunConfig, RunTrace, run
 from lpoa.polytope import (FEAS_TOL, MERGE_TOL, Halfspace, InfeasibleError,
                            NullCutError, _merge_close, cut, simplex)
 from lpoa.trace_io import trace_from_dict, trace_to_dict
@@ -417,6 +418,22 @@ class TestMergeClose:
             assert np.array_equal(got[1], full[1])
             merged += len(pts) - len(got[0])
         assert merged > 0
+
+    def test_real_run_merges(self, monkeypatch):
+        # example2 at p = 1.25 merges two new vertices of the cut at k = 140
+        # and still converges with every lemma check clean
+        merged = []
+
+        def counting_merge(points, incidence, tol, start=0):
+            out = _merge_close(points, incidence, tol, start)
+            merged.append(len(points) - len(out[0]))
+            return out
+
+        monkeypatch.setattr(polytope, "_merge_close", counting_merge)
+        trace = run(RunConfig(problem_key="example2", p=1.25, epsilon=0.0354))
+        assert sum(merged) >= 1
+        assert trace.termination == "converged"
+        assert verify_trace(trace)["total_violations"] == 0
 
 
 def test_incremental_matches_rebuild_example2(trace_example2_eps03):

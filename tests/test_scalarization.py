@@ -168,10 +168,13 @@ class TestDualSolver:
 
 REFERENCE_P = [1.25, 2.0, 3.0, 8.0]
 
-# an example1-q3 vertex whose second ascent at p = 8 does not converge
-# within MAX_STEPS Newton steps
-NONCONVERGING_P8_VERTEX = (0.644574175825538, 2.6373626373329603e-12,
-                           1.3554258241691874)
+# (p, example1-q3 vertex) whose ascent does not converge within MAX_STEPS
+# Newton steps: at p = 8 the second ascent crawls along a face; at p = 1.25
+# (residual 6.8e-10, just above ZERO_TOL) the single e = 1 ascent needs 203
+NONCONVERGING_VERTICES = (
+    (8.0, (0.644574175825538, 2.6373626373329603e-12, 1.3554258241691874)),
+    (1.25, (1.2514992271876575, 0.04495200884976551, 0.703548763962577)),
+)
 
 
 def _seeded_vertices(prob, seed, count=12):
@@ -270,7 +273,8 @@ class TestAgainstReference:
 
     def test_nonconverging_vertex_raises_on_both_sides(self):
         prob = by_key("example1-q3")
-        ne = NormExponent(8.0)
-        for solve in (solve_subproblem, ascent_reference.solve_subproblem):
-            with pytest.raises(SubproblemError):
-                solve(prob, np.array(NONCONVERGING_P8_VERTEX), ne)
+        for p, vertex in NONCONVERGING_VERTICES:
+            for solve in (solve_subproblem,
+                          ascent_reference.solve_subproblem):
+                with pytest.raises(SubproblemError):
+                    solve(prob, np.array(vertex), NormExponent(p))
