@@ -9,17 +9,20 @@ history is kept in a RunTrace for the analysis layer.
 Selection is lazy.  Each vertex row carries an upper bound on its distance
 to A and the state of a search over the frontier of the upper image U that
 lowers it, in arrays aligned with the polytope's rows and re-indexed by each
-cut's row map.  A new row's search starts at w_bar with no bound.  A row is
-open while it is unsolved and its bound reaches the largest residual.  Each
-iteration repeats one best-first step while some row is open: take the open
-row of largest bound (row 0 while no row is solved) and solve it if no row
-is solved yet or its search has had all twelve rounds; otherwise advance
-every open row that has rounds left by one round, in one batch.  A bound is
-never below the one that all twelve rounds give, so rows are solved in
-decreasing order of that full bound, and a row that closes early would
-never have been solved.  A residual is at most the distance, which is at
-most the bound, so the first maximum over the solved vertices in
-lexicographic order is the vertex that solving every vertex would select.
+cut's row map.  Every solve also returns a frontier point gamma(x*(omega))
+with its simplex weights omega, and the run pools them.  A new row's search
+starts at the pooled point of least bound, with that bound, and at w_bar
+with no bound before the first solve.  A row is open while it is unsolved
+and its bound reaches the largest residual.  Each iteration repeats one
+best-first step while some row is open: take the open row of largest bound
+(row 0 while no row is solved) and solve it if no row is solved yet or its
+search has had all twelve rounds; otherwise advance every open row that has
+rounds left by one round, in one batch.  A bound is never below the one
+that all twelve rounds give, so rows are solved in decreasing order of that
+full bound, and a row that closes early would never have been solved.  A
+residual is at most the distance, which is at most the bound, so the first
+maximum over the solved vertices in lexicographic order is the vertex that
+solving every vertex would select.
 """
 
 from __future__ import annotations
@@ -113,16 +116,20 @@ def initialize(prob: ProblemInstance) -> pt.Polytope:
 
 _ROUNDS = 12  # most stencil rounds of the bound search at one vertex
 
-# q -> (steps, shrink): the trial steps of the frontier search around a row's
-# point, (scale, direction, q - 1) in units of its radius, and the factor on
-# the radius after a round whose best trial is not a full step.  In q = 2 the
-# steps and the point form a line of 13 with spacing 1/6.  Its keys, q = 2
-# and 3, are the supported dimensions: those of the four built-in problems.
+# q -> (steps, full, shrink): the trial steps of the frontier search around a
+# row's point, (trial, q - 1) in units of its radius, scale by scale, the
+# number of full steps (those of scale 1, which come first), and the factor
+# on the radius after a round whose best trial is not a full step.  In q = 2
+# the steps and the point form a line of 13 with spacing 1/6.  Its keys,
+# q = 2 and 3, are the supported dimensions: those of the four built-in
+# problems.
 _STENCIL = {
-    2: (np.array([[[k / 6], [-k / 6]] for k in range(6, 0, -1)]), 1.0 / 6.0),
-    3: (np.array([[[s * math.cos(k * math.pi / 6.0),
-                    s * math.sin(k * math.pi / 6.0)] for k in range(12)]
-                  for s in (1.0, 1.0 / 3.0, 1.0 / 9.0)]), 0.5)}
+    2: (np.array([[s / 6] for k in range(6, 0, -1) for s in (k, -k)]), 2,
+        1.0 / 6.0),
+    3: (np.array([[s * math.cos(k * math.pi / 6.0),
+                   s * math.sin(k * math.pi / 6.0)]
+                  for s in (1.0, 1.0 / 3.0, 1.0 / 9.0) for k in range(12)]),
+        12, 0.5)}
 
 
 def _reach(best, verts: np.ndarray):
@@ -131,7 +138,18 @@ def _reach(best, verts: np.ndarray):
     with `best` is still solved and ties resolve as if every vertex were
     solved: a relative margin, and an absolute one for a residual near zero,
     whose rounding is that of terms of the size of the coordinates."""
-    return best * (1.0 - 1e-12) - 1e-15 * np.abs(verts).max()
+    top = np.maximum.reduce(np.abs(verts), axis=None)
+    return best * (1.0 - 1e-12) - 1e-15 * top
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """The sums over the short last axis of x, left to right in column
+    adds: bit for bit np.add.reduce over that axis, at a fraction of its
+    cost."""
+    total = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total = total + x[..., k]
+    return total
 
 
 def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
@@ -142,13 +160,15 @@ def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
     that keeps it in the slice (t = 1 gives max(v, y)).  A point outside the
     slice is not in A and gives +inf.
     """
-    room = np.maximum(g - Y @ w, 0.0)
+    yw = Y @ w
+    room = np.maximum(g - yw, 0.0)
     d = V - Y
     need = np.maximum(d, 0.0) @ w
     t = np.divide(room, need, out=np.ones_like(need), where=need > room)
-    z = np.where(d > 0.0, (1.0 - t)[..., None] * d, -d)
-    dist = np.sum(z ** p, axis=-1) ** (1.0 / p)
-    return np.where(Y @ w <= g, dist, math.inf)
+    z = np.negative(d)
+    np.multiply((1.0 - t)[..., None], d, out=z, where=d > 0.0)
+    dist = _sum_last(z ** p) ** (1.0 / p)
+    return np.where(yw <= g, dist, math.inf)
 
 
 def _frontier(prob: ProblemInstance, p: float, V: np.ndarray,
@@ -158,22 +178,37 @@ def _frontier(prob: ProblemInstance, p: float, V: np.ndarray,
     point: u holds the first q - 1 simplex weights of each row's trial
     points, the last one makes the sum 1, and weights are clipped back onto
     the simplex.  Returns the clipped u and the bounds."""
-    omega = np.maximum(
-        np.concatenate([u, 1.0 - u.sum(axis=-1, keepdims=True)], -1), 0.0)
-    omega /= omega.sum(axis=-1, keepdims=True)
+    omega = np.empty(u.shape[:-1] + (prob.q,))
+    omega[..., :-1] = u
+    np.subtract(1.0, _sum_last(u), out=omega[..., -1])
+    np.maximum(omega, 0.0, out=omega)
+    omega /= _sum_last(omega)[..., None]
     y = prob.gamma_eval(prob.ws_closed_form(omega.reshape(-1, prob.q)))
     return omega[..., :-1], _point_bounds(
         V[:, None, :], y.reshape(omega.shape), prob.w_bar, prob.gamma_slice, p)
 
 
-def _new_rows(prob: ProblemInstance, m: int) -> list:
-    """State of m vertex rows new to the polytope: (result, residual) of
+def _new_rows(prob: ProblemInstance, p: float, V: np.ndarray,
+              pool: tuple[np.ndarray, np.ndarray]) -> list:
+    """State of the vertex rows V new to the polytope: (result, residual) of
     the subproblem, with None and -inf for a row not yet solved, and the
-    frontier search (bound, u, radius, rounds) before its first round, at
-    u = w_bar's first q - 1 weights with radius 1/2 and bound +inf.  A solved
-    row's bound is -inf, so that the search passes over it."""
-    return [np.full(m, None, dtype=object), np.full(m, -math.inf),
-            np.full(m, math.inf), np.tile(prob.w_bar[:-1], (m, 1)),
+    frontier search (bound, u, radius, rounds) before its first round, with
+    radius 1/2.  The pool holds the simplex weights (rows of W) and frontier
+    points (rows of Y) that earlier solves returned; a row's search starts
+    at the weights of its pooled point of least bound, with that bound, or
+    at w_bar with bound +inf while the pool is empty (u holds the first
+    q - 1 weights).  A solved row's bound is -inf, so that the search passes
+    over it."""
+    m = len(V)
+    W, Y = pool
+    if len(Y):
+        vals = _point_bounds(V[:, None, :], Y, prob.w_bar, prob.gamma_slice,
+                             p)
+        j = vals.argmin(axis=1)
+        bound, u = vals[np.arange(m), j], W[j, :-1]
+    else:
+        bound, u = np.full(m, math.inf), np.tile(prob.w_bar[:-1], (m, 1))
+    return [np.full(m, None, dtype=object), np.full(m, -math.inf), bound, u,
             np.full(m, 0.5), np.zeros(m, dtype=int)]
 
 
@@ -187,16 +222,16 @@ def _search_round(prob: ProblemInstance, p: float, V: np.ndarray,
     rounds split over calls on any row subsets end where _ROUNDS rounds in
     one batch would."""
     bound, u, radius, rounds = state
-    stencil, shrink = _STENCIL[prob.q]
+    steps, full, shrink = _STENCIL[prob.q]
     trial, vals = _frontier(prob, p, V[rows], u[rows, None, :]
-                            + radius[rows, None, None]
-                            * stencil.reshape(-1, prob.q - 1))
+                            + radius[rows, None, None] * steps)
     r, j = np.arange(len(rows)), vals.argmin(axis=1)
-    better = vals[r, j] < bound[rows]
-    u[rows] = np.where(better[:, None], trial[r, j], u[rows])
-    bound[rows] = np.minimum(bound[rows], vals[r, j])
-    radius[rows] = np.where(better & (j < stencil.shape[1]), radius[rows],
-                            shrink * radius[rows])
+    best = vals[r, j]
+    better = best < bound[rows]
+    moved = rows[better]
+    u[moved] = trial[better, j[better]]
+    bound[moved] = best[better]
+    radius[rows[~(better & (j < full))]] *= shrink
     rounds[rows] += 1
 
 
@@ -218,18 +253,22 @@ def run(config: RunConfig) -> RunTrace:
     termination = "max_iterations"
     try:
         P = initialize(prob)
-        rows = _new_rows(prob, 0)  # P is a simplex: every row is new
+        # the final simplex weights and frontier points of every solve
+        pool = (np.empty((0, prob.q)), np.empty((0, prob.q)))
+        rows = _new_rows(prob, ne.p, P.vertices_array, pool)
         for k in range(config.max_iterations):
             t0 = time.perf_counter()
             verts = P.vertices()
-            # re-index the row state by the cut's row map; new rows are fresh
-            carried = P.origin >= 0
-            fresh = _new_rows(prob, len(verts))
-            for new, old in zip(fresh, rows):
-                new[carried] = old[P.origin[carried]]
-            exact, residual, *search = rows = fresh
+            new = P.origin < 0
+            if k:
+                # re-index the row state by the cut's row map; new rows
+                # start from the pool
+                rows = [a[P.origin] for a in rows]
+                for a, b in zip(rows, _new_rows(prob, ne.p, verts[new], pool)):
+                    a[new] = b
+            exact, residual, *search = rows
             bound, rounds = search[0], search[3]
-            best = residual.max()
+            best = np.maximum.reduce(residual)
             reach = _reach(best, verts)
             while True:
                 # the open row of largest bound, or row 0 while nothing is
@@ -242,11 +281,13 @@ def run(config: RunConfig) -> RunTrace:
                 if first or rounds[i] == _ROUNDS:
                     exact[i], = solve_batch(prob, verts[i:i + 1], ne)
                     residual[i], bound[i] = exact[i].residual_norm, -math.inf
+                    W, Y = exact[i].frontier
+                    pool = (np.vstack([pool[0], W]), np.vstack([pool[1], Y]))
                     best = max(best, residual[i])
                     reach = _reach(best, verts)
                 else:
-                    _search_round(prob, ne.p, verts, search, np.flatnonzero(
-                        (bound >= reach) & (rounds < _ROUNDS)))
+                    _search_round(prob, ne.p, verts, search, (
+                        (bound >= reach) & (rounds < _ROUNDS)).nonzero()[0])
             # every open vertex is certified strictly below best, so the
             # first maximum over the rows (lex order) is the farthest vertex
             idx = int(np.argmax(residual))
@@ -262,7 +303,7 @@ def run(config: RunConfig) -> RunTrace:
                 k=k, farthest_vertex=verts[idx].copy(),
                 residual_norm=far.residual_norm, support_point=far.y_support,
                 cut_normal=far.cut_normal, vertex_count=len(verts),
-                cache_hits=int(carried.sum()),
+                cache_hits=len(verts) - int(np.count_nonzero(new)),
                 wall_ms=(time.perf_counter() - t0) * 1e3))
             if far.residual_norm <= config.epsilon:
                 termination = "converged"

@@ -46,7 +46,7 @@ def _as_vector(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size < 1:
         raise ValueError("expected a 1-D vector with at least one entry")
-    if not np.all(np.isfinite(z)):
+    if not np.logical_and.reduce(np.isfinite(z)):
         raise ValueError("vector has non-finite entries")
     return z
 
@@ -55,11 +55,11 @@ def lp_norm(z, ne: NormExponent) -> float:
     """(sum_i |z_i|^p)^(1/p) for a finite vector z."""
     z = _as_vector(z)
     a = np.abs(z)
-    m = a.max()
+    m = np.maximum.reduce(a)
     if m == 0.0:
         return 0.0
     # scale by the max entry so intermediate powers stay well-conditioned
-    return float(m * np.sum((a / m) ** ne.p) ** (1.0 / ne.p))
+    return float(m * np.add.reduce((a / m) ** ne.p) ** (1.0 / ne.p))
 
 
 def _signed_powers(z: np.ndarray, expo: float) -> np.ndarray:

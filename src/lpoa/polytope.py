@@ -73,6 +73,16 @@ def _merge_close(points: np.ndarray, incidence: np.ndarray, tol: float,
     it: example2 at p = 1.25, epsilon = 5e-3 merges six times, each time two
     new vertices of one cut, 1e-15 to 8.5e-9 apart.
     """
+    # most calls merge nothing: no point from `start` on lies within tol of
+    # another point (so of an earlier one), and every point is kept as it is
+    new = points[start:]
+    near = abs(new[:, None, 0] - points[:, 0]) <= tol
+    for k in range(1, points.shape[1]):
+        near &= abs(new[:, None, k] - points[:, k]) <= tol
+    r = np.arange(len(new))
+    near[r, start + r] = False
+    if not np.logical_or.reduce(near, axis=None):
+        return points.copy(), incidence.copy()
     kept, kept_inc = points.copy(), incidence.copy()
     n = start
     for i in range(start, len(points)):
@@ -139,24 +149,28 @@ def cut(P: Polytope, h: Halfspace) -> Polytope:
     outside = s > scale
     on_boundary = np.abs(s) <= scale
 
-    if not np.any(outside):
+    if not np.logical_or.reduce(outside):
         raise NullCutError("cut removes no vertex")
-    if np.all(outside):
+    if np.logical_and.reduce(outside):
         raise InfeasibleError("cut removes every vertex")
 
     # the new halfspace (last column) is active on its boundary and at new
-    # vertices; edges are (inside, outside) pairs sharing >= q-1 halfspaces
+    # vertices; edges are (inside, outside) pairs sharing >= q-1 halfspaces.
+    # A shared halfspace is active at the edge's outside vertex, so only the
+    # columns active at some outside vertex are counted.
     inc = np.column_stack([P.incidence, on_boundary])
-    inside = np.flatnonzero(~outside & ~on_boundary)
-    shared = inc[inside, None] & inc[None, outside]
-    a, b = np.nonzero(np.count_nonzero(shared, axis=2) >= q - 1)
-    i, j = inside[a], np.flatnonzero(outside)[b]
+    inside = (~outside & ~on_boundary).nonzero()[0]
+    beyond = outside.nonzero()[0]
+    active = inc[:, np.logical_or.reduce(inc[beyond]).nonzero()[0]]
+    a, b = np.nonzero(np.count_nonzero(
+        active[inside, None] & active[None, beyond], axis=2) >= q - 1)
+    i, j = inside[a], beyond[b]
     t = -s[i] / (s[j] - s[i])
     new_pts = verts[i] + t[:, None] * (verts[j] - verts[i])
-    new_inc = shared[a, b]
+    new_inc = inc[i] & inc[j]
     new_inc[:, -1] = True
 
-    kept = np.flatnonzero(~outside)
+    kept = (~outside).nonzero()[0]
     out, merged_inc = _merge_close(np.vstack([verts[kept], new_pts]),
                                    np.vstack([inc[kept], new_inc]), MERGE_TOL,
                                    start=len(kept))

@@ -95,13 +95,15 @@ _ANCHORS = np.array([[1.0, 1.0], [2.0, 3.0], [4.0, 2.0]])
 
 def _anchor_distances(x):
     d = _ANCHORS - np.asarray(x, dtype=float)[..., None, :]
-    return np.add.reduce(d * d, axis=-1)
+    d *= d
+    # the sum of two squares: one rounding, as in np.add.reduce
+    return d[..., 0] + d[..., 1]
 
 
 def _centroid(omega):
     # unconstrained minimizer of sum omega_i ||x - a_i||^2 is the weighted
     # centroid, which lies in the anchor hull and hence in the polygon
-    return (omega @ _ANCHORS) / np.sum(omega, axis=-1, keepdims=True)
+    return (omega @ _ANCHORS) / np.add.reduce(omega, -1, keepdims=True)
 
 
 # key -> (gamma_eval, w_bar, ws_closed_form)

@@ -23,7 +23,10 @@ are zero: at e > 1 the gradient in s_j vanishes with n_j.
 
 Every feasible (c, lam) certifies its cut: the halfspace with normal
 u = n / ||n||_{p*} and offset (ws(c) - lam gamma_slice) / ||n||_{p*}
-contains A, and the support point y = v + R grad||u||_{p*} lies on it.
+contains A, and the support point y = v + R grad||u||_{p*} lies on it.  The
+result also carries the frontier point gamma(x*(omega)) at the final weights
+on the simplex, omega = c / sum(c): a point of the upper image from which
+the driver starts the bound searches of later vertices.
 
 Two shortcuts make a Newton step cheaper and leave every floating-point
 value as the general formulas give it.  The one objective, built for either
@@ -42,6 +45,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+# the LAPACK gufuncs behind np.linalg.qr
+from numpy.linalg import _umath_linalg
 
 from .lp_geometry import NormExponent, lp_gradient, lp_norm
 from .problems import ProblemInstance
@@ -70,6 +75,9 @@ class ScalarizationResult:
     residual_norm: float
     cut_normal: Optional[np.ndarray]
     iterations: int               # Newton steps, both ascents together
+    # (omega, gamma(ws(omega))) at the final weights omega = c / sum(c);
+    # None for a result built without it
+    frontier: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 class SubproblemError(RuntimeError):
@@ -113,11 +121,11 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
         lam = mu if unit else mu ** e
         n = sgn * a if unit else sgn * a ** e
         c = n + (mw if unit else lam * w)
-        top = a.max()
-        if top == 0.0 or not (c > 0.0).any():
+        top = np.maximum.reduce(a)
+        if top == 0.0 or not np.logical_or.reduce(c > 0.0):
             return -math.inf, np.zeros(q + 1), (c, lam)
         g = prob.gamma_eval(prob.ws_closed_form(c))
-        nrm = top * float(((a / top) ** m).sum()) ** (1.0 / m)
+        nrm = top * float(np.add.reduce((a / top) ** m)) ** (1.0 / m)
         D = nrm if unit else nrm ** e
         R = (float(c @ g - n @ v) - lam * gs) / D
         dD = sgn * (a / nrm) ** (m - 1.0)     # d nrm / ds; D = nrm at e = 1
@@ -138,6 +146,16 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
     return objective
 
 
+def _qr_q(M: np.ndarray) -> np.ndarray:
+    """np.linalg.qr(M)[0] for a float64 matrix M with fewer rows than
+    columns, bit for bit, computed in M's place: the two LAPACK calls that
+    np.linalg.qr makes, without its checks and its R factor, which take
+    most of its time at this size.  Like np.linalg.qr, it does not raise on
+    non-finite entries."""
+    tau = _umath_linalg.qr_r_raw(M, signature="d->d")
+    return _umath_linalg.qr_reduced(M, tau, signature="dd->d")
+
+
 def _ascend(value, theta: np.ndarray, tol: float):
     """Projected Newton ascent of a 0-homogeneous function over the orthant.
 
@@ -152,13 +170,13 @@ def _ascend(value, theta: np.ndarray, tol: float):
     """
     R, G, point = value(theta)
     for step in range(1, MAX_STEPS + 1):
-        free = np.flatnonzero((theta > 1e-12) | (G > 0.0))
+        free = ((theta > 1e-12) | (G > 0.0)).nonzero()[0]
         k = len(free)
         if k < 2:
             return R, point, step
         M = np.eye(k, k + 1, 1)
         M[:, 0] = theta[free]
-        Q = np.linalg.qr(M)[0]
+        Q = _qr_q(M)
         B = np.zeros((len(theta), k - 1))
         B[free] = Q[:, 1:]
         g = B.T @ G
@@ -174,8 +192,10 @@ def _ascend(value, theta: np.ndarray, tol: float):
             gain = gu * move
             d = b * move
         else:
-            H = np.column_stack([B.T @ value(theta + _FD_STEP * b)[1] - g
-                                 for b in B.T]) / _FD_STEP
+            H = np.empty((k - 1, k - 1))
+            for col, b in zip(H.T, B.T):
+                np.subtract(B.T @ value(theta + _FD_STEP * b)[1], g, out=col)
+            H /= _FD_STEP
             curv, U = np.linalg.eigh(0.5 * (H + H.T))
             gu = U.T @ g
             move = np.where(curv < 0.0,
@@ -188,7 +208,7 @@ def _ascend(value, theta: np.ndarray, tol: float):
         alpha = 1.0
         while True:
             trial = np.maximum(theta + alpha * d, 0.0)
-            trial /= trial.sum()
+            trial /= np.add.reduce(trial)
             R_t, G_t, point_t = value(trial)
             if R_t > R and R_t >= R + 1e-4 * alpha * gain:
                 break
@@ -202,9 +222,10 @@ def _ascend(value, theta: np.ndarray, tol: float):
 def solve_subproblem(prob: ProblemInstance, v,
                      ne: NormExponent) -> ScalarizationResult:
     """lp distance from vertex v to A (R at the dual maximizer), with support
-    point and cut normal.  If v is (numerically) in A the residual is zero
-    and no cut normal is produced.  Raises SubproblemError if an ascent does
-    not converge within MAX_STEPS Newton steps.
+    point, cut normal and the frontier point at the final weights.  If v is
+    (numerically) in A the residual is zero and no cut normal is produced.
+    Raises SubproblemError if an ascent does not converge within MAX_STEPS
+    Newton steps.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (prob.q,):
@@ -239,8 +260,10 @@ def solve_subproblem(prob: ProblemInstance, v,
     else:
         normal = n / D
         y = v + R * lp_gradient(normal, dual)
-    return ScalarizationResult(y_support=y, residual_norm=R,
-                               cut_normal=normal, iterations=steps)
+    omega = c / np.add.reduce(c)
+    return ScalarizationResult(
+        y_support=y, residual_norm=R, cut_normal=normal, iterations=steps,
+        frontier=(omega, prob.gamma_eval(prob.ws_closed_form(omega))))
 
 
 def solve_batch(prob: ProblemInstance, vertices,

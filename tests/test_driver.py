@@ -340,10 +340,17 @@ def _bound_setup(key, p):
     return P0, np.array(residuals), np.array(known)
 
 
+def _unpooled_search(prob, V):
+    """The search state of new rows V while the pool is empty: every row
+    starts at w_bar with bound +inf."""
+    empty = np.empty((0, prob.q))
+    return _new_rows(prob, 2.0, V, (empty, empty))[2:]
+
+
 def _full_bounds(prob, p, V):
-    """The bounds of a frontier search at new rows V advanced to _ROUNDS
-    rounds."""
-    state = _new_rows(prob, len(V))[2:]
+    """The bounds of a frontier search at new rows V, started at w_bar and
+    advanced to _ROUNDS rounds."""
+    state = _unpooled_search(prob, V)
     for _ in range(_ROUNDS):
         _search_round(prob, p, V, state, np.arange(len(V)))
     return state[0]
@@ -413,6 +420,17 @@ class TestLazySelection:
         assert found[0] == math.inf
         assert found[1] == pytest.approx(np.linalg.norm(y_face))
 
+    @pytest.mark.parametrize("shape", [(3,), (50, 1), (50, 2), (50, 3),
+                                       (7, 36, 3)])
+    def test_sum_last_is_add_reduce(self, shape):
+        # the column adds of the search's sums over a short last axis give
+        # np.add.reduce's sums bit for bit, at mixed signs and scales
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(50):
+            x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+            assert (driver._sum_last(x).tobytes()
+                    == np.add.reduce(x, axis=-1).tobytes())
+
     def test_search_without_bound_solves(self, monkeypatch):
         # a frontier search that finds no point of A leaves the bound at
         # +inf, and the loop solves the vertex instead: the run ends and
@@ -450,7 +468,7 @@ class TestLazySelection:
                           max_iterations=6)).final_polytope
         V = P.vertices()
         full = _full_bounds(prob, 2.0, V)
-        state = _new_rows(prob, len(V))[2:]
+        state = _unpooled_search(prob, V)
         calls = 0
         while len(left := np.flatnonzero(state[3] < _ROUNDS)):
             # every first, second or third row with rounds left
@@ -494,11 +512,14 @@ class TestLazySelection:
         assert 0 < search_calls <= (1 + _ROUNDS) * len(trace.iterations) / 2
 
     @pytest.mark.parametrize("key, epsilon, solves, calls", [
-        ("ellipse", 1e-3, 33, 118), ("example2", 0.3, 34, 115)])
+        ("ellipse", 1e-3, 33, 118), ("example2", 0.3, 34, 98),
+        ("example2", 0.05, 105, 296)])
     def test_search_work_recorded(self, monkeypatch, key, epsilon, solves,
                                   calls):
         # the lazy loop's work, which the trace bytes cannot show: the
-        # subproblem solves and the batched frontier evaluations at p = 2
+        # subproblem solves and the batched frontier evaluations at p = 2;
+        # example2 at eps = 0.05 is the run that perfbench's example2-p2
+        # times
         counts = {"solve_subproblem": 0, "_frontier": 0}
         for owner, name in ((scalarization, "solve_subproblem"),
                             (driver, "_frontier")):
@@ -509,6 +530,50 @@ class TestLazySelection:
         trace = run(RunConfig(problem_key=key, p=2.0, epsilon=epsilon))
         assert trace.termination == "converged"
         assert counts == {"solve_subproblem": solves, "_frontier": calls}
+
+    @pytest.mark.parametrize("key, epsilon", [("ellipse", 1e-3),
+                                              ("example2", 0.05)])
+    @pytest.mark.parametrize("p", [1.25, 2.0, 8.0])
+    def test_pooled_start_certified(self, monkeypatch, key, epsilon, p):
+        # every pooled point is the frontier point of its stored weights,
+        # bit for bit, and the weights lie on the simplex; a new row's start
+        # bound from the pool is at least the residual its solve returns,
+        # to within _reach's margin
+        prob = by_key(key)
+        starts, solved = {}, {}
+        real_rows = driver._new_rows
+        real_solve = scalarization.solve_subproblem
+
+        def new_rows(prob, p, V, pool):
+            state = real_rows(prob, p, V, pool)
+            W, Y = pool
+            assert len(W) == len(Y)
+            if len(Y):
+                assert np.all(W >= 0.0)
+                np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0,
+                                           atol=4e-16)
+                for w, y in zip(W, Y):
+                    assert (prob.gamma_eval(prob.ws_closed_form(w)).tobytes()
+                            == y.tobytes())
+                for v, bound in zip(V, state[2]):
+                    starts.setdefault(v.tobytes(), bound)
+            return state
+
+        def solve(prob, v, ne):
+            res = real_solve(prob, v, ne)
+            solved[np.asarray(v).tobytes()] = (np.asarray(v), res)
+            return res
+
+        monkeypatch.setattr(driver, "_new_rows", new_rows)
+        monkeypatch.setattr(scalarization, "solve_subproblem", solve)
+        trace = run(RunConfig(problem_key=key, p=p, epsilon=epsilon))
+        assert trace.termination == "converged"
+        checked = 0
+        for key_bytes, (v, res) in solved.items():
+            if key_bytes in starts:
+                assert starts[key_bytes] >= _reach(res.residual_norm, v)
+                checked += 1
+        assert checked > len(trace.iterations) // 2
 
     def test_skipped_vertices_below_selected(self, monkeypatch):
         # example2 at eps = 0.3: every vertex the lazy loop left unsolved in

@@ -269,8 +269,10 @@ def test_cut_matches_reference(q, monkeypatch):
     the same null or emptying outcome as the frozenset reference, and a row
     map that sends each surviving row to its bit-equal row of the cut
     polytope and marks exactly the created vertices -1; chains of random
-    cuts also match the q-subset enumeration oracle."""
-    events = {"on_boundary": 0, "merged": 0}
+    cuts also match the q-subset enumeration oracle.  The chains meet
+    degenerate vertices (more than q active halfspaces), where an edge's
+    shared halfspaces are not the q - 1 of a simple vertex."""
+    events = {"on_boundary": 0, "merged": 0, "degenerate": 0}
     merge = polytope._merge_close
 
     def counted_merge(points, incidence, tol, start=0):
@@ -290,6 +292,8 @@ def test_cut_matches_reference(q, monkeypatch):
                tuple(frozenset(row) for row in incidence_lists(P.incidence)))
         for _ in range(25):
             h = fuzz_cut(rng, P.vertices_array, kind)
+            events["degenerate"] += int(np.count_nonzero(
+                np.count_nonzero(P.incidence, axis=1) > q))
             try:
                 expected = cut_reference.cut(*ref, len(P.halfspaces), h)
             except InfeasibleError:

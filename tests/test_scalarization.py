@@ -250,7 +250,7 @@ class TestAgainstReference:
         # one, two and three free directions, and the ascent at e = 1 and
         # the second one at e = 2 / p*
         directions, exponents = set(), set()
-        qr, objective = np.linalg.qr, scalarization._dual_objective
+        qr, objective = scalarization._qr_q, scalarization._dual_objective
 
         def recording_qr(M):
             directions.add(M.shape[0] - 1)
@@ -260,7 +260,7 @@ class TestAgainstReference:
             exponents.add(e == 1.0)
             return objective(prob, v, ne, e)
 
-        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(scalarization, "_qr_q", recording_qr)
         monkeypatch.setattr(scalarization, "_dual_objective",
                             recording_objective)
         for key in PROBLEM_KEYS:
@@ -270,6 +270,19 @@ class TestAgainstReference:
                     _outcome(solve_subproblem, prob, v, NormExponent(p))
         assert directions == {1, 2, 3}
         assert exponents == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_qr_q_is_numpy_qr(self, k):
+        # the ascent's Q factor, of [theta | I] and of wide random matrices,
+        # is np.linalg.qr's bit for bit
+        rng = np.random.default_rng(k)
+        for i in range(200):
+            M = np.eye(k, k + 1, 1)
+            M[:, 0] = rng.dirichlet(np.ones(k))
+            if i % 2:
+                M = rng.normal(size=(k, k + 1 + i % 3))
+            expected = np.linalg.qr(M)[0]
+            assert scalarization._qr_q(M.copy()).tobytes() == expected.tobytes()
 
     def test_nonconverging_vertex_raises_on_both_sides(self):
         prob = by_key("example1-q3")
