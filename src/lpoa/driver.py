@@ -23,6 +23,11 @@ full bound, and a row that closes early would never have been solved.  A
 residual is at most the distance, which is at most the bound, so the first
 maximum over the solved vertices in lexicographic order is the vertex that
 solving every vertex would select.
+
+So each bound only has to be a valid upper bound on its distance up to
+_reach's margin, and how it rounds is free: the bounds decide which rows
+need no solve, never what a solve returns, and no trace byte depends on
+them.  The search's arithmetic may change its last bits, unlike a solve's.
 """
 
 from __future__ import annotations
@@ -158,15 +163,17 @@ def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
     per row of V - Y, with w = w_bar and g = gamma_slice: the distance from
     v to the point y + t (v - y)_+ of A, with t the largest value in [0, 1]
     that keeps it in the slice (t = 1 gives max(v, y)).  A point outside the
-    slice is not in A and gives +inf.
+    slice is not in A and gives +inf.  The floor on the divisor makes t = 0
+    where v <= y on the slice face, where the point is y whatever t is.
     """
     yw = Y @ w
     room = np.maximum(g - yw, 0.0)
     d = V - Y
-    need = np.maximum(d, 0.0) @ w
-    t = np.divide(room, need, out=np.ones_like(need), where=need > room)
-    z = np.negative(d)
-    np.multiply((1.0 - t)[..., None], d, out=z, where=d > 0.0)
+    up = np.maximum(d, 0.0)
+    t = room / np.maximum(np.maximum(up @ w, room), 1e-300)
+    up *= t[..., None]
+    z = np.abs(d)
+    z -= up                     # |v - y - t (v - y)_+|, at least 0
     dist = _sum_last(z ** p) ** (1.0 / p)
     return np.where(yw <= g, dist, math.inf)
 
@@ -253,9 +260,10 @@ def run(config: RunConfig) -> RunTrace:
     termination = "max_iterations"
     try:
         P = initialize(prob)
-        # the final simplex weights and frontier points of every solve
-        pool = (np.empty((0, prob.q)), np.empty((0, prob.q)))
-        rows = _new_rows(prob, ne.p, P.vertices_array, pool)
+        # the final simplex weights (pool[0]) and frontier points (pool[1])
+        # of the first `pooled` solves, in a buffer that doubles when full
+        pool, pooled = np.empty((2, 64, prob.q)), 0
+        rows = _new_rows(prob, ne.p, P.vertices_array, pool[:, :0])
         for k in range(config.max_iterations):
             t0 = time.perf_counter()
             verts = P.vertices()
@@ -264,7 +272,8 @@ def run(config: RunConfig) -> RunTrace:
                 # re-index the row state by the cut's row map; new rows
                 # start from the pool
                 rows = [a[P.origin] for a in rows]
-                for a, b in zip(rows, _new_rows(prob, ne.p, verts[new], pool)):
+                for a, b in zip(rows, _new_rows(prob, ne.p, verts[new],
+                                                pool[:, :pooled])):
                     a[new] = b
             exact, residual, *search = rows
             bound, rounds = search[0], search[3]
@@ -281,8 +290,10 @@ def run(config: RunConfig) -> RunTrace:
                 if first or rounds[i] == _ROUNDS:
                     exact[i], = solve_batch(prob, verts[i:i + 1], ne)
                     residual[i], bound[i] = exact[i].residual_norm, -math.inf
-                    W, Y = exact[i].frontier
-                    pool = (np.vstack([pool[0], W]), np.vstack([pool[1], Y]))
+                    if pooled == pool.shape[1]:
+                        pool = np.concatenate([pool, np.empty_like(pool)], 1)
+                    pool[0, pooled], pool[1, pooled] = exact[i].frontier
+                    pooled += 1
                     best = max(best, residual[i])
                     reach = _reach(best, verts)
                 else:
@@ -310,7 +321,8 @@ def run(config: RunConfig) -> RunTrace:
                 break
     except (SubproblemError, ValueError, pt.PolytopeError):
         # solver non-convergence, an exception from a problem oracle, a
-        # singular initial simplex (LinAlgError), or a cut that removed every
+        # singular initial simplex or a non-finite Hessian in a Newton step
+        # (both LinAlgError, a ValueError), or a cut that removed every
         # vertex (inconsistent with the polytope) or none (a tolerance
         # mismatch between solver and polytope layers): surface it
         termination = "solver_failure"

@@ -28,25 +28,29 @@ result also carries the frontier point gamma(x*(omega)) at the final weights
 on the simplex, omega = c / sum(c): a point of the upper image from which
 the driver starts the bound searches of later vertices.
 
-Two shortcuts make a Newton step cheaper and leave every floating-point
-value as the general formulas give it.  The one objective, built for either
+Shortcuts make a Newton step cheaper and leave every floating-point value
+as the general formulas give it.  The one objective, built for either
 exponent, skips at e = 1 the operations whose result is exactly known:
 x^1 = x, x^0 = 1, and the factors e and e D / ||n||_{p*} are 1.  With two
 free coordinates the tangent space is one-dimensional and the step is taken
 in Python floats: the Hessian is 1 x 1, its eigendecomposition is exactly
 (H, [[1]]), and every product with the eigenvectors is a single exact
-product.
+product.  With more, the QR factor of the tangent basis and the
+eigendecomposition of the Hessian come from the LAPACK gufuncs behind
+np.linalg.qr and np.linalg.eigh, called without numpy's wrappers, and the
+basis starts from a stored copy of its constant part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-# the LAPACK gufuncs behind np.linalg.qr
-from numpy.linalg import _umath_linalg
+# the LAPACK gufuncs behind np.linalg.qr and np.linalg.eigh
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .lp_geometry import NormExponent, lp_gradient, lp_norm
 from .problems import ProblemInstance
@@ -156,6 +160,25 @@ def _qr_q(M: np.ndarray) -> np.ndarray:
     return _umath_linalg.qr_reduced(M, tau, signature="dd->d")
 
 
+def _eigh(S: np.ndarray):
+    """np.linalg.eigh(S) for a symmetric float64 matrix S, bit for bit: the
+    LAPACK gufunc behind it, without its wrapper.  A NaN or infinite entry
+    raises LinAlgError before the call; np.linalg.eigh raises on some such
+    matrices and returns NaN for others."""
+    if not all(map(math.isfinite, S.flat)):
+        raise LinAlgError("Hessian must not contain infs or NaNs")
+    return _umath_linalg.eigh_lo(S, signature="d->dd")
+
+
+@lru_cache(maxsize=None)
+def _tangent_template(k: int) -> np.ndarray:
+    """np.eye(k, k + 1, 1), read-only: the constant columns of the matrix
+    whose QR factor spans the tangent space of k free coordinates."""
+    M = np.eye(k, k + 1, 1)
+    M.flags.writeable = False
+    return M
+
+
 def _ascend(value, theta: np.ndarray, tol: float):
     """Projected Newton ascent of a 0-homogeneous function over the orthant.
 
@@ -163,7 +186,8 @@ def _ascend(value, theta: np.ndarray, tol: float):
     move in the tangent space of theta, and each trial point of the
     backtracking line search is projected back onto the orthant.  Stops when
     the predicted gain is below tol times R or no trial point increases R;
-    returns (R, point, steps), or None at MAX_STEPS.
+    returns (R, point, steps), or None at MAX_STEPS.  Raises LinAlgError
+    when a Hessian has a non-finite entry.
 
     With two free coordinates the step is taken in floats, bit for bit the
     matrix step: eigh of the 1 x 1 Hessian H returns exactly (H, [[1]]).
@@ -174,7 +198,7 @@ def _ascend(value, theta: np.ndarray, tol: float):
         k = len(free)
         if k < 2:
             return R, point, step
-        M = np.eye(k, k + 1, 1)
+        M = _tangent_template(k).copy()
         M[:, 0] = theta[free]
         Q = _qr_q(M)
         B = np.zeros((len(theta), k - 1))
@@ -193,14 +217,17 @@ def _ascend(value, theta: np.ndarray, tol: float):
             d = b * move
         else:
             H = np.empty((k - 1, k - 1))
-            for col, b in zip(H.T, B.T):
-                np.subtract(B.T @ value(theta + _FD_STEP * b)[1], g, out=col)
+            for col, probe in zip(H.T, theta + _FD_STEP * B.T):
+                np.subtract(B.T @ value(probe)[1], g, out=col)
             H /= _FD_STEP
-            curv, U = np.linalg.eigh(0.5 * (H + H.T))
+            curv, U = _eigh(0.5 * (H + H.T))
             gu = U.T @ g
-            move = np.where(curv < 0.0,
-                            gu / np.maximum(-curv, np.abs(gu) / _RADIUS),
-                            np.sign(gu) * _RADIUS)
+            # the move along each eigenvector in floats, bit for bit the
+            # array expression it replaces, in which np.sign(0.0) is 0
+            move = np.array([
+                u / max(-c, abs(u) / _RADIUS) if c < 0.0
+                else math.copysign(_RADIUS, u) if u else 0.0
+                for c, u in zip(curv.tolist(), gu.tolist())])
             gain = float(gu @ move)
             d = B @ (U @ move)
         if not gain > tol * abs(R):
@@ -225,7 +252,8 @@ def solve_subproblem(prob: ProblemInstance, v,
     point, cut normal and the frontier point at the final weights.  If v is
     (numerically) in A the residual is zero and no cut normal is produced.
     Raises SubproblemError if an ascent does not converge within MAX_STEPS
-    Newton steps.
+    Newton steps, and LinAlgError if a Newton step meets a non-finite
+    Hessian.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (prob.q,):

@@ -340,6 +340,23 @@ def _bound_setup(key, p):
     return P0, np.array(residuals), np.array(known)
 
 
+def _reference_point_bound(v, y, w, g, p):
+    """(bound, case) of _point_bounds at one vertex v and point y, in plain
+    floats: the distance from v to y + t (v - y)_+ with t = min(1, room /
+    need), case "inside" (t = 1) or "clipped" (t < 1), "face" where y lies
+    on the slice face, or +inf and "beyond" for y outside the slice."""
+    yw = sum(wi * yi for wi, yi in zip(w, y))
+    if yw > g:
+        return math.inf, "beyond"
+    up = [max(vi - yi, 0.0) for vi, yi in zip(v, y)]
+    room, need = g - yw, sum(wi * ui for wi, ui in zip(w, up))
+    t = 1.0 if need <= room else room / need
+    x = [yi + t * ui for yi, ui in zip(y, up)]
+    dist = sum(abs(vi - xi) ** p for vi, xi in zip(v, x)) ** (1.0 / p)
+    return dist, ("face" if room == 0.0 else
+                  "inside" if t == 1.0 else "clipped")
+
+
 def _unpooled_search(prob, V):
     """The search state of new rows V while the pool is empty: every row
     starts at w_bar with bound +inf."""
@@ -420,6 +437,40 @@ class TestLazySelection:
         assert found[0] == math.inf
         assert found[1] == pytest.approx(np.linalg.norm(y_face))
 
+    @pytest.mark.parametrize("p", [1.25, 2.0, 8.0])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_point_bounds_match_reference(self, q, p):
+        # the bounds are values, not bits: within 1e-12 of a per-point
+        # reference for points y of U inside the slice (where t < 1 or
+        # t = 1), on its face and beyond it, with y shared by every vertex
+        # (as a new row's start) or one set per vertex (as a search round).
+        # Coordinates on a grid of 1/8 and weights of 1/4 and 1/2 make
+        # w . y exact, so that a face point lies exactly on the face.
+        rng = np.random.default_rng(q)
+        w = np.array([0.5, 0.25, 0.25][:q]) / (0.5 if q == 2 else 1.0)
+        g = 0.5
+        V = rng.integers(-32, 33, (20, q)) / 8.0
+        Y = rng.integers(-32, 33, (60, q)) / 8.0
+        # every third point moved onto the face along its first coordinate,
+        # and some vertices below a face point
+        Y[::3, 0] = (g - Y[::3, 1:] @ w[1:]) / w[0]
+        V[:4] = Y[:12:3] - rng.integers(0, 9, (4, q)) / 8.0
+        cases = set()
+        for Y_v in (Y, Y[rng.integers(0, len(Y), (len(V), len(Y)))]):
+            found = _point_bounds(V[:, None, :], Y_v, w, g, p)
+            assert found.shape == (len(V), len(Y))
+            for i, v in enumerate(V):
+                for y, bound in zip(Y_v if Y_v.ndim == 2 else Y_v[i],
+                                    found[i]):
+                    expected, case = _reference_point_bound(v, y, w, g, p)
+                    cases.add(case)
+                    if case == "beyond":
+                        assert bound == math.inf
+                    else:
+                        assert bound == pytest.approx(expected, rel=1e-12,
+                                                      abs=0.0), (v, y)
+        assert cases == {"inside", "clipped", "face", "beyond"}
+
     @pytest.mark.parametrize("shape", [(3,), (50, 1), (50, 2), (50, 3),
                                        (7, 36, 3)])
     def test_sum_last_is_add_reduce(self, shape):
@@ -443,6 +494,22 @@ class TestLazySelection:
         trace = run(config)
         assert trace.termination == "converged"
         assert dumps_trace(trace) == expected
+
+    @pytest.mark.parametrize("key, epsilon", [("example2", 0.05),
+                                              ("ellipse", 1e-3)])
+    def test_trace_independent_of_search_effort(self, monkeypatch, key,
+                                                epsilon):
+        # the search only decides which rows need no solve: with 4 rounds
+        # per row instead of _ROUNDS its bounds are looser, more rows are
+        # solved, and the trace bytes stay the same, so the search's
+        # arithmetic is free to round differently
+        config = RunConfig(problem_key=key, p=2.0, epsilon=epsilon)
+        trace, solved = _solved_vertices(monkeypatch, config)
+        monkeypatch.setattr(driver, "_ROUNDS", 4)
+        short, short_solved = _solved_vertices(monkeypatch, config)
+        assert trace.termination == "converged"
+        assert dumps_trace(short) == dumps_trace(trace)
+        assert len(short_solved) > len(solved)
 
     @pytest.mark.parametrize("key", PROBLEM_KEYS)
     def test_bounds_independent_of_batch(self, key):
@@ -698,6 +765,42 @@ class TestOracleFailure:
         assert np.array_equal(P.incidence, P0.incidence)
         assert [(h.normal.tobytes(), h.offset) for h in P.halfspaces] == [
             (h.normal.tobytes(), h.offset) for h in P0.halfspaces]
+
+    def test_nan_hessian_is_solver_failure(self, monkeypatch):
+        # a NaN in the gradient at the first Hessian probe of the first
+        # solve makes its eigendecomposition raise LinAlgError, and the run
+        # ends with a recorded termination and the initial simplex
+        objective = scalarization._dual_objective
+        solve = scalarization.solve_subproblem
+        raised = []
+
+        def nan_at_first_probe(prob, v, ne, e):
+            value, calls = objective(prob, v, ne, e), []
+
+            def probed(theta):
+                R, G, point = value(theta)
+                calls.append(theta)
+                if len(calls) == 2:
+                    G[0] = math.nan
+                return R, G, point
+            return probed
+
+        def recording_solve(*args):
+            try:
+                return solve(*args)
+            except Exception as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(scalarization, "_dual_objective",
+                            nan_at_first_probe)
+        monkeypatch.setattr(scalarization, "solve_subproblem",
+                            recording_solve)
+        trace = run(RunConfig(problem_key="example2", p=2.0, epsilon=0.05))
+        assert raised == [np.linalg.LinAlgError]
+        assert trace.termination == "solver_failure"
+        assert trace.iterations == ()
+        assert len(trace.final_polytope.halfspaces) == 4
 
     def test_failure_without_polytope_counts_q_plus_1(self, monkeypatch):
         # a singular initial simplex leaves no polytope to count; J + 1 =

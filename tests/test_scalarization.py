@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lpoa import scalarization
+from lpoa.driver import RunConfig, run
 from lpoa.lp_geometry import NormExponent, lp_norm
 from lpoa.problems import PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError, solve_batch, solve_subproblem
@@ -283,6 +284,65 @@ class TestAgainstReference:
                 M = rng.normal(size=(k, k + 1 + i % 3))
             expected = np.linalg.qr(M)[0]
             assert scalarization._qr_q(M.copy()).tobytes() == expected.tobytes()
+
+    def test_eigh_is_numpy_eigh(self, monkeypatch):
+        # the ascent's eigendecomposition is np.linalg.eigh's bit for bit,
+        # on the 2 x 2 and 3 x 3 Hessians that example2 runs at p = 3 and 8
+        # build and on random symmetric ones at mixed scales
+        eigh, recorded = scalarization._eigh, []
+
+        def recording_eigh(S):
+            recorded.append(S.copy())
+            return eigh(S)
+
+        monkeypatch.setattr(scalarization, "_eigh", recording_eigh)
+        for p in (3.0, 8.0):
+            run(RunConfig(problem_key="example2", p=p, epsilon=0.3))
+        assert {S.shape for S in recorded} == {(2, 2), (3, 3)}
+        rng = np.random.default_rng(11)
+        for k in (2, 3):
+            for _ in range(200):
+                H = rng.normal(size=(k, k)) * 10.0 ** rng.integers(-8, 9,
+                                                                    (k, k))
+                recorded.append(0.5 * (H + H.T))
+        for S in recorded:
+            curv, U = eigh(S)
+            expected = np.linalg.eigh(S)
+            assert curv.tobytes() == expected.eigenvalues.tobytes()
+            assert U.tobytes() == expected.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_eigh_rejects_non_finite(self, k, bad):
+        # a non-finite Hessian raises before LAPACK sees it, so no
+        # floating-point warning is raised either; np.linalg.eigh raises
+        # for some such matrices and returns NaN for others
+        S = np.eye(k)
+        S[k - 1, 0] = S[0, k - 1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            scalarization._eigh(S)
+
+    def test_nan_at_hessian_probe_raises(self):
+        # a NaN in the gradient at a Hessian probe makes the Hessian
+        # non-finite, and the ascent raises instead of taking a NaN step
+        prob = by_key("example2")
+        objective = scalarization._dual_objective(prob, np.zeros(3),
+                                                  NormExponent(2.0), 1.0)
+        calls = []
+
+        def value(theta):
+            R, G, point = objective(theta)
+            calls.append(theta)
+            if len(calls) == 2:     # the first probe of the first step
+                G[0] = math.nan
+            return R, G, point
+
+        # every coordinate is free: three tangent directions, a 3 x 3
+        # Hessian
+        with pytest.raises(np.linalg.LinAlgError):
+            scalarization._ascend(value, np.full(4, 0.25),
+                                  scalarization._GAIN_TOL)
+        assert len(calls) == 4
 
     def test_nonconverging_vertex_raises_on_both_sides(self):
         prob = by_key("example1-q3")
