@@ -210,6 +210,8 @@ def _ascend(value, theta: np.ndarray, tol: float):
             b = B[:, 0]
             G_b = value(theta + _FD_STEP * b)[1]
             curv = float((B.T @ G_b - g)[0]) / _FD_STEP
+            if not math.isfinite(curv):
+                raise LinAlgError("Hessian must not contain infs or NaNs")
             gu = float(g[0])
             move = (gu / max(-curv, abs(gu) / _RADIUS) if curv < 0.0
                     else math.copysign(_RADIUS, gu))
@@ -222,8 +224,8 @@ def _ascend(value, theta: np.ndarray, tol: float):
             H /= _FD_STEP
             curv, U = _eigh(0.5 * (H + H.T))
             gu = U.T @ g
-            # the move along each eigenvector in floats, bit for bit the
-            # array expression it replaces, in which np.sign(0.0) is 0
+            # the move along each eigenvector, in floats with the roundings
+            # of the array form; a zero gradient component moves 0
             move = np.array([
                 u / max(-c, abs(u) / _RADIUS) if c < 0.0
                 else math.copysign(_RADIUS, u) if u else 0.0

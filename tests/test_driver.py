@@ -444,8 +444,8 @@ class TestLazySelection:
         # reference for points y of U inside the slice (where t < 1 or
         # t = 1), on its face and beyond it, with y shared by every vertex
         # (as a new row's start) or one set per vertex (as a search round).
-        # Coordinates on a grid of 1/8 and weights of 1/4 and 1/2 make
-        # w . y exact, so that a face point lies exactly on the face.
+        # Coordinates on a grid of 1/8 and power-of-two weights make w . y
+        # exact, so that a face point lies exactly on the face.
         rng = np.random.default_rng(q)
         w = np.array([0.5, 0.25, 0.25][:q]) / (0.5 if q == 2 else 1.0)
         g = 0.5

@@ -322,11 +322,16 @@ class TestAgainstReference:
         with pytest.raises(np.linalg.LinAlgError):
             scalarization._eigh(S)
 
-    def test_nan_at_hessian_probe_raises(self):
+    @pytest.mark.parametrize("key, theta, v, directions", [
+        # mu held at 0: one tangent direction, the 1 x 1 step in floats
+        ("example1-q2", (0.5, 0.5, 0.0), (-0.3, -0.2), 1),
+        # every coordinate free: a 3 x 3 Hessian
+        ("example2", (0.25, 0.25, 0.25, 0.25), (0.0, 0.0, 0.0), 3)])
+    def test_nan_at_hessian_probe_raises(self, key, theta, v, directions):
         # a NaN in the gradient at a Hessian probe makes the Hessian
-        # non-finite, and the ascent raises instead of taking a NaN step
-        prob = by_key("example2")
-        objective = scalarization._dual_objective(prob, np.zeros(3),
+        # non-finite, and the ascent raises before the eigendecomposition
+        # instead of taking a step from it
+        objective = scalarization._dual_objective(by_key(key), np.array(v),
                                                   NormExponent(2.0), 1.0)
         calls = []
 
@@ -337,12 +342,11 @@ class TestAgainstReference:
                 G[0] = math.nan
             return R, G, point
 
-        # every coordinate is free: three tangent directions, a 3 x 3
-        # Hessian
         with pytest.raises(np.linalg.LinAlgError):
-            scalarization._ascend(value, np.full(4, 0.25),
+            scalarization._ascend(value, np.array(theta),
                                   scalarization._GAIN_TOL)
-        assert len(calls) == 4
+        # the start and one probe per tangent direction
+        assert len(calls) == 1 + directions
 
     def test_nonconverging_vertex_raises_on_both_sides(self):
         prob = by_key("example1-q3")
