@@ -122,18 +122,18 @@ def initialize(prob: ProblemInstance) -> pt.Polytope:
 _ROUNDS = 12  # most stencil rounds of the bound search at one vertex
 
 # q -> (steps, full, shrink): the trial steps of the frontier search around a
-# row's point, (trial, q - 1) in units of its radius, scale by scale, the
+# row's point, (q - 1, trial) in units of its radius, scale by scale, the
 # number of full steps (those of scale 1, which come first), and the factor
 # on the radius after a round whose best trial is not a full step.  In q = 2
 # the steps and the point form a line of 13 with spacing 1/6.  Its keys,
 # q = 2 and 3, are the supported dimensions: those of the four built-in
 # problems.
 _STENCIL = {
-    2: (np.array([[s / 6] for k in range(6, 0, -1) for s in (k, -k)]), 2,
+    2: (np.array([[s / 6 for k in range(6, 0, -1) for s in (k, -k)]]), 2,
         1.0 / 6.0),
     3: (np.array([[s * math.cos(k * math.pi / 6.0),
                    s * math.sin(k * math.pi / 6.0)]
-                  for s in (1.0, 1.0 / 3.0, 1.0 / 9.0) for k in range(12)]),
+                  for s in (1.0, 1.0 / 3.0, 1.0 / 9.0) for k in range(12)]).T,
         12, 0.5)}
 
 
@@ -147,52 +147,42 @@ def _reach(best, verts: np.ndarray):
     return best * (1.0 - 1e-12) - 1e-15 * top
 
 
-def _sum_last(x: np.ndarray) -> np.ndarray:
-    """The sums over the short last axis of x, left to right in column
-    adds: bit for bit np.add.reduce over that axis, at a fraction of its
-    cost."""
-    total = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        total = total + x[..., k]
-    return total
-
-
 def _point_bounds(V: np.ndarray, Y: np.ndarray, w: np.ndarray, g: float,
                   p: float) -> np.ndarray:
-    """Upper bounds on dist_p(v, A) from points y of the upper image U, one
-    per row of V - Y, with w = w_bar and g = gamma_slice: the distance from
-    v to the point y + t (v - y)_+ of A, with t the largest value in [0, 1]
-    that keeps it in the slice (t = 1 gives max(v, y)).  A point outside the
-    slice is not in A and gives +inf.  The floor on the divisor makes t = 0
-    where v <= y on the slice face, where the point is y whatever t is.
-    """
-    yw = Y @ w
+    """Upper bounds on dist_p(v, A) from points y of the upper image U, with
+    w = w_bar and g = gamma_slice: the distance from v to the point
+    y + t (v - y)_+ of A, with t the largest value in [0, 1] that keeps it
+    in the slice (t = 1 gives max(v, y)); V and Y are (q, ...) coordinate
+    planes.  A point outside the slice is not in A and gives +inf.  The
+    floor on the divisor makes t = 0 where v <= y on the slice face, where
+    the point is y whatever t is."""
+    yw = (w @ Y.reshape(len(Y), -1)).reshape(Y.shape[1:])
     room = np.maximum(g - yw, 0.0)
     d = V - Y
     up = np.maximum(d, 0.0)
-    t = room / np.maximum(np.maximum(up @ w, room), 1e-300)
-    up *= t[..., None]
+    need = (w @ up.reshape(len(up), -1)).reshape(up.shape[1:])
+    t = room / np.maximum(np.maximum(need, room), 1e-300)
     z = np.abs(d)
-    z -= up                     # |v - y - t (v - y)_+|, at least 0
-    dist = _sum_last(z ** p) ** (1.0 / p)
+    z -= t * up                 # |v - y - t (v - y)_+|, at least 0
+    dist = np.add.reduce(z ** p) ** (1.0 / p)
     return np.where(yw <= g, dist, math.inf)
 
 
 def _frontier(prob: ProblemInstance, p: float, V: np.ndarray,
               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds at the vertices V (rows) from the exact frontier points
-    y(omega) = gamma(x*(omega)) of U, one weighted sum per row and trial
-    point: u holds the first q - 1 simplex weights of each row's trial
-    points, the last one makes the sum 1, and weights are clipped back onto
-    the simplex.  Returns the clipped u and the bounds."""
-    omega = np.empty(u.shape[:-1] + (prob.q,))
-    omega[..., :-1] = u
-    np.subtract(1.0, _sum_last(u), out=omega[..., -1])
+    """(row, trial) bounds at the vertices V (rows) from the exact frontier
+    points y(omega) = gamma(x*(omega)) of U: u holds the first q - 1 simplex
+    weights of the trial points as (q - 1, row, trial) planes, the last one
+    makes the sum 1, and weights are clipped back onto the simplex.  Returns
+    the clipped u and the bounds."""
+    omega = np.empty((prob.q,) + u.shape[1:])
+    omega[:-1] = u
+    np.subtract(1.0, np.add.reduce(u), out=omega[-1])
     np.maximum(omega, 0.0, out=omega)
-    omega /= _sum_last(omega)[..., None]
-    y = prob.gamma_eval(prob.ws_closed_form(omega.reshape(-1, prob.q)))
-    return omega[..., :-1], _point_bounds(
-        V[:, None, :], y.reshape(omega.shape), prob.w_bar, prob.gamma_slice, p)
+    omega /= np.add.reduce(omega)
+    y = np.array(prob.gamma_eval(prob.ws_closed_form(omega)))
+    return omega[:-1], _point_bounds(V.T[:, :, None], y, prob.w_bar,
+                                     prob.gamma_slice, p)
 
 
 def _new_rows(prob: ProblemInstance, p: float, V: np.ndarray,
@@ -209,8 +199,8 @@ def _new_rows(prob: ProblemInstance, p: float, V: np.ndarray,
     m = len(V)
     W, Y = pool
     if len(Y):
-        vals = _point_bounds(V[:, None, :], Y, prob.w_bar, prob.gamma_slice,
-                             p)
+        vals = _point_bounds(V.T[:, :, None], Y.T[:, None, :], prob.w_bar,
+                             prob.gamma_slice, p)
         j = vals.argmin(axis=1)
         bound, u = vals[np.arange(m), j], W[j, :-1]
     else:
@@ -230,13 +220,13 @@ def _search_round(prob: ProblemInstance, p: float, V: np.ndarray,
     one batch would."""
     bound, u, radius, rounds = state
     steps, full, shrink = _STENCIL[prob.q]
-    trial, vals = _frontier(prob, p, V[rows], u[rows, None, :]
-                            + radius[rows, None, None] * steps)
-    r, j = np.arange(len(rows)), vals.argmin(axis=1)
-    best = vals[r, j]
+    trial, vals = _frontier(prob, p, V[rows], u[rows].T[:, :, None]
+                            + radius[rows, None] * steps[:, None, :])
+    j = vals.argmin(axis=1)
+    best = vals[np.arange(len(rows)), j]
     better = best < bound[rows]
     moved = rows[better]
-    u[moved] = trial[better, j[better]]
+    u[moved] = trial[:, better.nonzero()[0], j[better]].T
     bound[moved] = best[better]
     radius[rows[~(better & (j < full))]] *= shrink
     rounds[rows] += 1
@@ -319,12 +309,13 @@ def run(config: RunConfig) -> RunTrace:
             if far.residual_norm <= config.epsilon:
                 termination = "converged"
                 break
-    except (SubproblemError, ValueError, pt.PolytopeError):
+    except (SubproblemError, ValueError, ArithmeticError, pt.PolytopeError):
         # solver non-convergence, an exception from a problem oracle, a
         # singular initial simplex or a non-finite Hessian in a Newton step
-        # (both LinAlgError, a ValueError), or a cut that removed every
-        # vertex (inconsistent with the polytope) or none (a tolerance
-        # mismatch between solver and polytope layers): surface it
+        # (both LinAlgError, a ValueError), a float division by zero or
+        # overflow (ArithmeticError), or a cut that removed every vertex
+        # (inconsistent with the polytope) or none (a tolerance mismatch
+        # between solver and polytope layers): surface it
         termination = "solver_failure"
 
     return RunTrace(config=config, iterations=tuple(records),

@@ -28,17 +28,13 @@ result also carries the frontier point gamma(x*(omega)) at the final weights
 on the simplex, omega = c / sum(c): a point of the upper image from which
 the driver starts the bound searches of later vertices.
 
-Shortcuts make a Newton step cheaper and leave every floating-point value
-as the general formulas give it.  The one objective, built for either
-exponent, skips at e = 1 the operations whose result is exactly known:
-x^1 = x, x^0 = 1, and the factors e and e D / ||n||_{p*} are 1.  With two
-free coordinates the tangent space is one-dimensional and the step is taken
-in Python floats: the Hessian is 1 x 1, its eigendecomposition is exactly
-(H, [[1]]), and every product with the eigenvectors is a single exact
-product.  With more, the QR factor of the tangent basis and the
-eigendecomposition of the Hessian come from the LAPACK gufuncs behind
-np.linalg.qr and np.linalg.eigh, called without numpy's wrappers, and the
-basis starts from a stored copy of its constant part.
+The objective (on the problem's float oracles) and the one-direction Newton
+step run in Python floats, where numpy's per-call cost would dominate
+arrays of three or four entries.  With two free coordinates i, j the
+tangent is (-theta_j, theta_i) / |(theta_i, theta_j)|; with more, the
+tangent basis is a QR factor and the Hessian's eigendecomposition comes
+from the LAPACK gufuncs behind np.linalg.qr and np.linalg.eigh, called
+without numpy's wrappers.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -53,7 +50,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .lp_geometry import NormExponent, lp_gradient, lp_norm
-from .problems import ProblemInstance
+from .problems import ProblemInstance, sum_left
 
 __all__ = [
     "ScalarizationResult",
@@ -105,47 +102,47 @@ def _theta(prob: ProblemInstance, c: np.ndarray, lam: float, e: float):
 
 def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
                     e: float):
-    """theta -> (R, gradient of R in theta, (c, lam)) at exponent e.
-
-    D = ||n||_{p*} = nrm^e.  At e = 1 (unit) lam = mu and D = nrm, and the
-    powers x^1 and x^0 and the gradient's factors e and e D / nrm, all
-    exactly 1, are left out.
-    """
-    w, q, gs = prob.w_bar, prob.q, prob.gamma_slice
+    """theta -> (R, gradient of R in theta, (c, lam)) at exponent e, in
+    Python floats with sums left to right; R is a float, the gradient and c
+    are arrays.  D = ||n||_{p*} = nrm^e.  At e = 1 (unit) lam = mu, n = s
+    and D = nrm: the powers x^1 and x^0 and the factors e and e D / nrm,
+    all exactly 1, are left out."""
+    w, vs, gs = prob.w_bar.tolist(), v.tolist(), prob.gamma_slice
+    gamma, ws = prob.gamma_eval, prob.ws_closed_form
     m = e * ne.p_star           # ||n||_{p*} = ||s||_m^e, m = 2 when e > 1
-    om = w ** (1.0 / e)
+    om = (prob.w_bar ** (1.0 / e)).tolist()
     unit = e == 1.0
 
     def objective(theta):
-        r, mu = theta[:q], theta[q]
-        mw = mu * om            # lam w_bar at e = 1
-        s = r - mw
-        a = np.abs(s)
-        sgn = np.sign(s)
-        lam = mu if unit else mu ** e
-        n = sgn * a if unit else sgn * a ** e
-        c = n + (mw if unit else lam * w)
-        top = np.maximum.reduce(a)
-        if top == 0.0 or not np.logical_or.reduce(c > 0.0):
-            return -math.inf, np.zeros(q + 1), (c, lam)
-        g = prob.gamma_eval(prob.ws_closed_form(c))
-        nrm = top * float(np.add.reduce((a / top) ** m)) ** (1.0 / m)
+        *r, mu = theta.tolist()
+        s = [ri - mu * oi for ri, oi in zip(r, om)]
+        a = list(map(abs, s))
+        # math.pow raises where ** would return a complex number: at a
+        # Hessian probe with mu < 0
+        lam = mu if unit else math.pow(mu, e)
+        n = s if unit else [math.copysign(x ** e, y) for x, y in zip(a, s)]
+        c = [ni + lam * wi for ni, wi in zip(n, w)]
+        top = max(a)
+        if top == 0.0 or not max(c) > 0.0:
+            return -math.inf, np.zeros(len(theta)), (np.array(c), lam)
+        g = gamma(ws(c))
+        nrm = top * sum_left([(x / top) ** m for x in a]) ** (1.0 / m)
         D = nrm if unit else nrm ** e
-        R = (float(c @ g - n @ v) - lam * gs) / D
-        dD = sgn * (a / nrm) ** (m - 1.0)     # d nrm / ds; D = nrm at e = 1
-        gv = g - v
-        dmu = (float(w @ g) - gs) / D
+        R = ((sum_left(map(mul, c, g)) - sum_left(map(mul, n, vs)))
+             - lam * gs) / D
+        dmu = (sum_left(map(mul, w, g)) - gs) / D
+        # d nrm / ds, and d D / d nrm = e D / nrm (1 at e = 1)
+        dD = [math.copysign((x / nrm) ** (m - 1.0), y) for x, y in zip(a, s)]
+        gv = [gi - vi for gi, vi in zip(g, vs)]
         if not unit:
-            dD *= e * D / nrm
+            f = e * D / nrm
+            dD = [x * f for x in dD]
             # floors keep the gradient's sign where |s|^(e-1) vanishes
-            gv = e * gv * np.maximum(a, 1e-300) ** (e - 1.0)
+            gv = [e * x * max(y, 1e-300) ** (e - 1.0) for x, y in zip(gv, a)]
             dmu = dmu * e * max(mu, 1e-300) ** (e - 1.0)
-        G = np.empty(q + 1)
-        dR = G[:q]
-        np.subtract(gv, R * dD, out=dR)
-        dR /= D
-        G[q] = dmu - float(om @ dR)
-        return R, G, (c, lam)
+        dR = [(x - R * y) / D for x, y in zip(gv, dD)]
+        dR.append(dmu - sum_left(map(mul, om, dR)))
+        return R, np.array(dR), (np.array(c), lam)
 
     return objective
 
@@ -179,6 +176,12 @@ def _tangent_template(k: int) -> np.ndarray:
     return M
 
 
+def _unit_tangent(ti: float, tj: float) -> tuple[float, float]:
+    """(-tj, ti) / |(ti, tj)|: the tangent of two free coordinates."""
+    h = math.hypot(ti, tj)
+    return -tj / h, ti / h
+
+
 def _ascend(value, theta: np.ndarray, tol: float):
     """Projected Newton ascent of a 0-homogeneous function over the orthant.
 
@@ -189,8 +192,9 @@ def _ascend(value, theta: np.ndarray, tol: float):
     returns (R, point, steps), or None at MAX_STEPS.  Raises LinAlgError
     when a Hessian has a non-finite entry.
 
-    With two free coordinates the step is taken in floats, bit for bit the
-    matrix step: eigh of the 1 x 1 Hessian H returns exactly (H, [[1]]).
+    With two free coordinates the step runs in floats along the closed-form
+    unit tangent: the QR factor's tangent column up to sign, which the step
+    d = b * move does not depend on.
     """
     R, G, point = value(theta)
     for step in range(1, MAX_STEPS + 1):
@@ -198,26 +202,31 @@ def _ascend(value, theta: np.ndarray, tol: float):
         k = len(free)
         if k < 2:
             return R, point, step
-        M = _tangent_template(k).copy()
-        M[:, 0] = theta[free]
-        Q = _qr_q(M)
-        B = np.zeros((len(theta), k - 1))
-        B[free] = Q[:, 1:]
-        g = B.T @ G
         # the Newton step along directions of negative curvature, at most
         # _RADIUS long; a step of _RADIUS up the gradient along the others
         if k == 2:
-            b = B[:, 0]
-            G_b = value(theta + _FD_STEP * b)[1]
-            curv = float((B.T @ G_b - g)[0]) / _FD_STEP
+            # the unit tangent d in the plane of the two free coordinates,
+            # and the curvature along it
+            i, j = free.tolist()
+            bi, bj = _unit_tangent(theta.item(i), theta.item(j))
+            d = np.zeros(len(theta))
+            d[i], d[j] = bi, bj
+            G_b = value(theta + _FD_STEP * d)[1]
+            gu = bi * G.item(i) + bj * G.item(j)
+            curv = ((bi * G_b.item(i) + bj * G_b.item(j)) - gu) / _FD_STEP
             if not math.isfinite(curv):
                 raise LinAlgError("Hessian must not contain infs or NaNs")
-            gu = float(g[0])
             move = (gu / max(-curv, abs(gu) / _RADIUS) if curv < 0.0
                     else math.copysign(_RADIUS, gu))
             gain = gu * move
-            d = b * move
+            d *= move
         else:
+            M = _tangent_template(k).copy()
+            M[:, 0] = theta[free]
+            Q = _qr_q(M)
+            B = np.zeros((len(theta), k - 1))
+            B[free] = Q[:, 1:]
+            g = B.T @ G
             H = np.empty((k - 1, k - 1))
             for col, probe in zip(H.T, theta + _FD_STEP * B.T):
                 np.subtract(B.T @ value(probe)[1], g, out=col)
@@ -265,7 +274,8 @@ def solve_subproblem(prob: ProblemInstance, v,
         raise ValueError("vertex has non-finite coordinates")
 
     # start: lam = 0, c toward the positive part of gamma(x*(w_bar)) - v
-    c = np.maximum(prob.gamma_eval(prob.ws_closed_form(prob.w_bar)) - v, 0.0)
+    gamma, ws = prob.gamma_eval, prob.ws_closed_form
+    c = np.maximum(np.array(gamma(ws(prob.w_bar.tolist()))) - v, 0.0)
     c, lam = (c / c.max()) ** (ne.p - 1.0) if c.any() else prob.w_bar, 0.0
     steps = 0
     phases = ((1.0, _COARSE_GAIN_TOL), (2.0 / ne.p_star, _GAIN_TOL)) \
@@ -280,7 +290,7 @@ def solve_subproblem(prob: ProblemInstance, v,
 
     # the certificate, recomputed at the final weights
     c = np.maximum(c, 0.0)
-    g = prob.gamma_eval(prob.ws_closed_form(c))
+    g = np.array(gamma(ws(c.tolist())))
     n = c - lam * prob.w_bar
     dual = NormExponent(ne.p_star)
     D = lp_norm(n, dual)
@@ -293,7 +303,7 @@ def solve_subproblem(prob: ProblemInstance, v,
     omega = c / np.add.reduce(c)
     return ScalarizationResult(
         y_support=y, residual_norm=R, cut_normal=normal, iterations=steps,
-        frontier=(omega, prob.gamma_eval(prob.ws_closed_form(omega))))
+        frontier=(omega, np.array(gamma(ws(omega.tolist())))))
 
 
 def solve_batch(prob: ProblemInstance, vertices,

@@ -16,9 +16,16 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import minimize
 
+from lpoa import problems
 from lpoa.lp_geometry import NormExponent
-from lpoa.problems import (_ANCHORS, _ELLIPSE_AXES_SQ, _ELLIPSE_M,
-                           _ELLIPSE_X0, by_key)
+from lpoa.problems import by_key
+
+# the built-ins' constants as arrays: the ellipse x = M t + X0 with squared
+# semi-axes AXES_SQ, and the anchors of example2
+_ELLIPSE_AXES_SQ = np.array(problems._ELLIPSE_AXES_SQ)
+_ELLIPSE_M = np.array([[-0.5, 0.5], [0.5, 0.5]])
+_ELLIPSE_X0 = np.array([2.0, 2.0])
+_ANCHORS = np.array(problems._ANCHORS)
 
 # an interior point of X, per problem
 X_INIT = {
@@ -27,6 +34,26 @@ X_INIT = {
     "ellipse": _ELLIPSE_X0.copy(),
     "example2": np.mean(_ANCHORS, axis=0),
 }
+
+
+# ---------------------------------------------------------------------------
+# the instance oracles on arrays
+
+
+def minimizer(prob, omega):
+    """x*(omega) as an array: the instance's ws_closed_form on floats."""
+    return np.array(prob.ws_closed_form(
+        np.asarray(omega, dtype=float).tolist()))
+
+
+def gamma(prob, x):
+    """gamma(x) as an array: the instance's gamma_eval on floats."""
+    return np.array(prob.gamma_eval(np.asarray(x, dtype=float).tolist()))
+
+
+def frontier(prob, omega):
+    """The frontier point gamma(x*(omega)) as an array."""
+    return gamma(prob, minimizer(prob, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +169,8 @@ def weighted_sum(prob, omega):
             or np.any(omega < 0) or np.all(omega == 0.0)):
         raise ValueError("omega must be a finite nonzero nonnegative "
                          "q-vector")
-    x = prob.ws_closed_form(omega)
-    return x, float(omega @ prob.gamma_eval(x))
+    x = minimizer(prob, omega)
+    return x, float(omega @ gamma(prob, x))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +184,8 @@ def _example1_membership(prob, y, tol):
 
 # first coordinates of the coordinate-wise minimizers: the ends of the
 # minimal frontier arc
-_A1X = by_key("ellipse").ws_closed_form(np.array([1.0, 0.0])).tolist()[0]
-_A2X = by_key("ellipse").ws_closed_form(np.array([0.0, 1.0])).tolist()[0]
+_A1X = by_key("ellipse").ws_closed_form((1.0, 0.0))[0]
+_A2X = by_key("ellipse").ws_closed_form((0.0, 1.0))[0]
 
 
 def _ellipse_membership(prob, y, tol):
@@ -175,11 +202,11 @@ def _example2_membership(prob, y, tol):
     space, q = DECISION[prob.key], prob.q
     n, x0 = space.n, X_INIT[prob.key]
     res = minimize(
-        lambda z: z[n], np.append(x0, np.max(prob.gamma_eval(x0) - y)),
+        lambda z: z[n], np.append(x0, np.max(gamma(prob, x0) - y)),
         jac=lambda z: np.eye(n + 1)[n], method="SLSQP",
         constraints=[
             {"type": "ineq",
-             "fun": lambda z: z[n] - (prob.gamma_eval(z[:n]) - y),
+             "fun": lambda z: z[n] - (gamma(prob, z[:n]) - y),
              "jac": lambda z: np.hstack([-space.jacobian(z[:n]),
                                          np.ones((q, 1))])},
             {"type": "ineq",
@@ -189,7 +216,7 @@ def _example2_membership(prob, y, tol):
         options={"ftol": 1e-15, "maxiter": 200})
     # SLSQP may stop early (status 8) without harm: only a certificate counts
     x = space.project(res.x[:n])
-    if np.max(prob.gamma_eval(x) - y) <= tol:
+    if np.max(gamma(prob, x) - y) <= tol:
         return True
     # the minimax point of squared anchor distances lies in the anchor hull,
     # and its barycentric coordinates are the multipliers of the gamma rows
@@ -297,7 +324,7 @@ def _example2_samples(prob, samples):
         for w2 in np.linspace(0.0, 1.0 - w1, max(2, int(n * (1.0 - w1)) + 1)):
             w = np.array([w1, w2, 1.0 - w1 - w2])
             x = w @ _ANCHORS
-            y = prob.gamma_eval(x)
+            y = gamma(prob, x)
             if slice_contains(prob, y, 1e-12):
                 pts.append(y)
     frontier = np.array(pts)
@@ -374,7 +401,7 @@ def _slsqp(prob, objective, gradient, z0, upper=True):
                                      np.zeros((len(fx(z[:n])), m))])}]
     if upper:
         constraints += [
-            {"type": "ineq", "fun": lambda z: z[n:] - prob.gamma_eval(z[:n]),
+            {"type": "ineq", "fun": lambda z: z[n:] - gamma(prob, z[:n]),
              "jac": lambda z: np.hstack([-jacobian(z[:n]), np.eye(q)])},
             {"type": "ineq",
              "fun": lambda z: np.array([prob.gamma_slice
@@ -385,7 +412,7 @@ def _slsqp(prob, objective, gradient, z0, upper=True):
         constraints.append(
             {"type": "ineq",
              "fun": lambda z: np.array([prob.gamma_slice
-                                        - prob.w_bar @ prob.gamma_eval(z)]),
+                                        - prob.w_bar @ gamma(prob, z)]),
              "jac": lambda z: np.hstack([-(prob.w_bar @ jacobian(z))[None, :],
                                          pad])})
     return minimize(objective, z0, jac=gradient, constraints=constraints,
@@ -401,10 +428,10 @@ def support_value(prob, normal):
     normal = np.asarray(normal, dtype=float)
     k = min(0.0, float(np.min(normal / prob.w_bar)))
     weights = normal - k * prob.w_bar
-    x = _slsqp(prob, lambda x: float(weights @ prob.gamma_eval(x)),
+    x = _slsqp(prob, lambda x: float(weights @ gamma(prob, x)),
                lambda x: weights @ DECISION[prob.key].jacobian(x),
                X_INIT[prob.key], upper=False)
-    return float(weights @ prob.gamma_eval(x)) + k * prob.gamma_slice
+    return float(weights @ gamma(prob, x)) + k * prob.gamma_slice
 
 
 def reference_distance(prob, v, ne: NormExponent):
@@ -414,7 +441,7 @@ def reference_distance(prob, v, ne: NormExponent):
     space, p = DECISION[prob.key], ne.p
     n, v = space.n, np.asarray(v, dtype=float)
     z = np.concatenate([X_INIT[prob.key],
-                        np.maximum(v, prob.gamma_eval(X_INIT[prob.key]))])
+                        np.maximum(v, gamma(prob, X_INIT[prob.key]))])
     for _ in range(3):
         s = float(np.max(np.abs(z[n:] - v)))
         z = _slsqp(
@@ -426,7 +453,7 @@ def reference_distance(prob, v, ne: NormExponent):
     # segment toward gamma(x) into the slice; its distance bounds the true
     # one from above
     x = space.project(z[:n])
-    g = prob.gamma_eval(x)
+    g = gamma(prob, x)
     y = np.maximum(z[n:], g)
     over = float(prob.w_bar @ y) - prob.gamma_slice
     if over > 0.0:

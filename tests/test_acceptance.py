@@ -43,10 +43,10 @@ REFERENCE_C_HAT = {
 }
 
 # termination, iteration count, residual series and SHA-256 of the trace
-# bytes (empty metadata) of every matrix run, recorded before lazy
-# farthest-vertex selection (hashes re-recorded at schema version 2, which
-# drops config.tolerances and each iteration's new_vertex_count from the
-# same bytes); ellipse also records its farthest vertices
+# bytes (empty metadata) of every matrix run; ellipse also records its
+# farthest vertices.  `PYTHONPATH=src python tests/record_fingerprint.py`
+# re-records the hash-compared entries after a rounding change and reports
+# where each moved run first picks another vertex.
 MATRIX_FINGERPRINT = json.loads(
     (Path(__file__).parent / "data" / "matrix_fingerprint.json").read_text())
 

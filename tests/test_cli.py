@@ -237,12 +237,24 @@ class TestTraceIO:
         assert text == dumps_trace(small_trace)
 
     def test_version_1_file_loads_as_current_run(self):
-        # a trace file written at schema version 1 re-dumps to the bytes of
-        # the same run today
+        # a trace file written at schema version 1 loads as the same run
+        # today, by the acceptance-matrix fingerprint's ellipse rule: the
+        # same termination and iteration count, residuals within 1e-8
+        # relative and farthest vertices within 1e-9 up to the y1 <-> y2
+        # swap (the file cannot be re-written when the run's rounding
+        # moves; measured gaps 2.2e-9 and 7.6e-11)
         doc = json.loads(V1_TRACE.read_text())
         assert doc["schema_version"] == 1
         loaded = load_trace(str(V1_TRACE))
-        assert dumps_trace(loaded) == dumps_trace(run(loaded.config))
+        trace = run(loaded.config)
+        assert trace.termination == loaded.termination
+        assert len(trace.iterations) == len(loaded.iterations)
+        for rec, ref in zip(trace.iterations, loaded.iterations):
+            assert (abs(rec.residual_norm - ref.residual_norm)
+                    <= 1e-8 * ref.residual_norm), rec.k
+            v = ref.farthest_vertex
+            assert min(np.max(np.abs(rec.farthest_vertex - v)),
+                       np.max(np.abs(rec.farthest_vertex - v[::-1]))) <= 1e-9
 
     @pytest.mark.parametrize("umask", [0o022, 0o027])
     def test_written_file_mode_follows_umask(self, tmp_path, umask):

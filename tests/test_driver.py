@@ -22,7 +22,7 @@ from lpoa.scalarization import SubproblemError
 from lpoa.trace_io import dumps_trace, trace_from_dict, trace_to_dict
 
 from cut_reference import from_halfspaces
-from oracles import (boundary_samples, in_A, reference_distance,
+from oracles import (boundary_samples, frontier, in_A, reference_distance,
                      support_value, weighted_sum)
 from test_polytope import contains
 
@@ -331,7 +331,7 @@ def _bound_setup(key, p):
     ne = NormExponent(p)
     P0 = initialize(prob)
     V = P0.vertices()
-    known = [prob.gamma_eval(prob.ws_closed_form(e)) for e in np.eye(prob.q)]
+    known = [frontier(prob, e) for e in np.eye(prob.q)]
     points = list(V) + [0.5 * (a + b)
                         for i, a in enumerate(V) for b in V[i + 1:]]
     solved = [scalarization.solve_subproblem(prob, v, ne) for v in points]
@@ -433,7 +433,7 @@ class TestLazySelection:
         y = np.array([3.0, 3.0])
         assert w @ y > g
         y_face = y - (w @ y - g) / (w @ w) * w
-        found = _point_bounds(v, np.array([y, y_face]), w, g, 2.0)
+        found = _point_bounds(v[:, None], np.array([y, y_face]).T, w, g, 2.0)
         assert found[0] == math.inf
         assert found[1] == pytest.approx(np.linalg.norm(y_face))
 
@@ -445,7 +445,8 @@ class TestLazySelection:
         # t = 1), on its face and beyond it, with y shared by every vertex
         # (as a new row's start) or one set per vertex (as a search round).
         # Coordinates on a grid of 1/8 and power-of-two weights make w . y
-        # exact, so that a face point lies exactly on the face.
+        # exact, so that a face point lies exactly on the face.  The bounds
+        # take (q, vertex, point) coordinate planes.
         rng = np.random.default_rng(q)
         w = np.array([0.5, 0.25, 0.25][:q]) / (0.5 if q == 2 else 1.0)
         g = 0.5
@@ -457,7 +458,9 @@ class TestLazySelection:
         V[:4] = Y[:12:3] - rng.integers(0, 9, (4, q)) / 8.0
         cases = set()
         for Y_v in (Y, Y[rng.integers(0, len(Y), (len(V), len(Y)))]):
-            found = _point_bounds(V[:, None, :], Y_v, w, g, p)
+            planes = (Y_v.T[:, None, :] if Y_v.ndim == 2
+                      else np.moveaxis(Y_v, -1, 0))
+            found = _point_bounds(V.T[:, :, None], planes, w, g, p)
             assert found.shape == (len(V), len(Y))
             for i, v in enumerate(V):
                 for y, bound in zip(Y_v if Y_v.ndim == 2 else Y_v[i],
@@ -471,17 +474,6 @@ class TestLazySelection:
                                                       abs=0.0), (v, y)
         assert cases == {"inside", "clipped", "face", "beyond"}
 
-    @pytest.mark.parametrize("shape", [(3,), (50, 1), (50, 2), (50, 3),
-                                       (7, 36, 3)])
-    def test_sum_last_is_add_reduce(self, shape):
-        # the column adds of the search's sums over a short last axis give
-        # np.add.reduce's sums bit for bit, at mixed signs and scales
-        rng = np.random.default_rng(sum(shape))
-        for _ in range(50):
-            x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
-            assert (driver._sum_last(x).tobytes()
-                    == np.add.reduce(x, axis=-1).tobytes())
-
     def test_search_without_bound_solves(self, monkeypatch):
         # a frontier search that finds no point of A leaves the bound at
         # +inf, and the loop solves the vertex instead: the run ends and
@@ -490,7 +482,7 @@ class TestLazySelection:
         expected = dumps_trace(run(config))
         monkeypatch.setattr(driver, "_frontier",
                             lambda prob, p, V, u:
-                            (u, np.full(u.shape[:-1], math.inf)))
+                            (u, np.full(u[0].shape, math.inf)))
         trace = run(config)
         assert trace.termination == "converged"
         assert dumps_trace(trace) == expected
@@ -580,7 +572,7 @@ class TestLazySelection:
 
     @pytest.mark.parametrize("key, epsilon, solves, calls", [
         ("ellipse", 1e-3, 33, 118), ("example2", 0.3, 34, 98),
-        ("example2", 0.05, 105, 296)])
+        ("example2", 0.05, 111, 358)])
     def test_search_work_recorded(self, monkeypatch, key, epsilon, solves,
                                   calls):
         # the lazy loop's work, which the trace bytes cannot show: the
@@ -620,8 +612,7 @@ class TestLazySelection:
                 np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0,
                                            atol=4e-16)
                 for w, y in zip(W, Y):
-                    assert (prob.gamma_eval(prob.ws_closed_form(w)).tobytes()
-                            == y.tobytes())
+                    assert frontier(prob, w).tobytes() == y.tobytes()
                 for v, bound in zip(V, state[2]):
                     starts.setdefault(v.tobytes(), bound)
             return state
@@ -703,15 +694,15 @@ class TestLazySelection:
         assert lazy_solves < len(eager)
 
 
-def _oracle_with_fault(prob, fail_at=None):
+def _oracle_with_fault(prob, fail_at=None, error=ValueError):
     """The instance with a gamma_eval that records the function calling it
-    and raises ValueError at call number `fail_at` (never if None)."""
+    and raises `error` at call number `fail_at` (never if None)."""
     callers = []
 
     def gamma_eval(x):
         callers.append(sys._getframe(1).f_code.co_name)
         if len(callers) == fail_at:
-            raise ValueError("injected oracle failure")
+            raise error("injected oracle failure")
         return prob.gamma_eval(x)
 
     return dataclasses.replace(prob, gamma_eval=gamma_eval), callers
@@ -734,21 +725,23 @@ class TestOracleFailure:
         ("ellipse", "_frontier"),         # inside a bound search
     ])
     def test_oracle_error_is_solver_failure(self, monkeypatch, key, site):
-        # a ValueError from a problem oracle ends the run with a recorded
+        # a ValueError from a problem oracle, or the ZeroDivisionError or
+        # OverflowError of float arithmetic, ends the run with a recorded
         # termination; the iterations before it are those of a clean run
         config = RunConfig(problem_key=key, p=2.0, epsilon=0.05)
         clean = run(config)
         fail_at = _fault_call(key, config, site)
-        inst, callers = _oracle_with_fault(by_key(key), fail_at)
-        monkeypatch.setattr(driver, "by_key", lambda _key: inst)
-        trace = run(config)
-        assert len(callers) == fail_at and callers[-1] == site
-        assert trace.termination == "solver_failure"
-        assert 0 < len(trace.iterations) < len(clean.iterations)
-        assert (hausdorff_series(trace)
-                == hausdorff_series(clean)[:len(trace.iterations)])
-        assert len(trace.final_polytope.halfspaces) == (
-            trace.initial_halfspace_count + len(trace.iterations))
+        for error in (ValueError, ZeroDivisionError, OverflowError):
+            inst, callers = _oracle_with_fault(by_key(key), fail_at, error)
+            monkeypatch.setattr(driver, "by_key", lambda _key: inst)
+            trace = run(config)
+            assert len(callers) == fail_at and callers[-1] == site
+            assert trace.termination == "solver_failure"
+            assert 0 < len(trace.iterations) < len(clean.iterations)
+            assert (hausdorff_series(trace)
+                    == hausdorff_series(clean)[:len(trace.iterations)])
+            assert len(trace.final_polytope.halfspaces) == (
+                trace.initial_halfspace_count + len(trace.iterations))
 
     def test_oracle_error_before_first_iteration(self, monkeypatch):
         # initialize calls no oracle, so the first call is the first solve's,

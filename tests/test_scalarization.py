@@ -10,7 +10,7 @@ from lpoa.problems import PROBLEM_KEYS, by_key
 from lpoa.scalarization import SubproblemError, solve_batch, solve_subproblem
 
 import ascent_reference
-from oracles import (boundary_samples, in_A, oracle_distance,
+from oracles import (boundary_samples, frontier, in_A, oracle_distance,
                      reference_distance, support_value)
 
 P_VALUES = [1.25, 1.5, 2.0, 3.0, 4.0, 8.0]
@@ -185,41 +185,32 @@ def _seeded_vertices(prob, seed, count=12):
     vertices = []
     for i in range(count):
         omega = rng.dirichlet(np.ones(prob.q))
-        y = prob.gamma_eval(prob.ws_closed_form(omega))
+        y = frontier(prob, omega)
         shift = rng.uniform(-0.2, 1.0, prob.q) * (0.05, 0.5, 2.0)[i % 3]
         vertices.append(y - shift)
     return vertices
 
 
 def _outcome(solve, prob, v, ne):
-    """The result's bytes, or the error it raises."""
+    """The result, or the error it raises as (type, message)."""
     try:
-        res = solve(prob, v, ne)
+        return solve(prob, v, ne)
     except SubproblemError as exc:
         return type(exc), str(exc)
-    normal = None if res.cut_normal is None else res.cut_normal.tobytes()
-    return (res.y_support.tobytes(), np.float64(res.residual_norm).tobytes(),
-            normal, res.iterations)
-
-
-def _objective_bytes(objective, theta):
-    """The bytes of R, its gradient, c and lam at theta."""
-    R, G, (c, lam) = objective(theta)
-    return (np.float64(R).tobytes(), G.tobytes(), c.tobytes(),
-            np.float64(lam).tobytes())
 
 
 class TestAgainstReference:
-    """solve_subproblem and its objective are bit for bit the reference
-    solver.  Reassociating (g - v) - R dD in the e = 1 gradient, for one,
-    changes the last bits of some support points and fails both
-    comparisons."""
+    """solve_subproblem and its objective against the reference solver of
+    the general formulas in numpy.  The objective runs in Python floats, so
+    the two agree in value, not in bits: the tolerances below are 5 to 100
+    times the gaps measured on random points and solves."""
 
     @pytest.mark.parametrize("p", REFERENCE_P)
     @pytest.mark.parametrize("key", PROBLEM_KEYS)
     def test_objective_byte_identical(self, key, p):
         # random points of the simplex with about 30 % of the coordinates
-        # zero, most of which no ascent visits, at both exponents
+        # zero, most of which no ascent visits, at both exponents: R within
+        # 1e-12 relative, the gradient within 1e-12 of its largest entry
         prob = by_key(key)
         ne = NormExponent(p)
         rng = np.random.default_rng(PROBLEM_KEYS.index(key))
@@ -232,36 +223,57 @@ class TestAgainstReference:
                 theta[rng.random(prob.q + 1) < 0.3] = 0.0
                 if theta.any():
                     theta /= theta.sum()
-                ours = scalarization._dual_objective(prob, v, ne, e)
-                ref = ascent_reference._dual_objective(prob, v, ne, e)
-                assert (_objective_bytes(ours, theta)
-                        == _objective_bytes(ref, theta)), (e, v, theta)
+                R, G, _ = scalarization._dual_objective(prob, v, ne, e)(theta)
+                R_ref, G_ref, _ = ascent_reference._dual_objective(
+                    prob, v, ne, e)(theta)
+                if R_ref == -math.inf:
+                    assert R == R_ref and not G.any(), (e, v, theta)
+                    continue
+                assert abs(R - R_ref) <= 1e-12 * abs(R_ref), (e, v, theta)
+                assert (np.max(np.abs(G - G_ref))
+                        <= 1e-12 * np.max(np.abs(G_ref))), (e, v, theta)
 
     @pytest.mark.parametrize("p", REFERENCE_P)
     @pytest.mark.parametrize("key", PROBLEM_KEYS)
     def test_byte_identical(self, key, p):
+        # the same error, or the same zero-residual outcome with R within
+        # 1e-10 relative and the cut normal within 1e-6
         prob = by_key(key)
         ne = NormExponent(p)
         for v in _seeded_vertices(prob, PROBLEM_KEYS.index(key)):
-            assert (_outcome(solve_subproblem, prob, v, ne)
-                    == _outcome(ascent_reference.solve_subproblem, prob, v,
-                                ne)), v
+            res = _outcome(solve_subproblem, prob, v, ne)
+            ref = _outcome(ascent_reference.solve_subproblem, prob, v, ne)
+            if isinstance(ref, tuple) or isinstance(res, tuple):
+                assert res == ref, v
+                continue
+            assert (res.cut_normal is None) == (ref.cut_normal is None), v
+            assert (abs(res.residual_norm - ref.residual_norm)
+                    <= 1e-10 * ref.residual_norm), v
+            if ref.cut_normal is not None:
+                assert np.max(np.abs(res.cut_normal - ref.cut_normal)) <= 1e-6
 
     def test_seeds_cover_tangent_dimensions_and_ascents(self, monkeypatch):
-        # one, two and three free directions, and the ascent at e = 1 and
-        # the second one at e = 2 / p*
+        # one, two and three free directions (one direction takes the
+        # closed-form tangent, more take the QR factor), and the ascent at
+        # e = 1 and the second one at e = 2 / p*
         directions, exponents = set(), set()
-        qr, objective = scalarization._qr_q, scalarization._dual_objective
+        qr, tangent = scalarization._qr_q, scalarization._unit_tangent
+        objective = scalarization._dual_objective
 
         def recording_qr(M):
             directions.add(M.shape[0] - 1)
             return qr(M)
+
+        def recording_tangent(ti, tj):
+            directions.add(1)
+            return tangent(ti, tj)
 
         def recording_objective(prob, v, ne, e):
             exponents.add(e == 1.0)
             return objective(prob, v, ne, e)
 
         monkeypatch.setattr(scalarization, "_qr_q", recording_qr)
+        monkeypatch.setattr(scalarization, "_unit_tangent", recording_tangent)
         monkeypatch.setattr(scalarization, "_dual_objective",
                             recording_objective)
         for key in PROBLEM_KEYS:
@@ -271,6 +283,20 @@ class TestAgainstReference:
                     _outcome(solve_subproblem, prob, v, NormExponent(p))
         assert directions == {1, 2, 3}
         assert exponents == {True, False}
+
+    def test_unit_tangent_is_qr_tangent(self):
+        # on random theta with exactly two free coordinates, the closed-form
+        # tangent is the QR factor's tangent column up to sign: the same
+        # basis, to within 1e-15
+        rng = np.random.default_rng(2)
+        for i in range(1000):
+            theta = rng.dirichlet(np.ones(2)) * 10.0 ** rng.integers(-12, 1)
+            M = np.eye(2, 3, 1)
+            M[:, 0] = theta
+            column = scalarization._qr_q(M)[:, 1]
+            b = np.array(scalarization._unit_tangent(*theta.tolist()))
+            assert min(np.max(np.abs(b - column)),
+                       np.max(np.abs(b + column))) <= 1e-15, theta
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_qr_q_is_numpy_qr(self, k):
