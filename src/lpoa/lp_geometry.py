@@ -62,16 +62,6 @@ def lp_norm(z, ne: NormExponent) -> float:
     return float(m * np.add.reduce((a / m) ** ne.p) ** (1.0 / ne.p))
 
 
-def _signed_powers(z: np.ndarray, expo: float) -> np.ndarray:
-    """|z_i|^expo * sgn(z_i), with the z_i == 0 branch handled explicitly."""
-    out = np.zeros_like(z)
-    nz = z != 0.0
-    # no 0**negative can arise, since zeros are masked and the caller's
-    # expo = p - 1 is positive
-    out[nz] = np.sign(z[nz]) * np.abs(z[nz]) ** expo
-    return out
-
-
 def lp_gradient(z, ne: NormExponent) -> np.ndarray:
     """Gradient of the lp norm at a nonzero point.
 
@@ -84,7 +74,9 @@ def lp_gradient(z, ne: NormExponent) -> np.ndarray:
     nrm = lp_norm(z, ne)
     if nrm <= ZERO_NORM_TOL:
         raise ValueError("lp gradient undefined at the origin")
-    return _signed_powers(z / nrm, ne.p - 1.0)
+    u = z / nrm
+    # sgn(0) = 0 and p - 1 > 0, so a zero component maps to 0
+    return np.sign(u) * np.abs(u) ** (ne.p - 1.0)
 
 
 def norm_equivalence_constant(ne: NormExponent, q: int) -> float:

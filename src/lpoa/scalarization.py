@@ -30,23 +30,24 @@ the driver starts the bound searches of later vertices.
 
 The objective (on the problem's float oracles) and the one-direction Newton
 step run in Python floats, where numpy's per-call cost would dominate
-arrays of three or four entries.  With two free coordinates i, j the
-tangent is (-theta_j, theta_i) / |(theta_i, theta_j)|; with more, the
-tangent basis is a QR factor and the Hessian's eigendecomposition comes
-from the LAPACK gufuncs behind np.linalg.qr and np.linalg.eigh, called
-without numpy's wrappers.
+arrays of three or four entries.  Each step moves in the tangent space of
+the free coordinates t, spanned by the closed-form columns of a Householder
+reflection of t (_tangent_basis); with more than one direction the
+Hessian's eigendecomposition comes from the LAPACK gufunc behind
+np.linalg.eigh, called without numpy's wrapper.  An ascent stops when the
+Newton model predicts a gain below its tolerance times R, or when the step
+it has just taken gained no more than that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 from typing import Optional
 
 import numpy as np
-# the LAPACK gufuncs behind np.linalg.qr and np.linalg.eigh
+# the LAPACK gufunc behind np.linalg.eigh
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .lp_geometry import NormExponent, lp_gradient, lp_norm
@@ -147,16 +148,6 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
     return objective
 
 
-def _qr_q(M: np.ndarray) -> np.ndarray:
-    """np.linalg.qr(M)[0] for a float64 matrix M with fewer rows than
-    columns, bit for bit, computed in M's place: the two LAPACK calls that
-    np.linalg.qr makes, without its checks and its R factor, which take
-    most of its time at this size.  Like np.linalg.qr, it does not raise on
-    non-finite entries."""
-    tau = _umath_linalg.qr_r_raw(M, signature="d->d")
-    return _umath_linalg.qr_reduced(M, tau, signature="dd->d")
-
-
 def _eigh(S: np.ndarray):
     """np.linalg.eigh(S) for a symmetric float64 matrix S, bit for bit: the
     LAPACK gufunc behind it, without its wrapper.  A NaN or infinite entry
@@ -167,34 +158,37 @@ def _eigh(S: np.ndarray):
     return _umath_linalg.eigh_lo(S, signature="d->dd")
 
 
-@lru_cache(maxsize=None)
-def _tangent_template(k: int) -> np.ndarray:
-    """np.eye(k, k + 1, 1), read-only: the constant columns of the matrix
-    whose QR factor spans the tangent space of k free coordinates."""
-    M = np.eye(k, k + 1, 1)
-    M.flags.writeable = False
-    return M
+def _tangent_basis(t: list[float]) -> list[list[float]]:
+    """An orthonormal basis of the complement of t >= 0, t != 0, in floats:
+    the columns other than the m-th of the Householder reflection that maps
+    t / |t| to -e_m.  Row j has -t_j / h at m and delta_ij - t_i t_j / f at
+    every other i, with h = |t| and f = h (h + t_m).
 
-
-def _unit_tangent(ti: float, tj: float) -> tuple[float, float]:
-    """(-tj, ti) / |(ti, tj)|: the tangent of two free coordinates."""
-    h = math.hypot(ti, tj)
-    return -tj / h, ti / h
+    With two entries m = 0 and the row is (-t_1, t_0) / |t|.  With more, t_m
+    is the largest entry: the row of a small t_j is then close to e_j, so a
+    Hessian probe along another row barely moves that coordinate, along
+    which the dual can be curved many orders of magnitude more sharply."""
+    h = math.hypot(*t)
+    m = max(range(len(t)), key=t.__getitem__) if len(t) > 2 else 0
+    f = h * (h + t[m])
+    return [[-tj / h if i == m else (i == j) - ti * tj / f
+             for i, ti in enumerate(t)]
+            for j, tj in enumerate(t) if j != m]
 
 
 def _ascend(value, theta: np.ndarray, tol: float):
     """Projected Newton ascent of a 0-homogeneous function over the orthant.
 
     Coordinates on the bound with an outward gradient are held; the others
-    move in the tangent space of theta, and each trial point of the
-    backtracking line search is projected back onto the orthant.  Stops when
-    the predicted gain is below tol times R or no trial point increases R;
-    returns (R, point, steps), or None at MAX_STEPS.  Raises LinAlgError
-    when a Hessian has a non-finite entry.
+    move in the tangent space of theta, spanned by _tangent_basis, and each
+    trial point of the backtracking line search is projected back onto the
+    orthant.  Stops when the predicted gain is below tol times R, when no
+    trial point increases R, or when the accepted step gained at most tol
+    times R; returns (R, point, steps), or None at MAX_STEPS.  Raises
+    LinAlgError when a Hessian has a non-finite entry.
 
-    With two free coordinates the step runs in floats along the closed-form
-    unit tangent: the QR factor's tangent column up to sign, which the step
-    d = b * move does not depend on.
+    With two free coordinates the step runs in floats along the basis's one
+    direction; with more, on arrays, along the Hessian's eigenvectors.
     """
     R, G, point = value(theta)
     for step in range(1, MAX_STEPS + 1):
@@ -202,13 +196,14 @@ def _ascend(value, theta: np.ndarray, tol: float):
         k = len(free)
         if k < 2:
             return R, point, step
+        basis = _tangent_basis(theta[free].tolist())
         # the Newton step along directions of negative curvature, at most
         # _RADIUS long; a step of _RADIUS up the gradient along the others
         if k == 2:
             # the unit tangent d in the plane of the two free coordinates,
             # and the curvature along it
             i, j = free.tolist()
-            bi, bj = _unit_tangent(theta.item(i), theta.item(j))
+            (bi, bj), = basis
             d = np.zeros(len(theta))
             d[i], d[j] = bi, bj
             G_b = value(theta + _FD_STEP * d)[1]
@@ -221,11 +216,8 @@ def _ascend(value, theta: np.ndarray, tol: float):
             gain = gu * move
             d *= move
         else:
-            M = _tangent_template(k).copy()
-            M[:, 0] = theta[free]
-            Q = _qr_q(M)
             B = np.zeros((len(theta), k - 1))
-            B[free] = Q[:, 1:]
+            B.T[:, free] = basis
             g = B.T @ G
             H = np.empty((k - 1, k - 1))
             for col, probe in zip(H.T, theta + _FD_STEP * B.T):
@@ -253,6 +245,8 @@ def _ascend(value, theta: np.ndarray, tol: float):
             alpha *= 0.5
             if alpha < 1e-10:
                 return R, point, step
+        if R_t - R <= tol * abs(R):
+            return R_t, point_t, step
         theta, R, G, point = trial, R_t, G_t, point_t
     return None
 

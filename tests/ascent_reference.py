@@ -3,11 +3,12 @@
 _dual_objective, _ascend and solve_subproblem evaluate the general formulas
 in numpy at every exponent and take every Newton step with eigh and the QR
 factor of the tangent basis, on the reference's own numpy forms of the
-built-in oracles (_frontier).  lpoa.scalarization evaluates the objective in
-Python floats on the instance's float oracles, leaves out operations whose
-result is exactly known (the identities at exponent e = 1), and takes a
-one-direction step along the closed-form tangent.  So the two agree in
-value, not in bits: tests compare the objectives and the solves within
+built-in oracles (_frontier).  lpoa.scalarization evaluates the objective
+in Python floats on the instance's float oracles, leaves out operations
+whose result is exactly known (the identities at exponent e = 1), steps in
+the closed-form Householder basis instead of the QR factor, and also stops
+when an accepted step gained no more than the tolerance.  So the two agree
+in value, not in bits: tests compare the objectives and the solves within
 stated tolerances, and require the same error where either does not
 converge.
 """

@@ -11,13 +11,12 @@ residuals within 1e-8 relative, farthest vertices within 1e-9 up to the
 y1 <-> y2 swap), never by hash; they are kept as they are, and the script
 reports any run that no longer matches its entry under that rule.
 
-For each run whose iteration count or hash moved against the committed
-file, it prints the first iteration where the farthest vertex differs from
-the same run at the git revision REV (default HEAD, the committed code) by
-more than 1e-9 in a coordinate, and the relative gap between the two
-revisions' residuals there: a near-tie between two vertices shows as a gap
-at the rounding level.  REV's src/ is
-taken with `git archive` into a temporary directory and run in a
+For every run it prints the first iteration where the farthest vertex
+differs from the same run at the git revision REV (default HEAD, the
+committed code) by more than 1e-9 in a coordinate, the relative gap between
+the two revisions' residuals there, and the largest such gap before it: a
+near-tie between two vertices shows as a gap at the rounding level.  REV's
+src/ is taken with `git archive` into a temporary directory and run in a
 subprocess.
 """
 
@@ -87,17 +86,16 @@ def _matches_rule(entry, trace):
 
 
 def _first_difference(new, old):
-    """(k, relative residual gap at k) at the first iteration k where the
-    farthest vertices differ by more than 1e-9 in a coordinate (more than
-    the rounding of one vertex), or (None, largest relative residual
-    gap)."""
+    """(k, largest relative residual gap before k, relative residual gap at
+    k) for the first iteration k where the farthest vertices differ by more
+    than 1e-9 in a coordinate (more than the rounding of one vertex); k and
+    the gap at k are None where no vertex differs."""
     (v_new, r_new), (v_old, r_old) = new, old
     gaps = [abs(a - b) / abs(b) if b else abs(a)
             for a, b in zip(r_new, r_old)]
-    for k, (a, b) in enumerate(zip(v_new, v_old)):
-        if np.max(np.abs(np.subtract(a, b))) > 1e-9:
-            return k, gaps[k]
-    return None, max(gaps)
+    k = next((k for k, (a, b) in enumerate(zip(v_new, v_old))
+              if np.max(np.abs(np.subtract(a, b))) > 1e-9), None)
+    return k, max(gaps[:k], default=0.0), None if k is None else gaps[k]
 
 
 def main():
@@ -116,34 +114,31 @@ def main():
         return
 
     doc = json.loads(FINGERPRINT.read_text())
-    moved, series = [], {}
+    counts, series = [], {}
     for key, p, trace in _runs(doc):
         entry = doc["runs"][key][p]
         series.setdefault(key, {})[p] = _series(trace)
+        counts.append((key, p, entry["iterations"], len(trace.iterations)))
         if key in RULE_COMPARED:
             if not _matches_rule(entry, trace):
                 print(f"{key} p={p}: does not match its recorded entry; "
                       "kept, and test_matrix_fingerprint fails")
             continue
-        digest = hashlib.sha256(dumps_trace(trace).encode()).hexdigest()
-        count = len(trace.iterations)
-        if digest != entry["sha256"] or count != entry["iterations"]:
-            moved.append((key, p, entry["iterations"], count))
         doc["runs"][key][p] = {
-            "termination": trace.termination, "iterations": count,
+            "termination": trace.termination,
+            "iterations": len(trace.iterations),
             "residual_norm": [rec.residual_norm for rec in trace.iterations],
-            "sha256": digest}
+            "sha256": hashlib.sha256(
+                dumps_trace(trace).encode()).hexdigest()}
     FINGERPRINT.write_text(json.dumps(doc, indent=1) + "\n")
 
-    if not moved:
-        print("no hash-compared run moved")
-        return
     old = _series_at(args.against, doc)
-    for key, p, was, now in moved:
-        k, gap = _first_difference(series[key][p], old[key][p])
-        where = (f"same farthest vertices, residuals within {gap:.1e} "
-                 "relative" if k is None else f"first differing vertex at "
-                 f"k = {k}, residual gap {gap:.1e} relative there")
+    for key, p, was, now in counts:
+        k, before, there = _first_difference(series[key][p], old[key][p])
+        where = (f"same farthest vertices, residuals within {before:.1e} "
+                 "relative" if k is None else f"residuals within "
+                 f"{before:.1e} relative before the first differing vertex "
+                 f"at k = {k}, gap {there:.1e} relative there")
         print(f"{key} p={p}: {was} -> {now} iterations; {where}")
 
 

@@ -169,9 +169,10 @@ class TestDualSolver:
 
 REFERENCE_P = [1.25, 2.0, 3.0, 8.0]
 
-# (p, example1-q3 vertex) whose ascent does not converge within MAX_STEPS
-# Newton steps: at p = 8 the second ascent crawls along a face; at p = 1.25
-# (residual 6.8e-10, just above ZERO_TOL) the single e = 1 ascent needs 203
+# (p, example1-q3 vertex) whose ascent in the reference solver does not
+# converge within MAX_STEPS Newton steps: at p = 8 the second ascent crawls
+# along a face (309 steps); at p = 1.25 (residual 6.8e-10, just above
+# ZERO_TOL) the single e = 1 ascent needs 203
 NONCONVERGING_VERTICES = (
     (8.0, (0.644574175825538, 2.6373626373329603e-12, 1.3554258241691874)),
     (1.25, (1.2514992271876575, 0.04495200884976551, 0.703548763962577)),
@@ -253,27 +254,22 @@ class TestAgainstReference:
                 assert np.max(np.abs(res.cut_normal - ref.cut_normal)) <= 1e-6
 
     def test_seeds_cover_tangent_dimensions_and_ascents(self, monkeypatch):
-        # one, two and three free directions (one direction takes the
-        # closed-form tangent, more take the QR factor), and the ascent at
-        # e = 1 and the second one at e = 2 / p*
+        # one, two and three free directions (one direction takes the float
+        # step, more the eigendecomposition), and the ascent at e = 1 and
+        # the second one at e = 2 / p*
         directions, exponents = set(), set()
-        qr, tangent = scalarization._qr_q, scalarization._unit_tangent
-        objective = scalarization._dual_objective
+        basis, objective = (scalarization._tangent_basis,
+                            scalarization._dual_objective)
 
-        def recording_qr(M):
-            directions.add(M.shape[0] - 1)
-            return qr(M)
-
-        def recording_tangent(ti, tj):
-            directions.add(1)
-            return tangent(ti, tj)
+        def recording_basis(t):
+            directions.add(len(t) - 1)
+            return basis(t)
 
         def recording_objective(prob, v, ne, e):
             exponents.add(e == 1.0)
             return objective(prob, v, ne, e)
 
-        monkeypatch.setattr(scalarization, "_qr_q", recording_qr)
-        monkeypatch.setattr(scalarization, "_unit_tangent", recording_tangent)
+        monkeypatch.setattr(scalarization, "_tangent_basis", recording_basis)
         monkeypatch.setattr(scalarization, "_dual_objective",
                             recording_objective)
         for key in PROBLEM_KEYS:
@@ -284,32 +280,26 @@ class TestAgainstReference:
         assert directions == {1, 2, 3}
         assert exponents == {True, False}
 
-    def test_unit_tangent_is_qr_tangent(self):
-        # on random theta with exactly two free coordinates, the closed-form
-        # tangent is the QR factor's tangent column up to sign: the same
-        # basis, to within 1e-15
+    def test_tangent_basis_is_orthonormal_complement(self):
+        # on random t >= 0 of 2 to 5 entries at scales 1e-12 to 1, some of
+        # them zero: orthonormal rows, orthogonal to t, and at k = 2 the
+        # closed-form tangent (-t_1, t_0) / |t| up to sign, all within 1e-15
         rng = np.random.default_rng(2)
-        for i in range(1000):
-            theta = rng.dirichlet(np.ones(2)) * 10.0 ** rng.integers(-12, 1)
-            M = np.eye(2, 3, 1)
-            M[:, 0] = theta
-            column = scalarization._qr_q(M)[:, 1]
-            b = np.array(scalarization._unit_tangent(*theta.tolist()))
-            assert min(np.max(np.abs(b - column)),
-                       np.max(np.abs(b + column))) <= 1e-15, theta
-
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_qr_q_is_numpy_qr(self, k):
-        # the ascent's Q factor, of [theta | I] and of wide random matrices,
-        # is np.linalg.qr's bit for bit
-        rng = np.random.default_rng(k)
-        for i in range(200):
-            M = np.eye(k, k + 1, 1)
-            M[:, 0] = rng.dirichlet(np.ones(k))
-            if i % 2:
-                M = rng.normal(size=(k, k + 1 + i % 3))
-            expected = np.linalg.qr(M)[0]
-            assert scalarization._qr_q(M.copy()).tobytes() == expected.tobytes()
+        for i in range(2000):
+            k = 2 + i % 4
+            t = rng.dirichlet(np.ones(k)) * 10.0 ** rng.integers(-12, 1)
+            t[rng.random(k) < 0.3] = 0.0
+            if not t.any():
+                t[rng.integers(k)] = 1.0
+            rows = np.array(scalarization._tangent_basis(t.tolist()))
+            assert rows.shape == (k - 1, k)
+            assert np.max(np.abs(rows @ rows.T - np.eye(k - 1))) <= 1e-15, t
+            assert (np.max(np.abs(rows @ t))
+                    <= 1e-15 * np.linalg.norm(t)), t
+            if k == 2:
+                tangent = np.array([-t[1], t[0]]) / np.linalg.norm(t)
+                assert min(np.max(np.abs(rows[0] - tangent)),
+                           np.max(np.abs(rows[0] + tangent))) <= 1e-15, t
 
     def test_eigh_is_numpy_eigh(self, monkeypatch):
         # the ascent's eigendecomposition is np.linalg.eigh's bit for bit,
@@ -374,10 +364,34 @@ class TestAgainstReference:
         # the start and one probe per tangent direction
         assert len(calls) == 1 + directions
 
-    def test_nonconverging_vertex_raises_on_both_sides(self):
+    def test_hard_vertices_converge(self, monkeypatch):
+        # the reference's non-converging vertices; an example2 vertex at
+        # p = 8 where the first ascent can creep toward a face, gaining
+        # about 1e-11 of R per step; and a point of the initial polytope of
+        # example1-q3 just outside the ball (drawn by
+        # test_bounds_cover_residual), where the first free coordinate
+        # settles near 4e-6 next to two near 0.5 and the ascent crawls to
+        # MAX_STEPS if the basis reflects onto that coordinate's axis.  Each
+        # converges in at most 40 Newton steps (33, 16, 38 and 18; 43 and 46
+        # at p = 8 without the realized-gain stop), with R as the
+        # reference's run to 2,000 steps, within 1e-12 relative or 5e-15
+        # absolute (the residual of 6.8e-10 lies 1.4e-15 above the
+        # reference's; scaling its theta by 3 moves R by 5.4e-16)
         prob = by_key("example1-q3")
         for p, vertex in NONCONVERGING_VERTICES:
-            for solve in (solve_subproblem,
-                          ascent_reference.solve_subproblem):
-                with pytest.raises(SubproblemError):
-                    solve(prob, np.array(vertex), NormExponent(p))
+            with pytest.raises(SubproblemError):
+                ascent_reference.solve_subproblem(prob, np.array(vertex),
+                                                  NormExponent(p))
+        monkeypatch.setattr(ascent_reference, "MAX_STEPS", 2000)
+        cases = [("example1-q3", p, v) for p, v in NONCONVERGING_VERTICES]
+        cases += [
+            ("example2", 8.0, (13.749999999974786, 0.0, 2.500000000025217)),
+            ("example1-q3", 1.25,
+             (1.0000099999999998, 0.99999, 1.999999999982898e-17))]
+        for key, p, vertex in cases:
+            prob, ne, v = by_key(key), NormExponent(p), np.array(vertex)
+            res = solve_subproblem(prob, v, ne)
+            assert res.iterations <= 40, (key, p)
+            ref = ascent_reference.solve_subproblem(prob, v, ne)
+            gap = abs(res.residual_norm - ref.residual_norm)
+            assert gap <= max(1e-12 * ref.residual_norm, 5e-15), (key, p)
