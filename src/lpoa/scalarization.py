@@ -28,37 +28,30 @@ result also carries the frontier point gamma(x*(omega)) at the final weights
 on the simplex, omega = c / sum(c): a point of the upper image from which
 the driver starts the bound searches of later vertices.
 
-The objective (on the problem's float oracles) and the one-direction Newton
-step run in Python floats, where numpy's per-call cost would dominate
-arrays of three or four entries.  Each step moves in the tangent space of
-the free coordinates t, spanned by the closed-form columns of a Householder
-reflection of t (_tangent_basis); with more than one direction the
-Hessian's eigendecomposition comes from the LAPACK gufunc behind
-np.linalg.eigh, called without numpy's wrapper.  An ascent stops when the
-Newton model predicts a gain below its tolerance times R, or when the step
-it has just taken gained no more than that.
+The objective (on the problem's float oracles) and the Newton step run in
+Python floats, where numpy's per-call cost would dominate arrays of three or
+four entries.  Each step moves along the eigenvectors (_eigh, by Jacobi
+rotations) of the Hessian in the tangent space of the free coordinates t,
+spanned by the closed-form columns of a Householder reflection of t
+(_tangent_basis).  An ascent stops when the Newton model predicts a gain
+below its tolerance times R, or when its last step gained no more than that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from operator import mul
-from typing import Optional
 
 import numpy as np
-# the LAPACK gufunc behind np.linalg.eigh
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import LinAlgError
 
 from .lp_geometry import NormExponent, lp_gradient, lp_norm
 from .problems import ProblemInstance, sum_left
 
-__all__ = [
-    "ScalarizationResult",
-    "SubproblemError",
-    "solve_subproblem",
-    "solve_batch",
-]
+__all__ = ["ScalarizationResult", "SubproblemError", "solve_subproblem",
+           "solve_batch"]
 
 
 ZERO_TOL = 1e-10    # residual norm at or below which v counts as in A
@@ -67,6 +60,7 @@ _FD_STEP = 1e-7     # finite-difference step of the Hessian (theta sums to 1)
 _RADIUS = 0.3       # longest step along one curvature direction
 _GAIN_TOL = 1e-13   # stop when the predicted gain is below this times R
 _COARSE_GAIN_TOL = 1e-8  # the same for the first ascent when p > 2
+_SWEEPS = 30        # Jacobi sweeps per eigendecomposition before LinAlgError
 
 prox_lp_norm = None  # not an operator: a name perfbench/spans.py looks up
 
@@ -75,11 +69,10 @@ prox_lp_norm = None  # not an operator: a name perfbench/spans.py looks up
 class ScalarizationResult:
     y_support: np.ndarray
     residual_norm: float
-    cut_normal: Optional[np.ndarray]
+    cut_normal: np.ndarray | None
     iterations: int               # Newton steps, both ascents together
-    # (omega, gamma(ws(omega))) at the final weights omega = c / sum(c);
-    # None for a result built without it
-    frontier: Optional[tuple[np.ndarray, np.ndarray]] = None
+    # (omega, gamma(ws(omega))) at the final weights omega = c / sum(c)
+    frontier: tuple[np.ndarray, np.ndarray]
 
 
 class SubproblemError(RuntimeError):
@@ -93,19 +86,19 @@ class SubproblemError(RuntimeError):
 
 
 def _theta(prob: ProblemInstance, c: np.ndarray, lam: float, e: float):
-    """(r, mu) of the weights (c, lam) at exponent e, on the simplex."""
+    """(r, mu) of the weights (c, lam) at exponent e on the simplex, a list."""
     mu = lam ** (1.0 / e)
     n = c - lam * prob.w_bar
     s = np.sign(n) * np.abs(n) ** (1.0 / e)
     theta = np.append(np.maximum(s + mu * prob.w_bar ** (1.0 / e), 0.0), mu)
-    return theta / theta.sum()
+    return (theta / theta.sum()).tolist()
 
 
 def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
                     e: float):
     """theta -> (R, gradient of R in theta, (c, lam)) at exponent e, in
-    Python floats with sums left to right; R is a float, the gradient and c
-    are arrays.  D = ||n||_{p*} = nrm^e.  At e = 1 (unit) lam = mu, n = s
+    Python floats with sums left to right; theta, the gradient and c are
+    lists.  D = ||n||_{p*} = nrm^e.  At e = 1 (unit) lam = mu, n = s
     and D = nrm: the powers x^1 and x^0 and the factors e and e D / nrm,
     all exactly 1, are left out."""
     w, vs, gs = prob.w_bar.tolist(), v.tolist(), prob.gamma_slice
@@ -115,7 +108,7 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
     unit = e == 1.0
 
     def objective(theta):
-        *r, mu = theta.tolist()
+        *r, mu = theta
         s = [ri - mu * oi for ri, oi in zip(r, om)]
         a = list(map(abs, s))
         # math.pow raises where ** would return a complex number: at a
@@ -125,7 +118,7 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
         c = [ni + lam * wi for ni, wi in zip(n, w)]
         top = max(a)
         if top == 0.0 or not max(c) > 0.0:
-            return -math.inf, np.zeros(len(theta)), (np.array(c), lam)
+            return -math.inf, [0.0] * len(theta), (c, lam)
         g = gamma(ws(c))
         nrm = top * sum_left([(x / top) ** m for x in a]) ** (1.0 / m)
         D = nrm if unit else nrm ** e
@@ -143,19 +136,44 @@ def _dual_objective(prob: ProblemInstance, v: np.ndarray, ne: NormExponent,
             dmu = dmu * e * max(mu, 1e-300) ** (e - 1.0)
         dR = [(x - R * y) / D for x, y in zip(gv, dD)]
         dR.append(dmu - sum_left(map(mul, om, dR)))
-        return R, np.array(dR), (np.array(c), lam)
+        return R, dR, (c, lam)
 
     return objective
 
 
-def _eigh(S: np.ndarray):
-    """np.linalg.eigh(S) for a symmetric float64 matrix S, bit for bit: the
-    LAPACK gufunc behind it, without its wrapper.  A NaN or infinite entry
-    raises LinAlgError before the call; np.linalg.eigh raises on some such
-    matrices and returns NaN for others."""
-    if not all(map(math.isfinite, S.flat)):
+def _eigh(S: list[list[float]]):
+    """(eigenvalues, U) of a symmetric matrix S of rows of floats, with unit
+    eigenvectors as the columns of U: cyclic Jacobi rotations (Golub & Van
+    Loan, Matrix Computations, 8.5), each zeroing one off-diagonal pair,
+    until every off-diagonal entry is below the rounding of its diagonal
+    pair.  A 1 x 1 takes no rotation and a 2 x 2 one.  Raises LinAlgError
+    on a NaN or infinite entry."""
+    if not all(map(math.isfinite, chain.from_iterable(S))):
         raise LinAlgError("Hessian must not contain infs or NaNs")
-    return _umath_linalg.eigh_lo(S, signature="d->dd")
+    k = len(S)
+    A = [row[:] for row in S]
+    U = [[float(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(_SWEEPS):
+        rotated = False
+        for p, q in combinations(range(k), 2):
+            apq, app, aqq = A[p][q], A[p][p], A[q][q]
+            if app + apq == app and aqq + apq == aqq:
+                continue
+            # t = tan of the angle that zeroes A[p][q], the smaller root
+            tau = (aqq - app) / (2.0 * apq)
+            t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+            c, s = 1.0 / math.hypot(1.0, t), t / math.hypot(1.0, t)
+            for row in chain(A, U):     # A J and U J: columns p and q
+                x, y = row[p], row[q]
+                row[p], row[q] = c * x - s * y, s * x + c * y
+            # J^T (A J): by symmetry its rows p and q are columns p and q
+            A[p], A[q] = [r[p] for r in A], [r[q] for r in A]
+            A[p][p], A[q][q] = app - t * apq, aqq + t * apq
+            A[p][q] = A[q][p] = 0.0
+            rotated = True
+        if not rotated:
+            return [A[i][i] for i in range(k)], U
+    raise LinAlgError("Jacobi sweeps did not converge")
 
 
 def _tangent_basis(t: list[float]) -> list[list[float]]:
@@ -176,69 +194,51 @@ def _tangent_basis(t: list[float]) -> list[list[float]]:
             for j, tj in enumerate(t) if j != m]
 
 
-def _ascend(value, theta: np.ndarray, tol: float):
-    """Projected Newton ascent of a 0-homogeneous function over the orthant.
-
-    Coordinates on the bound with an outward gradient are held; the others
-    move in the tangent space of theta, spanned by _tangent_basis, and each
-    trial point of the backtracking line search is projected back onto the
-    orthant.  Stops when the predicted gain is below tol times R, when no
-    trial point increases R, or when the accepted step gained at most tol
-    times R; returns (R, point, steps), or None at MAX_STEPS.  Raises
-    LinAlgError when a Hessian has a non-finite entry.
-
-    With two free coordinates the step runs in floats along the basis's one
-    direction; with more, on arrays, along the Hessian's eigenvectors.
+def _ascend(value, theta: list[float], tol: float):
+    """Projected Newton ascent of a 0-homogeneous function over the orthant,
+    in Python floats.  Coordinates on the bound with an outward gradient are
+    held; the others move in the tangent space of theta, spanned by
+    _tangent_basis, along the eigenvectors of the finite-difference Hessian
+    there.  Each trial point of the backtracking line search is projected
+    back onto the orthant.  Stops when the predicted gain is below tol times
+    R, when no trial point increases R, or when the accepted step gained at
+    most tol times R; returns (R, point, steps), or None at MAX_STEPS.
+    Raises LinAlgError when a Hessian has a non-finite entry.
     """
     R, G, point = value(theta)
     for step in range(1, MAX_STEPS + 1):
-        free = ((theta > 1e-12) | (G > 0.0)).nonzero()[0]
-        k = len(free)
-        if k < 2:
+        free = [i for i, (t, g) in enumerate(zip(theta, G))
+                if t > 1e-12 or g > 0.0]
+        if len(free) < 2:
             return R, point, step
-        basis = _tangent_basis(theta[free].tolist())
+        B = [[0.0] * len(theta) for _ in free[1:]]  # the basis, 0 if held
+        for b, row in zip(B, _tangent_basis([theta[i] for i in free])):
+            for i, x in zip(free, row):
+                b[i] = x
+        g = [sum_left(map(mul, b, G)) for b in B]
+        H = []      # the Hessian in the basis: g's change along each row
+        for row in B:
+            G_p = value([t + _FD_STEP * x for t, x in zip(theta, row)])[1]
+            H.append([(sum_left(map(mul, b, G_p)) - y) / _FD_STEP
+                      for b, y in zip(B, g)])
+        curv, U = _eigh([[0.5 * (x + y) for x, y in zip(row, col)]
+                         for row, col in zip(H, zip(*H))])
+        gu = [sum_left(map(mul, u, g)) for u in zip(*U)]
         # the Newton step along directions of negative curvature, at most
-        # _RADIUS long; a step of _RADIUS up the gradient along the others
-        if k == 2:
-            # the unit tangent d in the plane of the two free coordinates,
-            # and the curvature along it
-            i, j = free.tolist()
-            (bi, bj), = basis
-            d = np.zeros(len(theta))
-            d[i], d[j] = bi, bj
-            G_b = value(theta + _FD_STEP * d)[1]
-            gu = bi * G.item(i) + bj * G.item(j)
-            curv = ((bi * G_b.item(i) + bj * G_b.item(j)) - gu) / _FD_STEP
-            if not math.isfinite(curv):
-                raise LinAlgError("Hessian must not contain infs or NaNs")
-            move = (gu / max(-curv, abs(gu) / _RADIUS) if curv < 0.0
-                    else math.copysign(_RADIUS, gu))
-            gain = gu * move
-            d *= move
-        else:
-            B = np.zeros((len(theta), k - 1))
-            B.T[:, free] = basis
-            g = B.T @ G
-            H = np.empty((k - 1, k - 1))
-            for col, probe in zip(H.T, theta + _FD_STEP * B.T):
-                np.subtract(B.T @ value(probe)[1], g, out=col)
-            H /= _FD_STEP
-            curv, U = _eigh(0.5 * (H + H.T))
-            gu = U.T @ g
-            # the move along each eigenvector, in floats with the roundings
-            # of the array form; a zero gradient component moves 0
-            move = np.array([
-                u / max(-c, abs(u) / _RADIUS) if c < 0.0
+        # _RADIUS long; _RADIUS up a nonzero gradient along the others
+        move = [u / max(-c, abs(u) / _RADIUS) if c < 0.0
                 else math.copysign(_RADIUS, u) if u else 0.0
-                for c, u in zip(curv.tolist(), gu.tolist())])
-            gain = float(gu @ move)
-            d = B @ (U @ move)
+                for c, u in zip(curv, gu)]
+        gain = sum_left(map(mul, gu, move))
         if not gain > tol * abs(R):
             return R, point, step
+        coef = [sum_left(map(mul, row, move)) for row in U]
+        d = [sum_left(map(mul, col, coef)) for col in zip(*B)]
         alpha = 1.0
         while True:
-            trial = np.maximum(theta + alpha * d, 0.0)
-            trial /= np.add.reduce(trial)
+            trial = [max(0.0, t + alpha * x) for t, x in zip(theta, d)]
+            total = sum_left(trial)
+            trial = [x / total for x in trial]
             R_t, G_t, point_t = value(trial)
             if R_t > R and R_t >= R + 1e-4 * alpha * gain:
                 break

@@ -120,9 +120,10 @@ def _ascend(value, theta: np.ndarray, tol: float):
 def solve_subproblem(prob: ProblemInstance, v,
                      ne: NormExponent) -> ScalarizationResult:
     """lp distance from vertex v to A (R at the dual maximizer), with support
-    point and cut normal.  If v is (numerically) in A the residual is zero
-    and no cut normal is produced.  Raises SubproblemError if an ascent does
-    not converge within MAX_STEPS Newton steps.
+    point, cut normal and the frontier point at the final weights.  If v is
+    (numerically) in A the residual is zero and no cut normal is produced.
+    Raises SubproblemError if an ascent does not converge within MAX_STEPS
+    Newton steps.
     """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
@@ -136,7 +137,7 @@ def solve_subproblem(prob: ProblemInstance, v,
         if ne.p > 2.0 else ((1.0, _GAIN_TOL),)
     for e, tol in phases:
         out = _ascend(_dual_objective(prob, v, ne, e),
-                      _theta(prob, c, lam, e), tol)
+                      np.array(_theta(prob, c, lam, e)), tol)
         if out is None:
             raise SubproblemError("dual ascent did not converge", vertex=v)
         _, (c, lam), used = out
@@ -154,5 +155,7 @@ def solve_subproblem(prob: ProblemInstance, v,
     else:
         normal = n / D
         y = v + R * lp_gradient(normal, dual)
+    omega = c / c.sum()
     return ScalarizationResult(y_support=y, residual_norm=R,
-                               cut_normal=normal, iterations=steps)
+                               cut_normal=normal, iterations=steps,
+                               frontier=(omega, _frontier(prob, omega)))

@@ -571,8 +571,8 @@ class TestLazySelection:
         assert 0 < search_calls <= (1 + _ROUNDS) * len(trace.iterations) / 2
 
     @pytest.mark.parametrize("key, epsilon, solves, calls", [
-        ("ellipse", 1e-3, 33, 118), ("example2", 0.3, 33, 97),
-        ("example2", 0.05, 109, 344)])
+        ("ellipse", 1e-3, 33, 118), ("example2", 0.3, 34, 97),
+        ("example2", 0.05, 111, 357)])
     def test_search_work_recorded(self, monkeypatch, key, epsilon, solves,
                                   calls):
         # the lazy loop's work, which the trace bytes cannot show: the
